@@ -151,7 +151,12 @@ def _parse_design(raw: str) -> np.ndarray:
             raise ConfigError("design file must hold a JSON array")
     if len(vals) != 20:
         raise ConfigError(f"design needs 20 values, got {len(vals)}")
-    return np.asarray(vals, dtype=float)
+    x = np.asarray(vals, dtype=float)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"design value {VARIABLE_NAMES[i]} = {x[i]} is not finite")
+    return x
 
 
 ARCHIVE_COLUMNS = list(VARIABLE_NAMES) + ["fit1", "fit2", "violation", "feasible"]

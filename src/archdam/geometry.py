@@ -23,16 +23,25 @@ __all__ = [
     "CanyonProfile",
     "DesignVector",
     "DamGeometry",
+    "DepthInterpolant",
+    "VolumeQuadrature",
+    "ConstraintDepths",
     "DEFAULT_HEIGHT",
     "LOWER_BOUNDS",
     "UPPER_BOUNDS",
     "VARIABLE_NAMES",
     "lagrange_basis",
     "crown_profile_g",
+    "crown_slope",
     "central_angle_deg",
 ]
 
 DEFAULT_HEIGHT = 142.65  # m, Morrow Point dam
+
+# evenly spaced depths at which radii are checked positive, and at which
+# the overhang-slope and central-angle constraints are taken
+RADIUS_CHECK_DEPTHS = 101
+CONSTRAINT_DEPTHS = 50
 
 VARIABLE_NAMES = (
     ["gamma", "beta"]
@@ -159,82 +168,132 @@ def crown_profile_g(z, gamma: float, beta: float, h: float):
     return gamma * z**2 / (2.0 * beta * h) - gamma * z
 
 
+def crown_slope(z, gamma, beta, h: float):
+    """Slope dg/dz of the upstream crown curve."""
+    return gamma * np.asarray(z, dtype=float) / (beta * h) - gamma
+
+
 def central_angle_deg(half_width, ru):
     """Tangent-angle definition of the arch central angle, degrees."""
     return np.degrees(2.0 * np.arctan(np.asarray(half_width, dtype=float) / np.asarray(ru, dtype=float)))
 
 
-class _LagrangeInterpolant:
-    """Barycentric Lagrange interpolant with derivative, exact at the nodes."""
+class DepthInterpolant:
+    """Level interpolation onto a fixed set of depths, for any batch of designs.
 
-    def __init__(self, nodes: np.ndarray, values: np.ndarray):
-        self.x = np.asarray(nodes, dtype=float)
-        self.f = np.asarray(values, dtype=float)
-        n = len(self.x)
-        if len(self.f) != n:
-            raise ValueError("nodes/values length mismatch")
-        d = self.x[:, None] - self.x[None, :]
+    Barycentric second form, p(z) = sum_j r_j f_j / sum_j r_j with
+    r_j = w_j / (z - x_j). The terms r and their row sums depend only on
+    the depths, so they are computed once here; values() and slopes() then
+    map node values of shape (..., n_levels) to (..., n_depths) in one
+    pass. A depth within 1e-12 (relative to the dam height) of a level
+    takes that level's value exactly. slopes=True also stores the
+    derivative terms: squared offsets, and differentiation-matrix rows for
+    the depths that hit a level.
+    """
+
+    def __init__(self, levels: ControlLevels, z, slopes: bool = False):
+        x = levels.z
+        self.z = np.asarray(z, dtype=float)
+        d = x[:, None] - x[None, :]
         np.fill_diagonal(d, 1.0)
-        prod = d.prod(axis=1)
-        if np.any(prod == 0.0):
-            raise InvalidLevelsError("coincident control levels")
-        self.w = 1.0 / prod
-        # differentiation matrix for derivative values at the nodes
-        D = (self.w[None, :] / self.w[:, None]) / np.where(d == 0.0, 1.0, d)
-        np.fill_diagonal(D, 0.0)
-        np.fill_diagonal(D, -D.sum(axis=1))
-        self._D = D
-        self._span = float(self.x[-1] - self.x[0])
+        self._w = 1.0 / d.prod(axis=1)
+        dz = self.z[:, None] - x[None, :]
+        hit = np.abs(dz) <= 1e-12 * max(float(x[-1] - x[0]), 1.0)
+        self._at = hit.any(axis=1)
+        self._off = ~self._at
+        self._node = hit[self._at].argmax(axis=1)
+        self._r = self._w / dz[self._off]
+        self._rsum = self._r.sum(axis=1)
+        if slopes:
+            self._dz2 = dz[self._off] ** 2
+            D = (self._w[None, :] / self._w[:, None]) / d
+            np.fill_diagonal(D, 0.0)
+            np.fill_diagonal(D, -D.sum(axis=1))
+            self._d_at = D[self._node]
 
-    def _masks(self, z: np.ndarray):
-        dz = z[:, None] - self.x[None, :]
-        hit = np.abs(dz) <= 1e-12 * max(self._span, 1.0)
-        at_node = hit.any(axis=1)
-        return dz, hit, at_node
+    def _off_values(self, f):
+        return (self._r * f[..., None, :]).sum(axis=-1) / self._rsum
 
-    def __call__(self, z):
-        z_in = np.asarray(z, dtype=float)
-        z1 = np.atleast_1d(z_in).astype(float)
-        dz, hit, at_node = self._masks(z1)
-        out = np.empty_like(z1)
-        if at_node.any():
-            out[at_node] = self.f[hit[at_node].argmax(axis=1)]
-        off = ~at_node
-        if off.any():
-            r = self.w[None, :] / dz[off]
-            out[off] = (r * self.f[None, :]).sum(axis=1) / r.sum(axis=1)
-        return out.reshape(z_in.shape) if z_in.ndim else float(out[0])
+    def values(self, f):
+        out = np.empty(f.shape[:-1] + self.z.shape)
+        out[..., self._at] = f[..., self._node]
+        out[..., self._off] = self._off_values(f)
+        return out
 
-    def derivative(self, z):
-        z_in = np.asarray(z, dtype=float)
-        z1 = np.atleast_1d(z_in).astype(float)
-        dz, hit, at_node = self._masks(z1)
-        out = np.empty_like(z1)
-        if at_node.any():
-            idx = hit[at_node].argmax(axis=1)
-            out[at_node] = self._D[idx] @ self.f
-        off = ~at_node
-        if off.any():
-            r = self.w[None, :] / dz[off]
-            p = (r * self.f[None, :]).sum(axis=1) / r.sum(axis=1)
-            num = (self.w[None, :] * (p[:, None] - self.f[None, :]) / dz[off] ** 2).sum(axis=1)
-            out[off] = num / r.sum(axis=1)
-        return out.reshape(z_in.shape) if z_in.ndim else float(out[0])
+    def slopes(self, f):
+        out = np.empty(f.shape[:-1] + self.z.shape)
+        # stacked matmul makes the same BLAS matrix-vector call for each design
+        # as for a lone one; a summed product or one matrix product for the
+        # whole batch rounds differently in the last bit
+        out[..., self._at] = np.matmul(self._d_at, f[..., None])[..., 0]
+        p = self._off_values(f)
+        num = (self._w * (p[..., None] - f[..., None, :]) / self._dz2).sum(axis=-1)
+        out[..., self._off] = num / self._rsum
+        return out
 
 
-def _gauss_legendre(n: int, a, b):
-    """Nodes and weights on [a, b]; a, b may be arrays (broadcast)."""
-    t, w = np.polynomial.legendre.leggauss(n)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid[..., None] + half[..., None] * t, half[..., None] * w
+class VolumeQuadrature:
+    """Tensor-product Gauss-Legendre rule for the concrete volume: `order`
+    depths, and at each depth `order` points across the canyon width."""
+
+    def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int = 32):
+        if order < 2:
+            raise ValueError("quadrature order must be at least 2")
+        t, w = np.polynomial.legendre.leggauss(order)
+        # the rule on [0, h] in depth, then on [-half_width, half_width]
+        # across the valley at each depth: (order, order)
+        half_h = 0.5 * levels.h
+        zq, self._wz = half_h + half_h * t, half_h * w
+        half_width = canyon.half_width(zq)[:, None]
+        self._half_x2 = (half_width * t) ** 2 / 2.0
+        self._wx = half_width * w
+        self.depths = DepthInterpolant(levels, zq)
+
+    def __call__(self, tc, ru, rd):
+        """Volumes for node values of shape (n, n_levels), shape (n,)."""
+        tc = self.depths.values(tc)[..., None]
+        ru = self.depths.values(ru)[..., None]
+        rd = self.depths.values(rd)[..., None]
+        thick = np.abs(tc + self._half_x2 * (1.0 / rd - 1.0 / ru))
+        return np.einsum("nij,ij,i->n", thick, self._wx, self._wz)
+
+
+class ConstraintDepths:
+    """The geometric constraints, checked at n_depths evenly spaced depths.
+
+    Layout per design: 6 radius-ordering values rd_i/ru_i - 1, one
+    overhang-slope value per face (worst over the depths), one
+    central-angle value (worst over the depths, normalized by the 130
+    degree ceiling). Feasible where <= 0.
+    """
+
+    def __init__(self, levels: ControlLevels, canyon: CanyonProfile,
+                 n_depths: int = CONSTRAINT_DEPTHS):
+        self.h = levels.h
+        self.z = np.linspace(0.0, levels.h, n_depths)
+        self.half_width = canyon.half_width(self.z)
+        self.depths = DepthInterpolant(levels, self.z, slopes=True)
+
+    def __call__(self, gamma, beta, tc, ru, rd, gamma_allow: float):
+        """gamma, beta of shape (n,), node values (n, n_levels) -> (n, 9)."""
+        out = np.empty((len(gamma), 9))
+        out[:, :6] = rd / ru - 1.0
+        s_u = crown_slope(self.z, gamma[:, None], beta[:, None], self.h)
+        s_d = s_u + self.depths.slopes(tc)
+        out[:, 6] = np.max(np.abs(s_u), axis=1) / gamma_allow - 1.0
+        out[:, 7] = np.max(np.abs(s_d), axis=1) / gamma_allow - 1.0
+        phi = central_angle_deg(self.half_width, self.depths.values(ru))
+        out[:, 8] = np.max(np.maximum(90.0 - phi, phi - 130.0), axis=1) / 130.0
+        return out
 
 
 @dataclass
 class DamGeometry:
-    """Evaluable dam shape: face surfaces, interpolants, constraints, volume."""
+    """One dam shape: face surfaces, section properties, constraints, volume.
+
+    Every quantity goes through the same fixed-depth helpers that the
+    batched evaluator uses, as a batch of one design.
+    """
 
     design: DesignVector
     levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
@@ -245,10 +304,12 @@ class DamGeometry:
             # default canyon is supplied by the problem configuration; this
             # fallback keeps bare geometry tests independent of it
             self.canyon = CanyonProfile(h=self.levels.h, w_crest=135.0, w_base=0.35 * 135.0)
-        z = self.levels.z
-        self._tc = _LagrangeInterpolant(z, self.design.tc)
-        self._ru = _LagrangeInterpolant(z, self.design.ru)
-        self._rd = _LagrangeInterpolant(z, self.design.rd)
+
+    def _at(self, f, z, slopes=False):
+        z = np.asarray(z, dtype=float)
+        depths = DepthInterpolant(self.levels, z.ravel(), slopes=slopes)
+        out = depths.slopes(f) if slopes else depths.values(f)
+        return out.reshape(z.shape) if z.ndim else float(out[0])
 
     # -- interpolated section properties ------------------------------------
 
@@ -256,22 +317,21 @@ class DamGeometry:
         return crown_profile_g(z, self.design.gamma, self.design.beta, self.levels.h)
 
     def g_slope(self, z):
-        z = np.asarray(z, dtype=float)
-        return self.design.gamma * z / (self.design.beta * self.levels.h) - self.design.gamma
+        return crown_slope(z, self.design.gamma, self.design.beta, self.levels.h)
 
     def tc(self, z):
-        return self._tc(z)
+        return self._at(self.design.tc, z)
 
     def ru(self, z):
-        return self._ru(z)
+        return self._at(self.design.ru, z)
 
     def rd(self, z):
-        return self._rd(z)
+        return self._at(self.design.rd, z)
 
-    def check_radii(self, n_samples: int = 101) -> None:
+    def check_radii(self, n_samples: int = RADIUS_CHECK_DEPTHS) -> None:
         """Raise DegenerateGeometryError if a radius dips non-positive."""
         zs = np.linspace(0.0, self.levels.h, n_samples)
-        if np.min(self._ru(zs)) <= 0.0 or np.min(self._rd(zs)) <= 0.0:
+        if np.min(self.ru(zs)) <= 0.0 or np.min(self.rd(zs)) <= 0.0:
             raise DegenerateGeometryError("interpolated radius non-positive")
 
     # -- faces ---------------------------------------------------------------
@@ -279,13 +339,13 @@ class DamGeometry:
     def faces(self, x, z):
         """Upstream and downstream face offsets (y_u, y_d) at (x, z)."""
         x = np.asarray(x, dtype=float)
-        ru = self._ru(z)
-        rd = self._rd(z)
+        ru = self.ru(z)
+        rd = self.rd(z)
         if np.any(np.asarray(ru) <= 0.0) or np.any(np.asarray(rd) <= 0.0):
             raise DegenerateGeometryError("interpolated radius non-positive")
         g = self.g(z)
         y_u = x**2 / (2.0 * ru) + g
-        y_d = x**2 / (2.0 * rd) + g + self._tc(z)
+        y_d = x**2 / (2.0 * rd) + g + self.tc(z)
         return y_u, y_d
 
     # -- integral and constraint quantities ----------------------------------
@@ -293,40 +353,24 @@ class DamGeometry:
     def volume(self, order: int = 32) -> float:
         """Concrete volume by tensor-product Gauss-Legendre quadrature,
         x-extent clipped to the canyon half-width at each depth."""
-        if order < 2:
-            raise ValueError("quadrature order must be at least 2")
-        zq, wz = _gauss_legendre(order, 0.0, self.levels.h)
-        w = self.canyon.half_width(zq)
-        xq, wx = _gauss_legendre(order, -w, w)  # (order, order), per-depth extent
-        tc = self._tc(zq)[:, None]
-        ru = self._ru(zq)[:, None]
-        rd = self._rd(zq)[:, None]
-        thick = np.abs(tc + xq**2 / 2.0 * (1.0 / rd - 1.0 / ru))
-        return float(np.einsum("ij,ij,i->", thick, wx, wz))
+        d = self.design
+        quad = VolumeQuadrature(self.levels, self.canyon, order)
+        return float(quad(d.tc[None], d.ru[None], d.rd[None])[0])
 
     def central_angle(self, z):
         """Arch central angle at depth z, degrees."""
-        return central_angle_deg(self.canyon.half_width(z), self._ru(z))
+        return central_angle_deg(self.canyon.half_width(z), self.ru(z))
 
     def face_slopes(self, z):
         """(upstream, downstream) crown-line slopes dy/dz at x = 0."""
         gs = self.g_slope(z)
-        return gs, gs + self._tc.derivative(z)
+        return gs, gs + self._at(self.design.tc, z, slopes=True)
 
-    def geometric_constraints(self, gamma_allow: float = 0.65, n_depths: int = 50) -> np.ndarray:
-        """Signed constraint values, feasible where <= 0.
-
-        Layout: 6 radius-ordering values rd_i/ru_i - 1, one overhang-slope
-        value per face (worst over sampled depths), one central-angle value
-        (worst over sampled depths, normalized by the 130 degree ceiling).
-        """
+    def geometric_constraints(self, gamma_allow: float = 0.65,
+                              n_depths: int = CONSTRAINT_DEPTHS) -> np.ndarray:
+        """Signed constraint values, feasible where <= 0; layout as in
+        ConstraintDepths."""
         d = self.design
-        out = np.empty(9)
-        out[:6] = d.rd / d.ru - 1.0
-        zs = np.linspace(0.0, self.levels.h, n_depths)
-        s_u, s_d = self.face_slopes(zs)
-        out[6] = np.max(np.abs(s_u)) / gamma_allow - 1.0
-        out[7] = np.max(np.abs(s_d)) / gamma_allow - 1.0
-        phi = self.central_angle(zs)
-        out[8] = np.max(np.maximum(90.0 - phi, phi - 130.0)) / 130.0
-        return out
+        cons = ConstraintDepths(self.levels, self.canyon, n_depths)
+        return cons(np.array([d.gamma]), np.array([d.beta]),
+                    d.tc[None], d.ru[None], d.rd[None], gamma_allow)[0]

@@ -86,33 +86,44 @@ class MocssResult:
     n_evaluations: int
 
 
+def _front_ranks(F: np.ndarray) -> np.ndarray:
+    """Plain Pareto front index per row (minimization), by peeling fronts."""
+    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
+    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
+    dom = le & lt
+    ranks = np.zeros(len(F), dtype=int)
+    alive = np.ones(len(F), dtype=bool)
+    r = 1
+    while alive.any():
+        front = alive & ~((dom & alive[:, None]).any(axis=0))
+        ranks[front] = r
+        alive &= ~front
+        r += 1
+    return ranks
+
+
 def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
     """Constrained non-dominated front index per row, 1 = non-dominated.
 
     Feasible rows dominate infeasible ones; among infeasible rows, lower
     total violation dominates; among feasible rows, plain Pareto
-    dominance on the objective values (minimization).
+    dominance on the objective values (minimization). So the feasible
+    rows take the first fronts, and each distinct violation value is one
+    further front. Raises ValueError on a non-finite objective or
+    violation.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     n = len(F)
     viol = np.zeros(n) if violations is None else np.asarray(violations, dtype=float)
+    bad = ~(np.isfinite(F).all(axis=1) & np.isfinite(viol))
+    if bad.any():
+        raise ValueError(f"pareto_rank: row {int(np.argmax(bad))} has a non-finite "
+                         "objective or violation")
     feas = viol == 0.0
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    dom = (feas[:, None] & feas[None, :]) & le & lt
-    dom |= feas[:, None] & ~feas[None, :]
-    dom |= (~feas[:, None] & ~feas[None, :]) & (viol[:, None] < viol[None, :])
-    np.fill_diagonal(dom, False)
     ranks = np.zeros(n, dtype=int)
-    alive = np.ones(n, dtype=bool)
-    r = 1
-    while alive.any():
-        front = alive & ~((dom & alive[:, None]).any(axis=0))
-        if not front.any():  # cannot happen with a strict partial order
-            front = alive.copy()
-        ranks[front] = r
-        alive &= ~front
-        r += 1
+    ranks[feas] = _front_ranks(F[feas])
+    _, level = np.unique(viol[~feas], return_inverse=True)
+    ranks[~feas] = ranks.max(initial=0) + 1 + level
     return ranks
 
 

@@ -1,4 +1,4 @@
-"""Two-objective constrained evaluation of a dam design.
+"""Two-objective constrained evaluation of dam designs, a batch at a time.
 
 fit1 is the concrete volume in cubic meters; fit2 is the worst (largest)
 Willam-Warnke margin over all stress sample points and load cases, so
@@ -10,25 +10,35 @@ a design is feasible iff that sum is zero.
 Degenerate geometry (non-positive interpolated radius or thickness) is
 not an error: the design is marked infeasible and receives the
 configured penalty-ceiling objective values.
+
+Every depth at which a design is looked at is fixed by the problem: the
+radius-check depths, the constraint depths, the quadrature depths and
+the stress grid. DamProblem builds their interpolation terms once, so
+evaluate_batch is one numpy pass over all its designs, and evaluate is
+a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import willam_warnke as ww
 from .geometry import (
     CanyonProfile,
+    ConstraintDepths,
     ControlLevels,
-    DamGeometry,
-    DegenerateGeometryError,
+    DepthInterpolant,
     DesignVector,
     LOWER_BOUNDS,
+    RADIUS_CHECK_DEPTHS,
     UPPER_BOUNDS,
+    VARIABLE_NAMES,
+    VolumeQuadrature,
 )
-from .stress_model import LoadCase, evaluate_stresses, sample_grid
+from .stress_model import LoadCase, sample_grid, surrogate_states
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 
@@ -46,10 +56,21 @@ class Evaluation:
     diagnostics: dict = field(default_factory=dict)
 
 
+class _Batch(NamedTuple):
+    F: np.ndarray  # (n, 2) objectives
+    violation: np.ndarray  # (n,)
+    constraints: np.ndarray  # (n, 9), NaN on radius-degenerate rows
+    degenerate: np.ndarray  # (n,) None, "radius" or "thickness"
+    validity_warnings: np.ndarray  # (n,) states outside the hydrostatic range
+
+
 @dataclass
 class DamProblem:
     """Bundles geometry, stress surrogate, and failure criterion into the
-    constrained two-objective evaluation used by the optimizer."""
+    constrained two-objective evaluation used by the optimizer.
+
+    The geometry and grid fields are read once, at construction; to change
+    one, build a new problem (dataclasses.replace)."""
 
     levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
     canyon: CanyonProfile | None = None
@@ -74,6 +95,13 @@ class DamProblem:
                 h=self.levels.h, w_crest=135.0, w_base=0.35 * 135.0
             )
         self.coeffs = ww.solve_coefficients(self.strength)
+        # design-independent interpolation terms, one set per fixed depth set
+        self._radius_depths = DepthInterpolant(
+            self.levels, np.linspace(0.0, self.levels.h, RADIUS_CHECK_DEPTHS))
+        self._constraints = ConstraintDepths(self.levels, self.canyon)
+        self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
+        self._grid = sample_grid(self, self.canyon, self.n_depths, self.n_arc)
+        self._grid_depths = DepthInterpolant(self.levels, self._grid[1])
 
     @property
     def dimension(self) -> int:
@@ -83,71 +111,90 @@ class DamProblem:
     def bounds(self):
         return self.lower, self.upper
 
-    def _penalized(self, violation: float, diag: dict) -> Evaluation:
-        return Evaluation(
-            fit1=self.penalty_fit1,
-            fit2=self.penalty_fit2,
-            violation=violation,
-            feasible=False,
-            diagnostics=diag,
-        )
+    def _checked(self, X) -> np.ndarray:
+        """(n, 20) float designs; ValueError naming the first row and
+        variable that is non-finite or outside the bounds."""
+        X = np.asarray(X, dtype=float)
+        if X.size == 0:
+            X = X.reshape(0, 20)
+        if X.ndim != 2 or X.shape[1] != 20:
+            raise ValueError(f"designs must form an (n, 20) array, got shape {X.shape}")
+        bad = ~np.isfinite(X) | (X < self.lower - 1e-9) | (X > self.upper + 1e-9)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(f"design row {i}: {VARIABLE_NAMES[j]} = {X[i, j]} is not a "
+                             f"finite value within [{self.lower[j]}, {self.upper[j]}]")
+        return X
+
+    def _evaluate(self, X) -> _Batch:
+        X = self._checked(X)
+        n = len(X)
+        gamma, beta = X[:, 0], X[:, 1]
+        tc, ru, rd = (np.ascontiguousarray(X[:, k:k + 6]) for k in (2, 8, 14))
+
+        F = np.empty((n, 2))
+        F[:] = (self.penalty_fit1, self.penalty_fit2)
+        cons = np.full((n, 9), np.nan)
+        degenerate = np.full(n, None, dtype=object)
+        warnings = np.zeros(n, dtype=int)
+
+        # ordering constraints stay computable even for degenerate shapes,
+        # keeping a violation gradient among penalized designs
+        viol = np.maximum(rd / ru - 1.0, 0.0).sum(axis=1) + 1.0
+        radius_ok = ((self._radius_depths.values(ru).min(axis=1) > 0.0)
+                     & (self._radius_depths.values(rd).min(axis=1) > 0.0))
+        degenerate[~radius_ok] = "radius"
+
+        g = np.flatnonzero(radius_ok)
+        tc, ru, rd = tc[g], ru[g], rd[g]
+        cons_g = self._constraints(gamma[g], beta[g], tc, ru, rd, self.gamma_allow)
+        cons[g] = cons_g
+        viol_g = np.maximum(cons_g, 0.0).sum(axis=1)
+        fit1 = self._volume(tc, ru, rd)
+
+        tc_grid = self._grid_depths.values(tc)
+        ru_grid = self._grid_depths.values(ru)
+        thick_ok = (tc_grid.min(axis=1) > 0.0) & (ru_grid.min(axis=1) > 0.0)
+        states = surrogate_states(tc_grid[thick_ok], ru_grid[thick_ok], self._grid,
+                                  self.levels.h, self.load_cases, self.moment_share)
+        margins = ww.criterion_values(states, self.strength, self.coeffs)
+        invalid = ~ww.hydrostatic_validity(states, self.strength)
+
+        s = g[thick_ok]
+        F[s, 0] = fit1[thick_ok]
+        F[s, 1] = margins.max(axis=(1, 2))
+        warnings[s] = invalid.sum(axis=(1, 2))
+        degenerate[g[~thick_ok]] = "thickness"
+        viol[g] = np.where(thick_ok, viol_g, viol_g + 1.0)
+        return _Batch(F, viol, cons, degenerate, warnings)
 
     def evaluate(self, design) -> Evaluation:
+        """One design (a DesignVector or 20 values), as a batch of one."""
         if isinstance(design, DesignVector):
             x = design.to_array()
         else:
             x = np.asarray(design, dtype=float)
-            design = DesignVector.from_array(x)
-        if np.any(x < self.lower - 1e-9) or np.any(x > self.upper + 1e-9):
-            raise ValueError("design outside variable bounds")
-
-        geo = DamGeometry(design=design, levels=self.levels, canyon=self.canyon)
-
-        # ordering constraints stay computable even for degenerate shapes,
-        # keeping a violation gradient among penalized designs
-        order_cons = design.rd / design.ru - 1.0
-        try:
-            geo.check_radii()
-        except DegenerateGeometryError:
-            viol = float(np.maximum(order_cons, 0.0).sum()) + 1.0
-            return self._penalized(viol, {"degenerate": "radius"})
-
-        cons = geo.geometric_constraints(gamma_allow=self.gamma_allow)
-        violation = float(np.maximum(cons, 0.0).sum())
-
-        fit1 = geo.volume(self.quadrature_order)
-
-        try:
-            grid = sample_grid(geo, self.canyon, self.n_depths, self.n_arc)
-            fld = evaluate_stresses(
-                geo, self.canyon, self.load_cases, grid, self.moment_share
-            )
-        except DegenerateGeometryError:
-            return self._penalized(violation + 1.0, {"degenerate": "thickness"})
-
-        margins = ww.criterion_values(fld.states, self.strength, self.coeffs)
-        fit2 = float(margins.max())
-        validity = ww.hydrostatic_validity(fld.states, self.strength)
-        n_invalid = int((~validity).sum())
-
+        if x.shape != (20,):
+            raise ValueError("design vector must have exactly 20 entries")
+        b = self._evaluate(x[None, :])
+        kind = b.degenerate[0]
+        if kind is None:
+            diagnostics = {
+                "constraints": b.constraints[0].tolist(),
+                "validity_warnings": int(b.validity_warnings[0]),
+            }
+        else:
+            diagnostics = {"degenerate": kind}
+        violation = float(b.violation[0])
         return Evaluation(
-            fit1=float(fit1),
-            fit2=fit2,
+            fit1=float(b.F[0, 0]),
+            fit2=float(b.F[0, 1]),
             violation=violation,
             feasible=violation == 0.0,
-            diagnostics={
-                "constraints": cons.tolist(),
-                "validity_warnings": n_invalid,
-            },
+            diagnostics=diagnostics,
         )
 
     def evaluate_batch(self, X: np.ndarray):
         """(n, 20) designs -> objective array (n, 2) and violation array (n,)."""
-        X = np.asarray(X, dtype=float)
-        F = np.empty((len(X), 2))
-        viol = np.empty(len(X))
-        for i, row in enumerate(X):
-            e = self.evaluate(row)
-            F[i] = (e.fit1, e.fit2)
-            viol[i] = e.violation
-        return F, viol
+        b = self._evaluate(X)
+        return b.F, b.violation

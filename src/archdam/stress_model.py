@@ -25,7 +25,8 @@ import numpy as np
 
 from .geometry import CanyonProfile, DamGeometry, DegenerateGeometryError
 
-__all__ = ["LoadCase", "StressField", "sample_grid", "evaluate_stresses", "GRAVITY"]
+__all__ = ["LoadCase", "StressField", "sample_grid", "surrogate_states",
+           "evaluate_stresses", "GRAVITY"]
 
 GRAVITY = 9.81  # m/s^2
 
@@ -71,6 +72,7 @@ class StressField:
 def sample_grid(geometry: DamGeometry, canyon: CanyonProfile, n_depths: int = 6, n_arc: int = 9):
     """Deterministic sample points: (x, z, face) over both faces.
 
+    Only geometry.levels is read, so the points depend on no design.
     n_arc must be odd so the crown x = 0 is sampled; the outermost arc
     stations sit on the abutments at +-halfWidth(z).
     """
@@ -86,6 +88,36 @@ def sample_grid(geometry: DamGeometry, canyon: CanyonProfile, n_depths: int = 6,
     zz = np.concatenate([z, z])
     face = np.array(["up"] * len(x) + ["down"] * len(x))
     return xx, zz, face
+
+
+def surrogate_states(tc, ru, grid, h: float, load_cases, moment_share: float = 0.02):
+    """Sorted principal states at the grid points, for one design or a batch.
+
+    tc and ru are the crown thickness and upstream radius at the grid
+    points, shape (..., n_points); the result has shape
+    (..., n_points, n_cases, 3).
+    """
+    _, z, face = grid
+    up = face == "up"
+    states = np.empty(np.shape(tc) + (len(load_cases), 3))
+    for k, lc in enumerate(load_cases):
+        rho_w_g = lc.water_density * GRAVITY
+        water = lc.kind != "gravity"
+        z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
+
+        p = rho_w_g * z_w
+        if lc.kind == "pseudo_seismic":
+            h_w = max(0.0, h - lc.water_level)
+            p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
+        hoop = -p * ru / tc / 1e6
+
+        weight = -lc.concrete_density * GRAVITY * z / 1e6
+        bend = moment_share * rho_w_g * z_w**3 / tc**2 / 1e6
+        vertical = weight + np.where(up, bend, -bend)
+
+        comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
+        states[..., k, :] = np.sort(comp, axis=-1)[..., ::-1]
+    return states
 
 
 def evaluate_stresses(
@@ -105,25 +137,5 @@ def evaluate_stresses(
     ru = geometry.ru(z)
     if np.min(ru) <= 0.0:
         raise DegenerateGeometryError("non-positive radius at a stress sample")
-    up = face == "up"
-
-    states = np.empty((len(z), len(load_cases), 3))
-    for k, lc in enumerate(load_cases):
-        rho_w_g = lc.water_density * GRAVITY
-        water = lc.kind != "gravity"
-        z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
-
-        p = rho_w_g * z_w
-        if lc.kind == "pseudo_seismic":
-            h_w = max(0.0, geometry.levels.h - lc.water_level)
-            p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
-        hoop = -p * ru / tc / 1e6
-
-        weight = -lc.concrete_density * GRAVITY * z / 1e6
-        bend = moment_share * rho_w_g * z_w**3 / tc**2 / 1e6
-        vertical = weight + np.where(up, bend, -bend)
-
-        comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
-        states[:, k, :] = np.sort(comp, axis=-1)[:, ::-1]
-
+    states = surrogate_states(tc, ru, grid, geometry.levels.h, load_cases, moment_share)
     return StressField(x=x, z=z, face=face, cases=tuple(load_cases), states=states)

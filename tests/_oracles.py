@@ -1,11 +1,15 @@
 """Independent reference implementations used to check shipped numerics.
 
 Everything here is deliberately slow and literal: brute-force dominance
-ranks, grid-sum hypervolume, Monte Carlo volume, and the closed-form
-calibration stress states for the failure criterion.
+ranks, grid-sum hypervolume, Monte Carlo volume, the closed-form
+calibration stress states for the failure criterion, and the dam
+evaluator one design at a time.
 """
 
 import numpy as np
+
+from archdam.stress_model import GRAVITY, sample_grid
+from archdam.willam_warnke import criterion_values
 
 
 def brute_force_rank(F, violations=None):
@@ -111,4 +115,116 @@ def random_population(rng, max_points=30, n_objectives=2):
         dst = rng.integers(0, n, n_dup)
         F[dst] = F[src]
     viol = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
+    return F, viol
+
+
+class LagrangeInterpolant:
+    """Barycentric Lagrange interpolant with derivative, exact at the nodes:
+    the per-design interpolant the evaluator used before it was batched."""
+
+    def __init__(self, nodes, values):
+        self.x = np.asarray(nodes, dtype=float)
+        self.f = np.asarray(values, dtype=float)
+        d = self.x[:, None] - self.x[None, :]
+        np.fill_diagonal(d, 1.0)
+        self.w = 1.0 / d.prod(axis=1)
+        D = (self.w[None, :] / self.w[:, None]) / d
+        np.fill_diagonal(D, 0.0)
+        np.fill_diagonal(D, -D.sum(axis=1))
+        self._D = D
+        self._span = float(self.x[-1] - self.x[0])
+
+    def _masks(self, z):
+        dz = z[:, None] - self.x[None, :]
+        hit = np.abs(dz) <= 1e-12 * max(self._span, 1.0)
+        return dz, hit, hit.any(axis=1)
+
+    def __call__(self, z):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        dz, hit, at_node = self._masks(z)
+        out = np.empty_like(z)
+        out[at_node] = self.f[hit[at_node].argmax(axis=1)]
+        off = ~at_node
+        r = self.w[None, :] / dz[off]
+        out[off] = (r * self.f[None, :]).sum(axis=1) / r.sum(axis=1)
+        return out
+
+    def derivative(self, z):
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        dz, hit, at_node = self._masks(z)
+        out = np.empty_like(z)
+        out[at_node] = self._D[hit[at_node].argmax(axis=1)] @ self.f
+        off = ~at_node
+        r = self.w[None, :] / dz[off]
+        p = (r * self.f[None, :]).sum(axis=1) / r.sum(axis=1)
+        num = (self.w[None, :] * (p[:, None] - self.f[None, :]) / dz[off] ** 2).sum(axis=1)
+        out[off] = num / r.sum(axis=1)
+        return out
+
+
+def evaluate_rowwise(problem, X):
+    """The dam evaluation one design at a time, as it was before batching:
+    one interpolant per section property and design, fresh quadrature
+    nodes per volume, a Python loop over the rows. Returns (F, violation)."""
+    X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(-1, 20)
+    levels, canyon, h = problem.levels, problem.canyon, problem.levels.h
+    F = np.empty((len(X), 2))
+    viol = np.empty(len(X))
+    for i, x in enumerate(X):
+        if np.any(x < problem.lower - 1e-9) or np.any(x > problem.upper + 1e-9):
+            raise ValueError("design outside variable bounds")
+        gamma, beta = x[0], x[1]
+        tc = LagrangeInterpolant(levels.z, x[2:8])
+        ru = LagrangeInterpolant(levels.z, x[8:14])
+        rd = LagrangeInterpolant(levels.z, x[14:20])
+        F[i] = problem.penalty_fit1, problem.penalty_fit2
+
+        order_cons = x[14:20] / x[8:14] - 1.0
+        zs = np.linspace(0.0, h, 101)
+        if np.min(ru(zs)) <= 0.0 or np.min(rd(zs)) <= 0.0:
+            viol[i] = float(np.maximum(order_cons, 0.0).sum()) + 1.0
+            continue
+
+        cons = np.empty(9)
+        cons[:6] = order_cons
+        zs = np.linspace(0.0, h, 50)
+        s_u = gamma * zs / (beta * h) - gamma
+        s_d = s_u + tc.derivative(zs)
+        cons[6] = np.max(np.abs(s_u)) / problem.gamma_allow - 1.0
+        cons[7] = np.max(np.abs(s_d)) / problem.gamma_allow - 1.0
+        phi = np.degrees(2.0 * np.arctan(canyon.half_width(zs) / ru(zs)))
+        cons[8] = np.max(np.maximum(90.0 - phi, phi - 130.0)) / 130.0
+        violation = float(np.maximum(cons, 0.0).sum())
+
+        t, w = np.polynomial.legendre.leggauss(problem.quadrature_order)
+        zq, wz = 0.5 * h + 0.5 * h * t, 0.5 * h * w
+        half = canyon.half_width(zq)[:, None]
+        xq, wx = 0.0 + half * t, half * w
+        thick = np.abs(tc(zq)[:, None] + xq**2 / 2.0
+                       * (1.0 / rd(zq)[:, None] - 1.0 / ru(zq)[:, None]))
+        fit1 = float(np.einsum("ij,ij,i->", thick, wx, wz))
+
+        _, z, face = sample_grid(problem, canyon, problem.n_depths, problem.n_arc)
+        tz, rz = tc(z), ru(z)
+        if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
+            viol[i] = violation + 1.0
+            continue
+        up = face == "up"
+        states = np.empty((len(z), len(problem.load_cases), 3))
+        for k, lc in enumerate(problem.load_cases):
+            rho_w_g = lc.water_density * GRAVITY
+            water = lc.kind != "gravity"
+            z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
+            p = rho_w_g * z_w
+            if lc.kind == "pseudo_seismic":
+                h_w = max(0.0, h - lc.water_level)
+                p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
+            hoop = -p * rz / tz / 1e6
+            weight = -lc.concrete_density * GRAVITY * z / 1e6
+            bend = problem.moment_share * rho_w_g * z_w**3 / tz**2 / 1e6
+            vertical = weight + np.where(up, bend, -bend)
+            comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
+            states[:, k, :] = np.sort(comp, axis=-1)[:, ::-1]
+        F[i] = fit1, float(criterion_values(states, problem.strength, problem.coeffs).max())
+        viol[i] = violation
     return F, viol

@@ -37,13 +37,29 @@ def test_evaluate_json_contract(capsys):
     assert doc["fit2"] == pytest.approx(-0.036224, abs=1e-6)
 
 
-def test_evaluate_rejects_bad_designs(capsys):
+def test_evaluate_rejects_bad_designs(tmp_path, capsys):
     short = ",".join(["1"] * 19)
     assert main(["evaluate", "--design", short]) == 2
     oob = TABLE5.copy()
     oob[0] = 0.9
     assert main(["evaluate", "--design", ",".join(map(str, oob))]) == 2
     capsys.readouterr()
+    nan = "nan,0.7,5,8,11,14,17,20,120,105,90,75,60,45,118,103,88,73,58,43"
+    for command in ("evaluate", "evaluate-geometry", "stress-field"):
+        assert main([command, "--design", nan, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gamma = nan is not finite" in captured.err
+    assert main(["evaluate", "--design", nan.replace("nan", "0.1").replace("43", "inf")]) == 2
+    assert "rd6 = inf is not finite" in capsys.readouterr().err
+
+
+def test_config_n_arc_must_be_odd_and_at_least_nine(tmp_path, capsys):
+    for n_arc in (7, 10):
+        cfg = tmp_path / f"arc{n_arc}.json"
+        cfg.write_text(json.dumps({"problem": {"n_arc": n_arc}}))
+        assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 2
+        assert "n_arc" in capsys.readouterr().err
 
 
 def test_evaluate_geometry_artifact(tmp_path, capsys):

@@ -28,6 +28,27 @@ def test_pareto_rank_simple_cases():
     assert r[1] < r[0]
 
 
+def test_pareto_rank_tied_violations_and_no_feasible_row():
+    rng = np.random.default_rng(43)
+    for trial in range(200):
+        F, viol = random_population(rng)
+        # violations drawn from a few levels, so infeasible rows tie
+        levels = np.array([0.0, 0.25, 0.5, 1.0])
+        viol = levels[rng.integers(0 if trial % 2 else 1, len(levels), len(F))]
+        assert np.array_equal(pareto_rank(F, viol), brute_force_rank(F, viol))
+    F = np.array([[1.0, 1.0], [0.0, 0.0], [2.0, 2.0], [3.0, 0.0]])
+    assert np.array_equal(pareto_rank(F, [0.5, 0.5, 0.1, 2.0]), [2, 2, 1, 3])
+
+
+def test_pareto_rank_rejects_non_finite_rows():
+    with pytest.raises(ValueError, match="row 1"):
+        pareto_rank([[1.0, 1.0], [np.nan, 0.5], [0.5, 2.0]])
+    with pytest.raises(ValueError, match="row 2"):
+        pareto_rank([[1.0, 1.0], [0.0, 0.5], [np.inf, 2.0]])
+    with pytest.raises(ValueError, match="row 0"):
+        pareto_rank([[1.0, 1.0], [0.0, 0.5]], [np.nan, 0.0])
+
+
 def _small_config(**kw):
     base = dict(n_cps=16, iterations=20, archive_capacity=24, seed=5)
     base.update(kw)

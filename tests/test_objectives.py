@@ -4,6 +4,7 @@ import pytest
 from archdam import DamProblem
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 
+from _oracles import evaluate_rowwise
 from conftest import TABLE5
 
 
@@ -104,6 +105,50 @@ def test_batch_matches_scalar_loop(dam_problem):
     for i, row in enumerate(X):
         e = dam_problem.evaluate(row)
         assert F[i, 0] == e.fit1 and F[i, 1] == e.fit2 and viol[i] == e.violation
+
+
+def test_non_finite_design_raises(dam_problem):
+    for bad in (np.nan, np.inf, -np.inf):
+        x = TABLE5.copy()
+        x[3] = bad
+        with pytest.raises(ValueError, match="row 0: tc2"):
+            dam_problem.evaluate(x)
+        X = np.vstack([TABLE5, TABLE5, x])
+        with pytest.raises(ValueError, match="row 2: tc2"):
+            dam_problem.evaluate_batch(X)
+
+
+def test_batch_equals_rowwise_reference(dam_problem):
+    rng = np.random.default_rng(2024)
+    X = LOWER_BOUNDS + rng.random((200, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    F, viol = dam_problem.evaluate_batch(X)
+    F_ref, viol_ref = evaluate_rowwise(dam_problem, X)
+    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+
+
+def test_batch_equals_rowwise_reference_with_degenerate_rows():
+    p = _permissive_problem()
+    radius = TABLE5.copy()
+    radius[8:14] = [135.0, 39.0, 135.0, 39.0, 135.0, 39.0]
+    thickness = TABLE5.copy()
+    thickness[5] = -1.0
+    rng = np.random.default_rng(5)
+    normal = LOWER_BOUNDS + rng.random((4, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    X = np.vstack([normal[:2], radius, TABLE5, thickness, normal[2:]])
+    F, viol = p.evaluate_batch(X)
+    F_ref, viol_ref = evaluate_rowwise(p, X)
+    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    assert np.array_equal(F[[2, 4]], [[PENALTY_FIT1, PENALTY_FIT2]] * 2)
+    assert viol[2] >= 1.0 and viol[4] >= 1.0
+    assert np.all(F[[0, 1, 3, 5, 6], 0] < PENALTY_FIT1)
+
+
+def test_batch_of_one_and_empty_batch(dam_problem):
+    F, viol = dam_problem.evaluate_batch(TABLE5[None, :])
+    F_ref, viol_ref = evaluate_rowwise(dam_problem, TABLE5[None, :])
+    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    F, viol = dam_problem.evaluate_batch(np.empty((0, 20)))
+    assert F.shape == (0, 2) and viol.shape == (0,)
 
 
 def test_bounds_property():

@@ -38,10 +38,6 @@ from .stress_model import evaluate_stresses, sample_grid
 
 __version__ = "0.1.0"
 
-# objective-space ceiling used as the hypervolume reference for dam runs;
-# matches the penalty ceilings so every admissible point is inside
-DAM_HV_REFERENCE = (3.4e5, 1.3)
-
 log = logging.getLogger("archdam")
 
 _LOG_LEVELS = {
@@ -226,7 +222,7 @@ def _cmd_optimize(args) -> int:
 
     log.info("optimize: %d CPs, %d iterations, seed %d",
              mocss_cfg.n_cps, mocss_cfg.iterations, mocss_cfg.seed)
-    res = run_mocss(problem, mocss_cfg, hv_reference=DAM_HV_REFERENCE)
+    res = run_mocss(problem, mocss_cfg)
 
     feas = res.violations == 0.0
     _write_csv(

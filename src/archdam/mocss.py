@@ -25,6 +25,13 @@ Loop structure per iteration:
   6. evaluation, re-ranking, and CM update with crowding-based deletion
      that never removes a per-objective extreme member.
 
+Bookkeeping: ranking and pruning run every iteration, so both avoid
+quadratic rework. pareto_rank handles exactly two objectives: it sorts
+the feasible rows into fronts in one sweep in (f1, f2) order, with a
+bisection over the fronts per row, O(n log n) in all (Jensen 2003). The
+CM prune builds its distance matrix once and, per deletion, rescans only
+the rows whose nearest neighbour was deleted.
+
 Randomness: a single seeded numpy Generator, consumed in a fixed order
 each iteration - replacement member picks and their jitter, the
 attraction-sign matrix, the rank-tie coin flips, the two per-CP movement
@@ -36,6 +43,7 @@ determinism contract.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,18 +95,29 @@ class MocssResult:
 
 
 def _front_ranks(F: np.ndarray) -> np.ndarray:
-    """Plain Pareto front index per row (minimization), by peeling fronts."""
-    le = np.all(F[:, None, :] <= F[None, :, :], axis=2)
-    lt = np.any(F[:, None, :] < F[None, :, :], axis=2)
-    dom = le & lt
-    ranks = np.zeros(len(F), dtype=int)
-    alive = np.ones(len(F), dtype=bool)
-    r = 1
-    while alive.any():
-        front = alive & ~((dom & alive[:, None]).any(axis=0))
-        ranks[front] = r
-        alive &= ~front
-        r += 1
+    """Plain Pareto front index per row of an (n, 2) array (minimization),
+    by one sweep in (f1, f2) order (Jensen 2003).
+
+    Every row that dominates a row comes before it in the sweep. Within a
+    front, f2 falls as f1 rises, so the front's last member holds its
+    smallest f2 and dominates a row exactly when some member does: when
+    its (f2, f1) is lexicographically smaller. Those keys increase from
+    front to front, so a row joins the first front whose key is not
+    smaller than its own, found by bisection, or opens a new one;
+    identical rows share a front.
+    """
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    last = []  # (f2, f1) of each front's last member
+    swept = []
+    for key in zip(F[order, 1].tolist(), F[order, 0].tolist()):
+        k = bisect_left(last, key)
+        if k == len(last):
+            last.append(key)
+        else:
+            last[k] = key
+        swept.append(k + 1)
+    ranks = np.empty(len(F), dtype=int)
+    ranks[order] = swept
     return ranks
 
 
@@ -107,12 +126,14 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
 
     Feasible rows dominate infeasible ones; among infeasible rows, lower
     total violation dominates; among feasible rows, plain Pareto
-    dominance on the objective values (minimization). So the feasible
+    dominance on the two objective values (minimization). So the feasible
     rows take the first fronts, and each distinct violation value is one
     further front. Raises ValueError on a non-finite objective or
-    violation.
+    violation, and on any number of objective columns other than two.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
+    if F.shape[1] != 2:
+        raise ValueError(f"pareto_rank: needs two objective columns, got {F.shape[1]}")
     n = len(F)
     viol = np.zeros(n) if violations is None else np.asarray(violations, dtype=float)
     bad = ~(np.isfinite(F).all(axis=1) & np.isfinite(viol))
@@ -138,26 +159,45 @@ def _deletion_weights(F: np.ndarray, alpha: float) -> np.ndarray:
     return u
 
 
+def _extremes(F, alive):
+    """First alive row index of each per-objective minimum."""
+    sub = np.flatnonzero(alive)
+    return {int(sub[F[sub, k].argmin()]) for k in range(F.shape[1])}
+
+
 def _prune_archive(X, F, viol, capacity, alpha):
     """Drop closest pairs in weighted objective space until within
-    capacity, never deleting a per-objective extreme member."""
+    capacity, never deleting a per-objective extreme member.
+
+    The distance matrix is built once. Each row keeps its nearest alive
+    column (the first, on ties) and that distance; the pair to break is
+    the first row with the smallest such distance and its neighbour,
+    which is the row-major first minimum over the alive submatrix. A
+    deletion blanks its column and rescans only the rows whose neighbour
+    it was.
+    """
     if len(F) <= capacity:
         return X, F, viol
     u = _deletion_weights(F, alpha)
     W = F * u
     D = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
     np.fill_diagonal(D, np.inf)
+    nn = D.argmin(axis=1)
+    nd = D[np.arange(len(D)), nn]
     alive = np.ones(len(F), dtype=bool)
-    n_alive = len(F)
-    while n_alive > capacity:
-        sub = np.where(alive)[0]
-        extremes = {int(sub[F[sub, k].argmin()]) for k in range(F.shape[1])}
-        Ds = D[np.ix_(sub, sub)]
-        i_s, j_s = np.unravel_index(np.argmin(Ds), Ds.shape)
-        i, j = int(sub[i_s]), int(sub[j_s])
+    extremes = _extremes(F, alive)
+    for _ in range(len(F) - capacity):
+        i = int(nd.argmin())
+        j = int(nn[i])
         kill = j if j not in extremes else (i if i not in extremes else j)
         alive[kill] = False
-        n_alive -= 1
+        D[:, kill] = np.inf
+        nd[kill] = np.inf
+        stale = np.flatnonzero(alive & (nn == kill))
+        nn[stale] = D[stale].argmin(axis=1)
+        nd[stale] = D[stale, nn[stale]]
+        if kill in extremes:
+            extremes = _extremes(F, alive)
     return X[alive], F[alive], viol[alive]
 
 
@@ -299,7 +339,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
                     if rng.random() < config.par:
                         target = X[r1_rows[rng.integers(len(r1_rows))], ii]
                         lim = bw * rng.random()
-                        v = v + np.clip(target - v, -lim, lim)
+                        v = v + min(max(target - v, -lim), lim)
                     X_new[jj, ii] = min(1.0, max(0.0, v))
                 else:
                     X_new[jj, ii] = rng.random()

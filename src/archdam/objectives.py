@@ -111,6 +111,12 @@ class DamProblem:
     def bounds(self):
         return self.lower, self.upper
 
+    @property
+    def hv_reference(self):
+        """Hypervolume corner for the progress log: the penalty ceilings,
+        so every admissible point lies inside it."""
+        return (self.penalty_fit1, self.penalty_fit2)
+
     def _checked(self, X) -> np.ndarray:
         """(n, 20) float designs; ValueError naming the first row and
         variable that is non-finite or outside the bounds."""

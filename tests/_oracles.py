@@ -1,13 +1,15 @@
 """Independent reference implementations used to check shipped numerics.
 
 Everything here is deliberately slow and literal: brute-force dominance
-ranks, grid-sum hypervolume, Monte Carlo volume, the closed-form
-calibration stress states for the failure criterion, and the dam
-evaluator one design at a time.
+ranks, the archive prune that rescans every alive pair per deletion,
+grid-sum hypervolume, Monte Carlo volume, the closed-form calibration
+stress states for the failure criterion, and the dam evaluator one
+design at a time.
 """
 
 import numpy as np
 
+from archdam.mocss import _deletion_weights
 from archdam.stress_model import GRAVITY, sample_grid
 from archdam.willam_warnke import criterion_values
 
@@ -41,6 +43,31 @@ def brute_force_rank(F, violations=None):
         remaining -= set(front)
         r += 1
     return ranks
+
+
+def prune_reference(X, F, viol, capacity, alpha):
+    """Drop closest pairs in weighted objective space until within
+    capacity, never deleting a per-objective extreme member. Literal
+    form: every deletion takes the alive submatrix afresh and its
+    row-major argmin."""
+    if len(F) <= capacity:
+        return X, F, viol
+    u = _deletion_weights(F, alpha)
+    W = F * u
+    D = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
+    np.fill_diagonal(D, np.inf)
+    alive = np.ones(len(F), dtype=bool)
+    n_alive = len(F)
+    while n_alive > capacity:
+        sub = np.where(alive)[0]
+        extremes = {int(sub[F[sub, k].argmin()]) for k in range(F.shape[1])}
+        Ds = D[np.ix_(sub, sub)]
+        i_s, j_s = np.unravel_index(np.argmin(Ds), Ds.shape)
+        i, j = int(sub[i_s]), int(sub[j_s])
+        kill = j if j not in extremes else (i if i not in extremes else j)
+        alive[kill] = False
+        n_alive -= 1
+    return X[alive], F[alive], viol[alive]
 
 
 def grid_hypervolume(front, reference, resolution=1e-3):

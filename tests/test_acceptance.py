@@ -9,6 +9,7 @@ plane genuinely disagree, see test_criterion_02 for the analysis.
 
 import json
 import statistics
+from importlib import resources
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from archdam import (
     run_mocss,
     solve_coefficients,
 )
-from archdam.cli import DAM_HV_REFERENCE, main
+from archdam.cli import main
 from archdam.geometry import ControlLevels, DamGeometry, DesignVector
 from archdam.benchmarks import igd
 from archdam.mtdm import acceptable_mask
@@ -193,6 +194,9 @@ def test_criterion_04_interpolation(capsys):
 
 
 def test_criterion_05_benchmark_convergence(capsys):
+    thresholds = json.loads(
+        resources.files("archdam.data.golden").joinpath("thresholds.json").read_text())
+    limits = {"SCH": thresholds["sch_igd_median"], "ZDT1": thresholds["zdt1_igd_median"]}
     medians = {}
     tmax = 0.0
     for name, scale, n_seeds in (("SCH", (4.0, 4.0), 10), ("ZDT1", (1.0, 1.0), 10)):
@@ -207,10 +211,10 @@ def test_criterion_05_benchmark_convergence(capsys):
             vals.append(igd(res.objectives, front, scale=scale))
         medians[name] = statistics.median(vals)
 
-    ok = medians["SCH"] < 0.01 and medians["ZDT1"] < 0.05 and tmax < 30.0
+    ok = all(medians[k] < limits[k] for k in limits) and tmax < 30.0
     _emit(capsys, "AC-05", ok,
-          f"median IGD over 10 seeds: SCH {medians['SCH']:.4f} (<0.01), "
-          f"ZDT1 {medians['ZDT1']:.4f} (<0.05), slowest run {tmax:.1f}s (<30s)")
+          f"median IGD over 10 seeds: SCH {medians['SCH']:.4f} (<{limits['SCH']}), "
+          f"ZDT1 {medians['ZDT1']:.4f} (<{limits['ZDT1']}), slowest run {tmax:.1f}s (<30s)")
     assert ok
 
 
@@ -227,7 +231,7 @@ def dam_run():
         snapshots.append((it, aF.copy(), aV.copy()))
 
     t0 = perf_counter()
-    res = run_mocss(problem, cfg, hook=hook, hv_reference=DAM_HV_REFERENCE)
+    res = run_mocss(problem, cfg, hook=hook, hv_reference=problem.hv_reference)
     seconds = perf_counter() - t0
     return SimpleNamespace(problem=problem, config=cfg, result=res,
                            snapshots=snapshots, seconds=seconds)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from archdam.benchmarks import hypervolume2d
 from archdam.cli import main
 
 from conftest import TABLE5
@@ -155,6 +156,23 @@ def test_optimize_reruns_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     for name in ("archive.csv", "log.jsonl", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_optimize_hypervolume_uses_configured_penalty_corner(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "problem": {"penalty_fit1": 4.0e5},
+        "mocss": {"n_cps": 24, "iterations": 30, "archive_capacity": 50},
+    }))
+    run = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 0
+    capsys.readouterr()
+    rows = [ln.split(",") for ln in (run / "archive.csv").read_text().splitlines()[2:]]
+    front = np.array([[float(r[-4]), float(r[-3])] for r in rows if r[-1] == "1"])
+    assert len(front) >= 1
+    hv = json.loads((run / "log.jsonl").read_text().splitlines()[-1])["hypervolume"]
+    assert hv == pytest.approx(hypervolume2d(front, (4.0e5, 1.3)), rel=1e-4)
+    assert hv > 1.5 * hypervolume2d(front, (3.4e5, 1.3))
 
 
 def test_optimize_seed_flag_changes_run(tmp_path, capsys):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archdam import MocssConfig, get_benchmark, pareto_rank, run_mocss
+from archdam.mocss import _prune_archive
 
-from _oracles import brute_force_rank, random_population
+from _oracles import brute_force_rank, prune_reference, random_population
 
 
 def test_pareto_rank_matches_brute_force():
@@ -47,6 +50,54 @@ def test_pareto_rank_rejects_non_finite_rows():
         pareto_rank([[1.0, 1.0], [0.0, 0.5], [np.inf, 2.0]])
     with pytest.raises(ValueError, match="row 0"):
         pareto_rank([[1.0, 1.0], [0.0, 0.5]], [np.nan, 0.0])
+
+
+def test_pareto_rank_needs_two_objectives():
+    for F in (np.zeros((4, 1)), np.zeros((4, 3)), [1.0, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="two objective columns, got [13]"):
+            pareto_rank(F)
+    assert np.array_equal(pareto_rank(np.zeros((0, 2))), np.zeros(0, dtype=int))
+
+
+@st.composite
+def _tied_populations(draw):
+    """Up to 200 rows on a coarse grid, so equal f1, equal f2 and
+    identical rows are common, with violations from a few levels."""
+    n = draw(st.integers(1, 200))
+    F = draw(arrays(float, (n, 2), elements=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.25])))
+    viol = draw(arrays(float, n, elements=st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0])))
+    return F, viol
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_tied_populations())
+def test_pareto_rank_property_matches_brute_force(population):
+    F, viol = population
+    assert np.array_equal(pareto_rank(F, viol), brute_force_rank(F, viol))
+
+
+def test_prune_matches_reference():
+    rng = np.random.default_rng(47)
+    for trial in range(400):
+        n = int(rng.integers(2, 41))
+        if trial % 3 == 0:
+            # continuous objectives with some duplicated rows
+            F = rng.random((n, 2))
+            F[rng.integers(0, n, n // 4)] = F[rng.integers(0, n, n // 4)]
+        elif trial % 3 == 1:
+            # a front on an integer anti-diagonal: equal neighbour distances
+            f1 = rng.integers(0, 12, n).astype(float)
+            F = np.column_stack([f1, 12.0 - f1])
+        else:
+            # a coarse grid: duplicates, equal distances, shared extremes
+            F = rng.integers(0, 4, (n, 2)).astype(float)
+        X = np.arange(n, dtype=float)[:, None]
+        viol = np.zeros(n)
+        capacity = (1, 2, int(rng.integers(1, n + 1)))[trial // 3 % 3]
+        alpha = (1.0, 0.5, 3.0)[trial % 3]
+        got = _prune_archive(X, F, viol, capacity, alpha)
+        want = prune_reference(X, F, viol, capacity, alpha)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
 
 
 def _small_config(**kw):

@@ -6,6 +6,9 @@ search; the resulting Pareto set is ranked by a multi-criteria
 tournament decision maker.
 """
 
+# the one version string: the CLI and pyproject.toml read it from here
+__version__ = "0.1.0"
+
 from .benchmarks import BenchmarkProblem, get_benchmark, hypervolume2d, igd
 from .config import ConfigError, default_config, load_config, make_mocss_config, make_problem
 from .geometry import (
@@ -39,8 +42,6 @@ from .willam_warnke import (
     criterion_values,
     solve_coefficients,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

@@ -22,6 +22,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import __version__
 from . import willam_warnke as ww
 from .benchmarks import BENCHMARK_NAMES, get_benchmark, hypervolume2d, igd
 from .config import (
@@ -35,8 +36,6 @@ from .geometry import DamGeometry, DesignVector, VARIABLE_NAMES
 from .mocss import run_mocss
 from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
 from .stress_model import evaluate_stresses, sample_grid
-
-__version__ = "0.1.0"
 
 log = logging.getLogger("archdam")
 

@@ -36,6 +36,7 @@ def _schema() -> dict:
 
 def default_config() -> dict:
     """Complete configuration with every key at its library default."""
+    canyon = CanyonProfile.default()
     return {
         "problem": {
             "gamma_allow": 0.65,
@@ -48,7 +49,7 @@ def default_config() -> dict:
             "lower_bounds": [float(v) for v in LOWER_BOUNDS],
             "upper_bounds": [float(v) for v in UPPER_BOUNDS],
         },
-        "geometry": {"h": 142.65, "w_crest": 135.0, "w_base": 0.35 * 135.0},
+        "geometry": {"h": canyon.h, "w_crest": canyon.w_crest, "w_base": canyon.w_base},
         "strength": {
             "f_c": 30.0,
             "f_t": 1.5,

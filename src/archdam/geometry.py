@@ -107,6 +107,12 @@ class CanyonProfile:
         if self.w_base > self.w_crest:
             raise ValueError("canyon must not widen with depth")
 
+    @classmethod
+    def default(cls, h: float = DEFAULT_HEIGHT) -> "CanyonProfile":
+        """The default valley: half-width 135 m at the crest, 35% of that
+        at the base."""
+        return cls(h=h, w_crest=135.0, w_base=0.35 * 135.0)
+
     def half_width(self, z):
         z = np.asarray(z, dtype=float)
         return self.w_crest + (self.w_base - self.w_crest) * np.clip(z / self.h, 0.0, 1.0)
@@ -301,9 +307,7 @@ class DamGeometry:
 
     def __post_init__(self):
         if self.canyon is None:
-            # default canyon is supplied by the problem configuration; this
-            # fallback keeps bare geometry tests independent of it
-            self.canyon = CanyonProfile(h=self.levels.h, w_crest=135.0, w_base=0.35 * 135.0)
+            self.canyon = CanyonProfile.default(self.levels.h)
 
     def _at(self, f, z, slopes=False):
         z = np.asarray(z, dtype=float)

@@ -206,9 +206,15 @@ def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
     F = np.vstack([aF, cF])
     V = np.concatenate([aV, cV])
     # exact duplicates add nothing and would flood the archive once the
-    # competition step starts cloning members back into the population
-    _, idx = np.unique(X, axis=0, return_index=True)
-    idx = np.sort(idx)
+    # competition step starts cloning members back into the population;
+    # keep each row's first occurrence, keyed on its bytes (+ 0.0 makes
+    # -0.0 equal to 0.0)
+    rows = X + 0.0
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    first = {}
+    for i, key in enumerate(keys.tolist()):
+        first.setdefault(key, i)
+    idx = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     X, F, V = X[idx], F[idx], V[idx]
     ranks = pareto_rank(F, V)
     keep = ranks == 1

@@ -7,15 +7,23 @@ Constraints are the geometric/stability set (radius ordering, overhang
 slope, central angle) reduced to a single non-negative violation sum;
 a design is feasible iff that sum is zero.
 
-Degenerate geometry (non-positive interpolated radius or thickness) is
-not an error: the design is marked infeasible and receives the
-configured penalty-ceiling objective values.
+Degenerate designs are not an error: the design is marked infeasible
+(violation + 1) and receives the configured penalty-ceiling objective
+values. There are three kinds: "radius" (an interpolated radius is
+non-positive), "thickness" (a non-positive thickness or radius at a
+stress depth) and "meridian" (a stress state whose compressive
+Willam-Warnke meridian comes out non-positive, possible only for thin
+sections outside the canonical bounds). The other designs of the batch
+keep their values.
 
 Every depth at which a design is looked at is fixed by the problem: the
 radius-check depths, the constraint depths, the quadrature depths and
 the stress grid. DamProblem builds their interpolation terms once, so
 evaluate_batch is one numpy pass over all its designs, and evaluate is
-a batch of one.
+a batch of one. Stresses are computed once per distinct (depth, face)
+row of the grid (stress_model.StressSurrogate): fit2 is the maximum over
+the rows, and the validity-warning count weights each row by the number
+of grid points it stands for.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .geometry import (
     VARIABLE_NAMES,
     VolumeQuadrature,
 )
-from .stress_model import LoadCase, sample_grid, surrogate_states
+from .stress_model import LoadCase, StressSurrogate, sample_grid
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 
@@ -60,8 +68,8 @@ class _Batch(NamedTuple):
     F: np.ndarray  # (n, 2) objectives
     violation: np.ndarray  # (n,)
     constraints: np.ndarray  # (n, 9), NaN on radius-degenerate rows
-    degenerate: np.ndarray  # (n,) None, "radius" or "thickness"
-    validity_warnings: np.ndarray  # (n,) states outside the hydrostatic range
+    degenerate: np.ndarray  # (n,) None, "radius", "thickness" or "meridian"
+    validity_warnings: np.ndarray  # (n,) grid states outside the hydrostatic range
 
 
 @dataclass
@@ -91,17 +99,17 @@ class DamProblem:
 
     def __post_init__(self):
         if self.canyon is None:
-            self.canyon = CanyonProfile(
-                h=self.levels.h, w_crest=135.0, w_base=0.35 * 135.0
-            )
+            self.canyon = CanyonProfile.default(self.levels.h)
         self.coeffs = ww.solve_coefficients(self.strength)
         # design-independent interpolation terms, one set per fixed depth set
         self._radius_depths = DepthInterpolant(
             self.levels, np.linspace(0.0, self.levels.h, RADIUS_CHECK_DEPTHS))
         self._constraints = ConstraintDepths(self.levels, self.canyon)
         self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
-        self._grid = sample_grid(self, self.canyon, self.n_depths, self.n_arc)
-        self._grid_depths = DepthInterpolant(self.levels, self._grid[1])
+        self._stresses = StressSurrogate(
+            sample_grid(self, self.canyon, self.n_depths, self.n_arc),
+            self.levels.h, self.load_cases, self.moment_share)
+        self._stress_depths = DepthInterpolant(self.levels, self._stresses.depths)
 
     @property
     def dimension(self) -> int:
@@ -158,20 +166,26 @@ class DamProblem:
         viol_g = np.maximum(cons_g, 0.0).sum(axis=1)
         fit1 = self._volume(tc, ru, rd)
 
-        tc_grid = self._grid_depths.values(tc)
-        ru_grid = self._grid_depths.values(ru)
-        thick_ok = (tc_grid.min(axis=1) > 0.0) & (ru_grid.min(axis=1) > 0.0)
-        states = surrogate_states(tc_grid[thick_ok], ru_grid[thick_ok], self._grid,
-                                  self.levels.h, self.load_cases, self.moment_share)
-        margins = ww.criterion_values(states, self.strength, self.coeffs)
+        tc_d = self._stress_depths.values(tc)
+        ru_d = self._stress_depths.values(ru)
+        thick_ok = (tc_d.min(axis=1) > 0.0) & (ru_d.min(axis=1) > 0.0)
+        states = self._stresses(tc_d[thick_ok], ru_d[thick_ok])
+        margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)
         invalid = ~ww.hydrostatic_validity(states, self.strength)
+        # NaN where a compressive meridian came out non-positive
+        fit2 = margins.max(axis=(1, 2))
+        meridian_ok = ~np.isnan(fit2)
 
-        s = g[thick_ok]
-        F[s, 0] = fit1[thick_ok]
-        F[s, 1] = margins.max(axis=(1, 2))
-        warnings[s] = invalid.sum(axis=(1, 2))
+        ok_g = thick_ok.copy()
+        ok_g[thick_ok] = meridian_ok
+        ok = g[ok_g]
+        F[ok, 0] = fit1[ok_g]
+        F[ok, 1] = fit2[meridian_ok]
+        # each row stands for `multiplicity` grid points
+        warnings[ok] = invalid[meridian_ok].sum(axis=2) @ self._stresses.multiplicity
         degenerate[g[~thick_ok]] = "thickness"
-        viol[g] = np.where(thick_ok, viol_g, viol_g + 1.0)
+        degenerate[g[thick_ok][~meridian_ok]] = "meridian"
+        viol[g] = np.where(ok_g, viol_g, viol_g + 1.0)
         return _Batch(F, viol, cons, degenerate, warnings)
 
     def evaluate(self, design) -> Evaluation:

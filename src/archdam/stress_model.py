@@ -15,6 +15,14 @@ Per sample point the surrogate composes three components:
     moment (unit-width cantilever, section modulus tc^2/6), tensile on
     the upstream face and compressive downstream;
   * zero third principal component (free faces).
+
+None of these terms depends on the arc position x, so a grid point's
+state is fixed by its depth and face. StressSurrogate therefore computes
+each distinct (depth, face) row once and keeps the index that expands the
+rows back to the grid points: the default grid of 6 depths x 9 arc
+stations x 2 faces holds 12 rows. The terms that depend on no design are
+built with it. An x-dependent backend would keep the same contract and
+only change the index.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from .geometry import CanyonProfile, DamGeometry, DegenerateGeometryError
 
-__all__ = ["LoadCase", "StressField", "sample_grid", "surrogate_states",
+__all__ = ["LoadCase", "StressField", "StressSurrogate", "sample_grid",
            "evaluate_stresses", "GRAVITY"]
 
 GRAVITY = 9.81  # m/s^2
@@ -90,33 +98,69 @@ def sample_grid(geometry: DamGeometry, canyon: CanyonProfile, n_depths: int = 6,
     return xx, zz, face
 
 
-def surrogate_states(tc, ru, grid, h: float, load_cases, moment_share: float = 0.02):
-    """Sorted principal states at the grid points, for one design or a batch.
+class StressSurrogate:
+    """The surrogate on the distinct (depth, face) rows of a sample grid.
 
-    tc and ru are the crown thickness and upstream radius at the grid
-    points, shape (..., n_points); the result has shape
-    (..., n_points, n_cases, 3).
+    Consecutive grid points that share depth and face form one row;
+    sample_grid lays out each arc consecutively, so its rows are the
+    (depth, face) pairs. `index` maps every grid point to its row and
+    `multiplicity` counts the points per row. `depths` are the distinct
+    row depths, and `row_depth` indexes them per row. The load-case terms
+    that depend on no design, each of shape (n_rows, n_cases), are taken
+    at the first point of each row: -p (reservoir pressure plus the
+    Westergaard term), the self-weight, and the bending numerator
+    moment_share * rho_w * g * z_w^3, signed by face.
     """
-    _, z, face = grid
-    up = face == "up"
-    states = np.empty(np.shape(tc) + (len(load_cases), 3))
-    for k, lc in enumerate(load_cases):
-        rho_w_g = lc.water_density * GRAVITY
-        water = lc.kind != "gravity"
-        z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
 
-        p = rho_w_g * z_w
-        if lc.kind == "pseudo_seismic":
-            h_w = max(0.0, h - lc.water_level)
-            p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
-        hoop = -p * ru / tc / 1e6
+    def __init__(self, grid, h: float, load_cases, moment_share: float = 0.02):
+        _, z, face = grid
+        up = np.asarray(face) == "up"
+        z = np.asarray(z, dtype=float)
+        first = np.ones(len(z), dtype=bool)
+        first[1:] = (z[1:] != z[:-1]) | (up[1:] != up[:-1])
+        self.index = np.cumsum(first) - 1
+        self.multiplicity = np.bincount(self.index)
+        self.depths, self.row_depth = np.unique(z[first], return_inverse=True)
 
-        weight = -lc.concrete_density * GRAVITY * z / 1e6
-        bend = moment_share * rho_w_g * z_w**3 / tc**2 / 1e6
-        vertical = weight + np.where(up, bend, -bend)
+        neg_p, weight, bend = [], [], []
+        for lc in load_cases:
+            rho_w_g = lc.water_density * GRAVITY
+            water = lc.kind != "gravity"
+            z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
+            p = rho_w_g * z_w
+            if lc.kind == "pseudo_seismic":
+                h_w = max(0.0, h - lc.water_level)
+                p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
+            neg_p.append(-p)
+            weight.append(-lc.concrete_density * GRAVITY * z / 1e6)
+            num = moment_share * rho_w_g * z_w**3
+            # tensile upstream, compressive downstream
+            bend.append(np.where(up, num, -num))
+        self._neg_p, self._weight, self._bend = (
+            np.stack(t, axis=-1)[first] for t in (neg_p, weight, bend))
 
-        comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
-        states[..., k, :] = np.sort(comp, axis=-1)[..., ::-1]
+    def __call__(self, tc, ru):
+        """Sorted principal states, shape (..., n_rows, n_cases, 3), from
+        the crown thickness and upstream radius at `depths`, shape
+        (..., n_depths), for one design or a batch."""
+        tc = tc[..., self.row_depth, None]
+        ru = ru[..., self.row_depth, None]
+        hoop = self._neg_p * ru / tc / 1e6
+        vertical = self._weight + self._bend / tc**2 / 1e6
+        return _sorted_states(hoop, vertical)
+
+
+def _sorted_states(hoop, vertical):
+    """The components (hoop, vertical, 0) sorted descending, with
+    hoop <= 0: the same values and signed zeros as
+    np.sort(components)[..., ::-1], whose ties put the later component
+    first."""
+    pos = vertical > 0.0
+    ge = vertical >= hoop
+    states = np.empty(np.shape(hoop) + (3,))
+    states[..., 0] = np.where(pos, vertical, 0.0)
+    states[..., 1] = np.where(pos, 0.0, np.where(ge, vertical, hoop))
+    states[..., 2] = np.where(ge, hoop, vertical)
     return states
 
 
@@ -131,11 +175,12 @@ def evaluate_stresses(
     if grid is None:
         grid = sample_grid(geometry, canyon)
     x, z, face = grid
-    tc = geometry.tc(z)
+    surrogate = StressSurrogate(grid, geometry.levels.h, load_cases, moment_share)
+    tc = geometry.tc(surrogate.depths)
     if np.min(tc) <= 0.0:
         raise DegenerateGeometryError("non-positive thickness at a stress sample")
-    ru = geometry.ru(z)
+    ru = geometry.ru(surrogate.depths)
     if np.min(ru) <= 0.0:
         raise DegenerateGeometryError("non-positive radius at a stress sample")
-    states = surrogate_states(tc, ru, grid, geometry.levels.h, load_cases, moment_share)
+    states = surrogate(tc, ru)[surrogate.index]
     return StressField(x=x, z=z, face=face, cases=tuple(load_cases), states=states)

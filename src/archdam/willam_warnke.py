@@ -215,12 +215,15 @@ def _meridian(r1, r2, cos_eta):
     return (2.0 * r2 * dd * cos_eta + r2 * (2.0 * r1 - r2) * np.sqrt(np.maximum(disc, 0.0))) / den
 
 
-def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients):
+def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients,
+                        strict: bool = True):
     """Vectorized criterion for sorted states, shape (..., 3).
 
     Returns (margin, F_over_fc, S, domain_code) with domain codes indexing
-    DOMAIN_NAMES. Raises EvaluationError when the compressive-domain
-    meridian comes out non-positive (corrupted coefficients).
+    DOMAIN_NAMES. A compressive-domain meridian that comes out
+    non-positive (corrupted coefficients, or a state far outside the
+    calibrated range) raises EvaluationError; with strict=False, S and
+    the margin of that state are NaN instead.
     """
     s = np.asarray(states, dtype=float)
     s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2]
@@ -241,8 +244,11 @@ def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients
         r1 = coeffs.r1(xi)
         r2 = coeffs.r2(xi)
         S = _meridian(r1, r2, _cos_eta(a1, a2v, a3))
-        if np.any(S <= 0.0):
-            raise EvaluationError("non-positive compressive meridian value")
+        bad = S <= 0.0
+        if np.any(bad):
+            if strict:
+                raise EvaluationError("non-positive compressive meridian value")
+            S = np.where(bad, np.nan, S)
         F = np.sqrt(((a1 - a2v) ** 2 + (a2v - a3) ** 2 + (a3 - a1) ** 2) / 15.0)
         f_over[ccc] = F / fc
         s_term[ccc] = S
@@ -276,9 +282,11 @@ def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients
     return f_over - s_term / sf, f_over, s_term, dom
 
 
-def criterion_values(states, strength: StrengthParams, coeffs: WWCoefficients):
-    """Margins only, for sorted states of shape (..., 3)."""
-    return evaluate_components(states, strength, coeffs)[0]
+def criterion_values(states, strength: StrengthParams, coeffs: WWCoefficients,
+                     strict: bool = True):
+    """Margins only, for sorted states of shape (..., 3); strict as in
+    evaluate_components."""
+    return evaluate_components(states, strength, coeffs, strict)[0]
 
 
 def criterion_value(sigma, strength: StrengthParams, coeffs: WWCoefficients) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from archdam.mocss import _deletion_weights
 from archdam.stress_model import GRAVITY, sample_grid
-from archdam.willam_warnke import criterion_values
+from archdam.willam_warnke import EvaluationError, criterion_values
 
 
 def brute_force_rank(F, violations=None):
@@ -192,7 +192,10 @@ class LagrangeInterpolant:
 def evaluate_rowwise(problem, X):
     """The dam evaluation one design at a time, as it was before batching:
     one interpolant per section property and design, fresh quadrature
-    nodes per volume, a Python loop over the rows. Returns (F, violation)."""
+    nodes per volume, stresses at every grid point, a Python loop over the
+    rows. A design with a non-positive thickness or radius at a grid point,
+    or with a non-positive compressive meridian, gets the penalty
+    objectives and violation + 1. Returns (F, violation)."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(-1, 20)
     levels, canyon, h = problem.levels, problem.canyon, problem.levels.h
     F = np.empty((len(X), 2))
@@ -236,22 +239,36 @@ def evaluate_rowwise(problem, X):
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
             viol[i] = violation + 1.0
             continue
-        up = face == "up"
-        states = np.empty((len(z), len(problem.load_cases), 3))
-        for k, lc in enumerate(problem.load_cases):
-            rho_w_g = lc.water_density * GRAVITY
-            water = lc.kind != "gravity"
-            z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
-            p = rho_w_g * z_w
-            if lc.kind == "pseudo_seismic":
-                h_w = max(0.0, h - lc.water_level)
-                p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
-            hoop = -p * rz / tz / 1e6
-            weight = -lc.concrete_density * GRAVITY * z / 1e6
-            bend = problem.moment_share * rho_w_g * z_w**3 / tz**2 / 1e6
-            vertical = weight + np.where(up, bend, -bend)
-            comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
-            states[:, k, :] = np.sort(comp, axis=-1)[:, ::-1]
-        F[i] = fit1, float(criterion_values(states, problem.strength, problem.coeffs).max())
+        states = surrogate_states(tz, rz, z, face, h, problem.load_cases, problem.moment_share)
+        try:
+            margins = criterion_values(states, problem.strength, problem.coeffs)
+        except EvaluationError:  # non-positive compressive meridian
+            viol[i] = violation + 1.0
+            continue
+        F[i] = fit1, float(margins.max())
         viol[i] = violation
     return F, viol
+
+
+def surrogate_states(tc, ru, z, face, h, load_cases, moment_share):
+    """The stress surrogate computed at every grid point, with np.sort
+    doing the ordering, as before it was computed per distinct
+    (depth, face) row: sorted states of shape (n_points, n_cases, 3) from
+    tc and ru at the points."""
+    up = face == "up"
+    states = np.empty((len(z), len(load_cases), 3))
+    for k, lc in enumerate(load_cases):
+        rho_w_g = lc.water_density * GRAVITY
+        water = lc.kind != "gravity"
+        z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
+        p = rho_w_g * z_w
+        if lc.kind == "pseudo_seismic":
+            h_w = max(0.0, h - lc.water_level)
+            p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
+        hoop = -p * ru / tc / 1e6
+        weight = -lc.concrete_density * GRAVITY * z / 1e6
+        bend = moment_share * rho_w_g * z_w**3 / tc**2 / 1e6
+        vertical = weight + np.where(up, bend, -bend)
+        comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
+        states[:, k, :] = np.sort(comp, axis=-1)[:, ::-1]
+    return states

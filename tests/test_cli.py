@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import archdam
 from archdam.benchmarks import hypervolume2d
 from archdam.cli import main
 
@@ -226,4 +227,12 @@ def test_benchmark_artifacts(tmp_path, capsys):
 
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
-    assert "archdam" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"archdam {archdam.__version__}\n"
+
+
+def test_version_defined_once():
+    # pyproject.toml reads the version from the package instead of repeating it
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "archdam.__version__"}' in text
+    assert archdam.__version__ not in text

@@ -11,6 +11,7 @@ from archdam.config import (
     make_problem,
     output_directory,
 )
+from archdam import CanyonProfile, DamGeometry, DamProblem, DesignVector
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
 
 
@@ -141,3 +142,11 @@ def test_output_directory(tmp_path):
     path = _write(tmp_path, {"output": {"directory": "runs/exp1"}})
     cfg, _ = load_config(path)
     assert output_directory(cfg) == "runs/exp1"
+
+
+def test_default_canyon_defined_once():
+    canyon = CanyonProfile.default()
+    geo = default_config()["geometry"]
+    assert (geo["h"], geo["w_crest"], geo["w_base"]) == (canyon.h, canyon.w_crest, canyon.w_base)
+    assert DamProblem().canyon == canyon
+    assert DamGeometry(DesignVector.from_array(LOWER_BOUNDS)).canyon == canyon

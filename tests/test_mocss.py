@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from archdam import MocssConfig, get_benchmark, pareto_rank, run_mocss
-from archdam.mocss import _prune_archive
+from archdam.mocss import _archive_update, _prune_archive
 
 from _oracles import brute_force_rank, prune_reference, random_population
 
@@ -245,3 +245,22 @@ def test_coincident_particles_are_safe():
 
     res = run_mocss(Collapsed(), _small_config(iterations=5))
     assert np.isfinite(res.objectives).all()
+
+
+def test_archive_update_drops_repeated_rows_like_np_unique():
+    # the union dedup keeps each row's first occurrence, with -0.0 equal
+    # to 0.0, as np.unique(axis=0) did before
+    rng = np.random.default_rng(53)
+    for trial in range(50):
+        n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+        X = rng.integers(-1, 2, (n, d)).astype(float)  # many repeated rows
+        X[rng.random((n, d)) < 0.2] = -0.0
+        F, V = rng.random((n, 2)), np.zeros(n)
+        _, first = np.unique(X, axis=0, return_index=True)
+        keep = np.sort(first)
+        want = _prune_archive(*(a[keep][pareto_rank(F[keep]) == 1] for a in (X, F, V)), n, 1.0)
+        got = _archive_update(X[:n // 2], F[:n // 2], V[:n // 2],
+                              X[n // 2:], F[n // 2:], V[n // 2:], n, 1.0)
+        for a, b in zip(got, want):
+            # bytes, so that the kept one of -0.0 and 0.0 counts too
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from archdam import DamProblem
+from archdam import DamGeometry, DamProblem, DesignVector, evaluate_stresses
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
+from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
 from _oracles import evaluate_rowwise
 from conftest import TABLE5
@@ -157,3 +162,66 @@ def test_bounds_property():
     assert np.array_equal(lo, LOWER_BOUNDS) and np.array_equal(hi, UPPER_BOUNDS)
     assert p.dimension == 20
     assert np.all(lo < hi)
+
+
+def _thin_problem():
+    # tc6 may go down to 0.5, below the canonical floor of 12
+    lo = LOWER_BOUNDS.copy()
+    lo[7] = 0.5
+    return dataclasses.replace(DamProblem(), lower=lo)
+
+
+def _table5_with_tc6(value):
+    x = TABLE5.copy()
+    x[7] = value
+    return x
+
+
+def test_thin_design_penalized_alone_as_meridian():
+    p = _thin_problem()
+    X = np.vstack([_table5_with_tc6(1.0), _table5_with_tc6(2.0), TABLE5])
+    b = p._evaluate(X)
+    assert list(b.degenerate) == ["meridian", None, None]
+    assert np.array_equal(b.F[0], [PENALTY_FIT1, PENALTY_FIT2])
+    assert b.violation[0] == np.maximum(b.constraints[0], 0.0).sum() + 1.0
+    for i in (1, 2):
+        e = p.evaluate(X[i])
+        assert (b.F[i, 0], b.F[i, 1], b.violation[i]) == (e.fit1, e.fit2, e.violation)
+    assert p.evaluate(X[0]).diagnostics == {"degenerate": "meridian"}
+    F_ref, viol_ref = evaluate_rowwise(p, X)
+    assert np.array_equal(b.F, F_ref) and np.array_equal(b.violation, viol_ref)
+    # the scalar criterion keeps raising for direct callers
+    field = evaluate_stresses(DamGeometry(DesignVector.from_array(X[0])), p.canyon, p.load_cases)
+    with pytest.raises(EvaluationError):
+        criterion_values(field.states, p.strength, p.coeffs)
+    assert np.isnan(criterion_values(field.states, p.strength, p.coeffs, strict=False)).any()
+
+
+def test_validity_warnings_weighted_by_multiplicity():
+    p = _thin_problem()
+    x = _table5_with_tc6(2.0)
+    e = p.evaluate(x)
+    assert e.fit2 == pytest.approx(22.37, abs=0.01)
+    # two distinct (depth, face) states, each standing for 9 arc stations
+    assert e.diagnostics["validity_warnings"] == 18
+    field = evaluate_stresses(DamGeometry(DesignVector.from_array(x)), p.canyon, p.load_cases,
+                              moment_share=p.moment_share)
+    assert e.diagnostics["validity_warnings"] == (~hydrostatic_validity(field.states, p.strength)).sum()
+
+
+@st.composite
+def _in_bound_batches(draw):
+    """1 to 40 designs inside the canonical bounds, the bounds themselves
+    included."""
+    n = draw(st.integers(1, 40))
+    u = draw(arrays(float, (n, 20), elements=st.one_of(
+        st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))))
+    return LOWER_BOUNDS + u * (UPPER_BOUNDS - LOWER_BOUNDS)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_in_bound_batches())
+def test_batch_equals_rowwise_reference_property(dam_problem, X):
+    F, viol = dam_problem.evaluate_batch(X)
+    F_ref, viol_ref = evaluate_rowwise(dam_problem, X)
+    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)

@@ -3,7 +3,9 @@ import pytest
 
 from archdam import CanyonProfile, DamGeometry, DesignVector, LoadCase, evaluate_stresses
 from archdam.geometry import DegenerateGeometryError
-from archdam.stress_model import GRAVITY, sample_grid
+from archdam.stress_model import GRAVITY, StressSurrogate, _sorted_states, sample_grid
+
+from _oracles import surrogate_states
 
 
 def _constant_geometry(tc=12.5, ru=100.0, rd=90.0):
@@ -12,7 +14,7 @@ def _constant_geometry(tc=12.5, ru=100.0, rd=90.0):
 
 
 def _canyon(h=142.65):
-    return CanyonProfile(h=h, w_crest=135.0, w_base=0.35 * 135.0)
+    return CanyonProfile.default(h)
 
 
 def _point(z, face="up"):
@@ -154,3 +156,48 @@ def test_load_case_validation():
         LoadCase(water_density=0.0)
     with pytest.raises(ValueError):
         LoadCase(seismic_coefficient=-0.1)
+
+
+def test_closed_form_order_matches_np_sort():
+    # ties between -0.0, 0.0 and equal values must land where np.sort puts
+    # them, signs of zeros included
+    rows = []
+    for hoop in (-2.0, -0.0):
+        for vertical in (-3.0, -1.0, -0.0, 0.0, 1.0, hoop):
+            rows.append((hoop, vertical))
+    hoop, vertical = np.array(rows).T
+    got = _sorted_states(hoop, vertical)
+    comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
+    want = np.sort(comp, axis=-1)[..., ::-1]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the crest cases spelled out: upstream (hoop, vertical) = (-0, 0) sorts
+    # to [0, 0, -0], downstream (-0, -0) to [0, -0, -0]
+    assert np.array_equal(np.signbit(got[[9, 8]]), [[False, False, True], [False, True, True]])
+
+
+def test_distinct_rows_of_the_default_grid(table5_design):
+    geo = DamGeometry(table5_design)
+    grid = sample_grid(geo, _canyon())
+    cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
+    surrogate = StressSurrogate(grid, geo.levels.h, cases)
+    assert len(surrogate.multiplicity) == 12 and np.all(surrogate.multiplicity == 9)
+    assert np.array_equal(surrogate.depths, np.unique(grid[1]))
+    assert np.array_equal(surrogate.index, np.repeat(np.arange(12), 9))
+    assert surrogate(geo.tc(surrogate.depths), geo.ru(surrogate.depths)).shape == (12, 3, 3)
+
+
+def test_states_equal_per_point_reference(table5_design):
+    # bit for bit, signed zeros included, on the default grid and on a
+    # grid whose points interleave faces and depths
+    geo = DamGeometry(table5_design)
+    canyon = _canyon()
+    cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
+    cases.append(LoadCase(water_level=30.0))
+    x, z, face = sample_grid(geo, canyon)
+    order = np.random.default_rng(1).permutation(len(z))
+    for grid in ((x, z, face), (x[order], z[order], face[order])):
+        field = evaluate_stresses(geo, canyon, cases, grid=grid)
+        _, zg, fg = grid
+        ref = surrogate_states(geo.tc(zg), geo.ru(zg), zg, fg, geo.levels.h, cases, 0.02)
+        assert np.array_equal(field.states.view(np.int64), ref.view(np.int64))

@@ -100,14 +100,12 @@ def igd(front: np.ndarray, samples: np.ndarray, scale=None) -> float:
 
 
 def _nd_filter(F: np.ndarray) -> np.ndarray:
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    keep = []
-    best_f2 = np.inf
-    for i in order:
-        if F[i, 1] < best_f2:
-            keep.append(i)
-            best_f2 = F[i, 1]
-    return F[keep]
+    """The rows no other row dominates, once each, in (f1, f2) order: each
+    kept row's f2 lies strictly below every f2 before it in that order."""
+    F = F[np.lexsort((F[:, 1], F[:, 0]))]
+    f2 = F[:, 1]
+    before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
+    return F[f2 < before]
 
 
 def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
@@ -129,8 +127,10 @@ def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
     if not inside.any():
         return 0.0
     pts = _nd_filter(front[inside])
-    hv = 0.0
-    for i, (f1, f2) in enumerate(pts):
-        nxt = pts[i + 1, 0] if i + 1 < len(pts) else ref[0]
-        hv += (min(nxt, ref[0]) - f1) * (ref[1] - f2)
-    return float(hv)
+    # one slab per point, from its f1 to the next point's f1 (all inside
+    # the corner) or to the corner's; every slab is positive. cumsum adds
+    # strictly left to right, so logged values do not depend on numpy's
+    # pairwise sum or on the float summation of Python's sum()
+    right = np.append(pts[1:, 0], ref[0])
+    terms = (right - pts[:, 0]) * (ref[1] - pts[:, 1])
+    return float(np.cumsum(terms)[-1])

@@ -21,22 +21,31 @@ Loop structure per iteration:
      probability cmcr copy the variable from a random CM member, then
      with probability par step it toward the same variable of a random
      rank-1 CP (step capped by a decaying bandwidth); otherwise redraw
-     uniformly. An empty CM always redraws uniformly.
+     uniformly.
   6. evaluation, re-ranking, and CM update with crowding-based deletion
      that never removes a per-objective extreme member.
+
+The CM is never empty, so steps 1 and 5 always have members to draw
+from: the initial front of n >= 2 CPs is non-empty, every update keeps
+the rank-1 rows of a non-empty union, and the prune stops at
+archive_capacity >= 1.
 
 Bookkeeping: ranking and pruning run every iteration, so both avoid
 quadratic rework. pareto_rank handles exactly two objectives: it sorts
 the feasible rows into fronts in one sweep in (f1, f2) order, with a
 bisection over the fronts per row, O(n log n) in all (Jensen 2003). The
 CM prune builds its distance matrix once and, per deletion, rescans only
-the rows whose nearest neighbour was deleted.
+the rows whose nearest neighbour was deleted. The force step takes its
+distances from the Gram matrix and its sums from one matrix product.
 
 Randomness: a single seeded numpy Generator, consumed in a fixed order
 each iteration - replacement member picks and their jitter, the
 attraction-sign matrix, the rank-tie coin flips, the two per-CP movement
-factors, then repair draws in row-major (particle, variable) order.
-Repair draws depend on which variables violated, so identical seeds
+factors, then six repair blocks with one draw per out-of-bounds entry
+each, entries in row-major (particle, variable) order: the fresh uniform
+value, the CM-copy coin, the CM member index, the pitch-adjust coin, the
+rank-1 CP index and the step fraction. The number of repair draws
+depends on how many entries violated, not on which. Identical seeds
 reproduce identical runs only with identical inputs, which is the
 determinism contract.
 """
@@ -44,7 +53,7 @@ determinism contract.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,8 +175,9 @@ def _extremes(F, alive):
 
 
 def _prune_archive(X, F, viol, capacity, alpha):
-    """Drop closest pairs in weighted objective space until within
-    capacity, never deleting a per-objective extreme member.
+    """Drop closest pairs in weighted objective space (two objectives, as
+    pareto_rank requires) until within capacity, never deleting a
+    per-objective extreme member.
 
     The distance matrix is built once. Each row keeps its nearest alive
     column (the first, on ties) and that distance; the pair to break is
@@ -180,7 +190,9 @@ def _prune_archive(X, F, viol, capacity, alpha):
         return X, F, viol
     u = _deletion_weights(F, alpha)
     W = F * u
-    D = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
+    dx = W[:, None, 0] - W[None, :, 0]
+    dy = W[:, None, 1] - W[None, :, 1]
+    D = np.sqrt(dx * dx + dy * dy)
     np.fill_diagonal(D, np.inf)
     nn = D.argmin(axis=1)
     nd = D[np.arange(len(D)), nn]
@@ -219,6 +231,51 @@ def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
     ranks = pareto_rank(F, V)
     keep = ranks == 1
     return _prune_archive(X[keep], F[keep], V[keep], capacity, alpha)
+
+
+def _forces(X, q, gate, radius):
+    """Resultant force on each CP: force_j = sum_i gate[j, i] * mag_ji *
+    (X_i - X_j), with mag_ji = q_i r_ji / a^3 inside the radius a and
+    q_i / r_ji^2 outside it.
+
+    Distances come from the Gram matrix and the sum from one matrix
+    product, so no (n, n, d) array is built. A coincident pair's distance
+    comes out 0 or at the Gram rounding floor (about 1e-8 |X|), where the
+    linear branch scales its pull down to rounding noise; the radius must
+    stay well above that floor. Both branches are evaluated, so the
+    inverse-square one divides by max(r, a), which is r wherever it is
+    taken and keeps it off zero.
+    """
+    G = X @ X.T
+    sq = G.diagonal()
+    r = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * G, 0.0))
+    a = radius
+    mag = np.where(r < a, q * r / a**3, q / np.maximum(r, a) ** 2)
+    w = mag * gate
+    return w @ X - w.sum(axis=1)[:, None] * X
+
+
+def _repair(X, members, leaders, bw, cmcr, par, rng):
+    """Harmony repair of the entries of X outside [0, 1], in place.
+
+    Each such entry, with probability cmcr, copies its variable from a
+    random CM member and then, with probability par, steps toward the same
+    variable of a random leader (rank-1 CP) by at most bw times a uniform
+    fraction, clipped to [0, 1]; otherwise it is redrawn uniformly. Six
+    blocks of one draw per entry (row-major order) are taken in a fixed
+    order, used or not, so the draws depend only on how many entries
+    violated.
+    """
+    rows, cols = np.nonzero((X < 0.0) | (X > 1.0))
+    m = len(rows)
+    fresh = rng.random(m)
+    copy = rng.random(m) < cmcr
+    v = members[rng.integers(len(members), size=m), cols]
+    adjust = rng.random(m) < par
+    target = leaders[rng.integers(len(leaders), size=m), cols]
+    lim = bw * rng.random(m)
+    v = np.where(adjust, v + np.clip(target - v, -lim, lim), v)
+    X[rows, cols] = np.where(copy, np.clip(v, 0.0, 1.0), fresh)
 
 
 def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> MocssResult:
@@ -291,7 +348,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
         n_rep = int(config.replace_fraction * n)
         if not feasible_found:
             n_rep = min(n, 2 * n_rep)
-        if n_rep > 0 and len(aX) > 0:
+        if n_rep > 0:
             scale = bw if feasible_found else config.infeasible_jitter
             worst = np.argsort(-ranks, kind="stable")[:n_rep]
             pick = rng.integers(len(aX), size=n_rep)
@@ -309,46 +366,16 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
             if worst_v != best:
                 q *= (F[:, k] - worst_v) / (best - worst_v)
 
-        diff = X[None, :, :] - X[:, None, :]  # diff[j, i] = X_i - X_j
-        r = np.linalg.norm(diff, axis=2)
-        np.fill_diagonal(r, 1.0)
-        a = config.radius
-        # coincident particles (r = 0) take the linear branch, but both
-        # branches are evaluated, so keep the inverse-square divisor off zero
-        r_safe = np.where(r == 0.0, 1.0, r)
-        mag = np.where(r < a, q[None, :] * r / a**3, q[None, :] / r_safe**2)
         ar = np.where(rng.random((n, n)) < config.attraction_prob, 1.0, -1.0)
         ties = rng.random((n, n)) < 0.5
-        p = np.where(
-            ranks[None, :] < ranks[:, None],
-            1.0,
-            np.where((ranks[None, :] == ranks[:, None]) & ties, 1.0, 0.0),
-        )
-        np.fill_diagonal(p, 0.0)
-        force = np.einsum("ji,jid->jd", mag * ar * p, diff)
+        attract = (ranks[None, :] < ranks[:, None]) | ((ranks[None, :] == ranks[:, None]) & ties)
+        np.fill_diagonal(attract, False)
+        force = _forces(X, q, np.where(attract, ar, 0.0), config.radius)
 
         rnd1 = rng.random(n)[:, None]
         rnd2 = rng.random(n)[:, None]
         X_new = rnd1 * ka * force + rnd2 * kv * V + X
-
-        # harmony repair of out-of-bounds variables
-        oob = (X_new < 0.0) | (X_new > 1.0)
-        if oob.any():
-            r1_rows = np.where(ranks == 1)[0]
-            n_arch = len(aX)
-            for jj, ii in zip(*np.where(oob)):
-                if n_arch == 0:
-                    X_new[jj, ii] = rng.random()
-                    continue
-                if rng.random() < config.cmcr:
-                    v = aX[rng.integers(n_arch), ii]
-                    if rng.random() < config.par:
-                        target = X[r1_rows[rng.integers(len(r1_rows))], ii]
-                        lim = bw * rng.random()
-                        v = v + min(max(target - v, -lim), lim)
-                    X_new[jj, ii] = min(1.0, max(0.0, v))
-                else:
-                    X_new[jj, ii] = rng.random()
+        _repair(X_new, aX, X[ranks == 1], bw, config.cmcr, config.par, rng)
 
         V = X_new - X
         X = X_new

@@ -80,37 +80,13 @@ class StrengthParams:
 
 @dataclass(frozen=True)
 class WWCoefficients:
-    """Fitted meridian coefficients; r1 = a0 + a1 xi + a2 xi^2, likewise r2/b."""
+    """Fitted meridian coefficients: r1 = a[0] + a[1] xi + a[2] xi^2, likewise r2 with b."""
 
     a: np.ndarray
     b: np.ndarray
     xi0: float
     valid: bool = True
     warnings: tuple = field(default_factory=tuple)
-
-    @property
-    def a0(self):
-        return self.a[0]
-
-    @property
-    def a1(self):
-        return self.a[1]
-
-    @property
-    def a2(self):
-        return self.a[2]
-
-    @property
-    def b0(self):
-        return self.b[0]
-
-    @property
-    def b1(self):
-        return self.b[1]
-
-    @property
-    def b2(self):
-        return self.b[2]
 
     def r1(self, xi):
         return self.a[0] + self.a[1] * xi + self.a[2] * xi**2

@@ -2,9 +2,10 @@
 
 Everything here is deliberately slow and literal: brute-force dominance
 ranks, the archive prune that rescans every alive pair per deletion,
-grid-sum hypervolume, Monte Carlo volume, the closed-form calibration
-stress states for the failure criterion, and the dam evaluator one
-design at a time.
+the pairwise force sum over explicit difference vectors, grid-sum and
+loop hypervolume, Monte Carlo volume, the closed-form calibration stress
+states for the failure criterion, and the dam evaluator one design at a
+time.
 """
 
 import numpy as np
@@ -68,6 +69,45 @@ def prune_reference(X, F, viol, capacity, alpha):
         alive[kill] = False
         n_alive -= 1
     return X[alive], F[alive], viol[alive]
+
+
+def force_reference(X, q, gate, radius):
+    """Resultant force on each CP from explicit (n, n, d) difference
+    vectors: force_j = sum_i gate[j, i] * mag_ji * (X_i - X_j), with
+    mag_ji = q_i r / a^3 inside the radius a and q_i / r^2 outside."""
+    diff = X[None, :, :] - X[:, None, :]  # diff[j, i] = X_i - X_j
+    r = np.linalg.norm(diff, axis=2)
+    np.fill_diagonal(r, 1.0)
+    a = radius
+    # coincident particles (r = 0) take the linear branch, but both
+    # branches are evaluated, so keep the inverse-square divisor off zero
+    r_safe = np.where(r == 0.0, 1.0, r)
+    mag = np.where(r < a, q[None, :] * r / a**3, q[None, :] / r_safe**2)
+    return np.einsum("ji,jid->jd", mag * gate, diff)
+
+
+def hypervolume_reference(front, reference):
+    """Dominated area of a 2-objective front below the reference corner,
+    by a loop over the non-dominated points in (f1, f2) order: one slab
+    per point, added left to right. Points outside the corner are
+    dropped."""
+    front = np.atleast_2d(np.asarray(front, dtype=float))
+    ref = np.asarray(reference, dtype=float)
+    F = front[np.all(front < ref, axis=1)]
+    if len(F) == 0:
+        return 0.0
+    keep = []
+    best_f2 = np.inf
+    for i in np.lexsort((F[:, 1], F[:, 0])):
+        if F[i, 1] < best_f2:
+            keep.append(i)
+            best_f2 = F[i, 1]
+    pts = F[keep]
+    hv = 0.0
+    for i, (f1, f2) in enumerate(pts):
+        nxt = pts[i + 1, 0] if i + 1 < len(pts) else ref[0]
+        hv += (min(nxt, ref[0]) - f1) * (ref[1] - f2)
+    return float(hv)
 
 
 def grid_hypervolume(front, reference, resolution=1e-3):

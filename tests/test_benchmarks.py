@@ -3,10 +3,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archdam import get_benchmark, hypervolume2d, igd
 
-from _oracles import grid_hypervolume
+from _oracles import grid_hypervolume, hypervolume_reference
 
 
 def test_hypervolume_hand_values():
@@ -50,6 +52,58 @@ def test_hypervolume_matches_grid_oracle():
         exact = hypervolume2d(front, (1.0, 1.0))
         approx = grid_hypervolume(front, (1.0, 1.0), resolution=2e-3)
         assert exact == pytest.approx(approx, abs=5e-3)
+
+
+@st.composite
+def _fronts(draw, max_points=60):
+    """Objective sets on a coarse grid (ties, duplicates, points on and
+    beyond the corners used below), continuous in [0, 1.2]^2, or close to
+    the anti-diagonal, where most points are non-dominated."""
+    kind = draw(st.sampled_from(["grid", "continuous", "front"]))
+    n = draw(st.integers(20 if kind == "front" else 1, max_points))
+    if kind == "grid":
+        elements = st.sampled_from([0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 1.2])
+    else:
+        elements = st.floats(0.0, 1.2)
+    F = draw(arrays(float, (n, 2), elements=elements, unique=kind == "front"))
+    if kind == "front":
+        F[:, 1] = 1.0 - F[:, 0] + 0.01 * F[:, 1]
+    return F
+
+
+# a dense ZDT1-like front, on which numpy's pairwise sum of the slabs
+# differs from the left-to-right one in the last bit
+_t = np.sort(np.random.default_rng(1).random(40))
+_DENSE_FRONT = np.column_stack([_t, 1.0 - np.sqrt(_t)])
+
+
+_HV_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@_HV_SETTINGS
+@given(_fronts())
+@example(_DENSE_FRONT)
+def test_hypervolume_equals_loop_reference(front):
+    # bit for bit, so logged hypervolumes do not change
+    for ref in ((1.0, 1.0), (1.1, 0.9)):
+        assert hypervolume2d(front, ref, strict=False) == hypervolume_reference(front, ref)
+
+
+@_HV_SETTINGS
+@given(_fronts(), _fronts())
+def test_hypervolume_property_monotone_under_union(a, b):
+    hv_a = hypervolume2d(a, (1.0, 1.0), strict=False)
+    assert hypervolume2d(np.vstack([a, b]), (1.0, 1.0), strict=False) >= hv_a * (1.0 - 1e-12)
+
+
+@_HV_SETTINGS
+@given(_fronts(), st.data())
+def test_hypervolume_property_dominated_point_adds_nothing(front, data):
+    member = front[data.draw(st.integers(0, len(front) - 1))]
+    offset = data.draw(arrays(float, 2, elements=st.sampled_from([0.0, 1e-9, 0.1, 0.5])))
+    grown = np.vstack([front, member + offset])
+    assert hypervolume2d(grown, (1.0, 1.0), strict=False) == hypervolume2d(front, (1.0, 1.0),
+                                                                           strict=False)
 
 
 def test_igd_zero_only_on_covering_front():

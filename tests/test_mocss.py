@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from archdam import MocssConfig, get_benchmark, pareto_rank, run_mocss
-from archdam.mocss import _archive_update, _prune_archive
+from archdam.mocss import _archive_update, _forces, _prune_archive, _repair
 
-from _oracles import brute_force_rank, prune_reference, random_population
+from _oracles import brute_force_rank, force_reference, prune_reference, random_population
 
 
 def test_pareto_rank_matches_brute_force():
@@ -264,3 +264,75 @@ def test_archive_update_drops_repeated_rows_like_np_unique():
         for a, b in zip(got, want):
             # bytes, so that the kept one of -0.0 and 0.0 counts too
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_forces_match_pairwise_reference():
+    rng = np.random.default_rng(59)
+    for trial in range(60):
+        n, d = int(rng.integers(2, 80)), (1, 5, 20, 30)[trial % 4]
+        X = rng.random((n, d))
+        # duplicated rows: coincident particles exert no force
+        X[rng.integers(0, n, n // 3)] = X[rng.integers(0, n, n // 3)]
+        q = rng.random(n)
+        gate = rng.choice([-1.0, 0.0, 1.0], size=(n, n))
+        np.fill_diagonal(gate, 0.0)
+        # radii below, near and above the typical distance: both branches
+        radius = (0.3, 0.9, 1.7, 4.0)[trial // 4 % 4] * np.sqrt(d / 6.0)
+        with np.errstate(all="raise"):
+            got = _forces(X, q, gate, radius)
+        want = force_reference(X, q, gate, radius)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), trial
+    # a collapsed population, where the reference is exactly 0, feels no
+    # force beyond rounding
+    X = np.full((40, 30), 0.37)
+    gate = np.ones((40, 40))
+    np.fill_diagonal(gate, 0.0)
+    for radius in (0.5, 1.0, 3.0):
+        with np.errstate(all="raise"):
+            force = _forces(X, np.linspace(0.0, 1.0, 40), gate, radius)
+        assert np.abs(force).max() <= 1e-12
+
+
+def test_repair_contract():
+    rng = np.random.default_rng(61)
+    for trial in range(40):
+        n, d = int(rng.integers(2, 60)), int(rng.integers(1, 31))
+        X = rng.uniform(-0.6, 1.6, (n, d))
+        members = rng.random((int(rng.integers(1, 30)), d))
+        leaders = rng.random((int(rng.integers(1, n + 1)), d))
+        oob = (X < 0.0) | (X > 1.0)
+        for cmcr, par, bw in ((0.98, 0.5, 0.02), (1.0, 0.0, 0.02), (0.0, 0.5, 0.02),
+                              (1.0, 1.0, 0.3)):
+            Y = X.copy()
+            _repair(Y, members, leaders, bw, cmcr, par, np.random.default_rng(trial))
+            assert np.array_equal(Y[~oob], X[~oob])
+            assert np.all((Y >= 0.0) & (Y <= 1.0))
+            rows, cols = np.nonzero(oob)
+            got = Y[rows, cols]
+            # distance of each repaired value to its column's CM values
+            gap = np.abs(got[:, None] - members[:, cols].T).min(axis=1)
+            if cmcr == 1.0 and par == 0.0:
+                assert np.all(gap == 0.0)  # copied from some CM member
+            if cmcr == 1.0:
+                assert np.all(gap <= bw)  # a pitch step is capped by bw
+            if cmcr == 0.0:
+                fresh = np.random.default_rng(trial).random(len(rows))  # the first block
+                assert np.array_equal(got, fresh)
+
+    # the draws depend on how many entries violated, not on which
+    X = np.full((10, 6), 0.5)
+    Y = X.copy()
+    X[[0, 3, 9], [1, 5, 0]] = (-0.2, 1.4, 2.0)
+    Y[[2, 4, 7], [2, 3, 4]] = (1.1, -0.5, -3.0)
+    members, leaders = np.full((4, 6), 0.25), np.full((3, 6), 0.75)
+    states = []
+    for Z in (X, Y):
+        rng = np.random.default_rng(67)
+        _repair(Z, members, leaders, 0.02, 0.98, 0.5, rng)
+        states.append(rng.bit_generator.state)
+    assert states[0] == states[1]
+    # one violating entry, not three, leaves the generator elsewhere
+    Y[5, 5] = 1.5
+    rng = np.random.default_rng(67)
+    _repair(Y, members, leaders, 0.02, 0.98, 0.5, rng)
+    assert rng.bit_generator.state != states[0]

@@ -20,7 +20,6 @@ from .geometry import (
     LOWER_BOUNDS,
     UPPER_BOUNDS,
     VARIABLE_NAMES,
-    lagrange_basis,
 )
 from .mocss import MocssConfig, MocssResult, pareto_rank, run_mocss
 from .mtdm import (
@@ -48,7 +47,7 @@ __all__ = [
     "BenchmarkProblem", "get_benchmark", "hypervolume2d", "igd",
     "ConfigError", "default_config", "load_config", "make_mocss_config", "make_problem",
     "CanyonProfile", "ControlLevels", "DamGeometry", "DegenerateGeometryError",
-    "DesignVector", "LOWER_BOUNDS", "UPPER_BOUNDS", "VARIABLE_NAMES", "lagrange_basis",
+    "DesignVector", "LOWER_BOUNDS", "UPPER_BOUNDS", "VARIABLE_NAMES",
     "MocssConfig", "MocssResult", "pareto_rank", "run_mocss",
     "RankingResult",
     "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R", "tournament_T", "tournament_t",

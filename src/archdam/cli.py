@@ -158,22 +158,41 @@ ARCHIVE_COLUMNS = list(VARIABLE_NAMES) + ["fit1", "fit2", "violation", "feasible
 
 
 def _read_archive(path: str):
-    """Parse an archive CSV back into (X, fit1, fit2, violation, feasible)."""
+    """Parse an archive CSV back into (X, fit1, fit2, violation, feasible).
+    A data row needs one finite number per column; ConfigError names the
+    file and line of the first that has not."""
     try:
         with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+            lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
+                     if ln.strip() and not ln.startswith("#")]
     except OSError as exc:
         raise ConfigError(f"cannot read archive {path!r}: {exc}") from exc
     if not lines:
         raise ConfigError(f"archive {path!r} is empty")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header != ARCHIVE_COLUMNS:
         raise ConfigError(
             f"archive {path!r} header mismatch: expected {ARCHIVE_COLUMNS}"
         )
-    body = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    if body.size == 0:
+    rows = []
+    for k, ln in lines[1:]:
+        where = f"archive {path!r} line {k}"
+        tokens = ln.split(",")
+        if len(tokens) != len(ARCHIVE_COLUMNS):
+            raise ConfigError(f"{where}: {len(tokens)} columns, "
+                              f"expected {len(ARCHIVE_COLUMNS)}")
+        try:
+            row = np.array([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        bad = ~np.isfinite(row)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ConfigError(f"{where}: {ARCHIVE_COLUMNS[j]} = {row[j]} is not finite")
+        rows.append(row)
+    if not rows:
         raise ConfigError(f"archive {path!r} has no data rows")
+    body = np.array(rows)
     X = body[:, :20]
     return X, body[:, 20], body[:, 21], body[:, 22], body[:, 23] != 0.0
 

@@ -19,7 +19,7 @@ from .geometry import CanyonProfile, ControlLevels, LOWER_BOUNDS, UPPER_BOUNDS
 from .mocss import MocssConfig
 from .objectives import DamProblem
 from .stress_model import LoadCase
-from .willam_warnke import StrengthParams
+from .willam_warnke import DegenerateStrengthError, StrengthParams
 
 __all__ = ["ConfigError", "load_config", "default_config", "make_problem",
            "make_mocss_config", "output_directory"]
@@ -179,38 +179,48 @@ def load_config(path: str | None = None):
     return cfg, digest
 
 
+def _built(key: str, make, **kwargs):
+    """make(**kwargs), with a rejection of the values re-raised as a
+    ConfigError that names the config key."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{key} invalid: {exc}") from exc
+
+
 def make_problem(cfg: dict) -> DamProblem:
     geo = cfg["geometry"]
-    levels = ControlLevels.evenly_spaced(h=geo["h"])
-    canyon = CanyonProfile(h=geo["h"], w_crest=geo["w_crest"], w_base=geo["w_base"])
-    strength = StrengthParams(**cfg["strength"])
-    loads = tuple(LoadCase(**item) for item in cfg["loads"])
+    levels = _built("geometry", ControlLevels.evenly_spaced, h=geo["h"])
+    canyon = _built("geometry", CanyonProfile, **geo)
+    strength = _built("strength", StrengthParams, **cfg["strength"])
+    loads = tuple(_built(f"loads[{k}]", LoadCase, **item)
+                  for k, item in enumerate(cfg["loads"]))
     prob = cfg["problem"]
-    return DamProblem(
-        levels=levels,
-        canyon=canyon,
-        strength=strength,
-        load_cases=loads,
-        gamma_allow=prob["gamma_allow"],
-        quadrature_order=prob["quadrature_order"],
-        n_depths=prob["n_depths"],
-        n_arc=prob["n_arc"],
-        moment_share=prob["moment_share"],
-        penalty_fit1=prob["penalty_fit1"],
-        penalty_fit2=prob["penalty_fit2"],
-        lower=np.asarray(prob["lower_bounds"], dtype=float),
-        upper=np.asarray(prob["upper_bounds"], dtype=float),
-    )
+    try:
+        return DamProblem(
+            levels=levels,
+            canyon=canyon,
+            strength=strength,
+            load_cases=loads,
+            gamma_allow=prob["gamma_allow"],
+            quadrature_order=prob["quadrature_order"],
+            n_depths=prob["n_depths"],
+            n_arc=prob["n_arc"],
+            moment_share=prob["moment_share"],
+            penalty_fit1=prob["penalty_fit1"],
+            penalty_fit2=prob["penalty_fit2"],
+            lower=np.asarray(prob["lower_bounds"], dtype=float),
+            upper=np.asarray(prob["upper_bounds"], dtype=float),
+        )
+    except DegenerateStrengthError as exc:  # raised by the calibration
+        raise ConfigError(f"strength invalid: {exc}") from exc
 
 
 def make_mocss_config(cfg: dict, seed: int | None = None) -> MocssConfig:
     params = dict(cfg["mocss"])
     if seed is not None:
         params["seed"] = seed
-    try:
-        return MocssConfig(**params)
-    except ValueError as exc:
-        raise ConfigError(f"mocss configuration invalid: {exc}") from exc
+    return _built("mocss configuration", MocssConfig, **params)
 
 
 def output_directory(cfg: dict) -> str:

@@ -30,7 +30,6 @@ __all__ = [
     "LOWER_BOUNDS",
     "UPPER_BOUNDS",
     "VARIABLE_NAMES",
-    "lagrange_basis",
     "crown_profile_g",
     "crown_slope",
     "central_angle_deg",
@@ -146,24 +145,6 @@ class DesignVector:
         return np.concatenate([[self.gamma, self.beta], self.tc, self.ru, self.rd])
 
 
-def lagrange_basis(z, i: int, levels: ControlLevels):
-    """i-th Lagrange basis polynomial (1-based level index) at depth z."""
-    nodes = levels.z
-    n = len(nodes)
-    if not 1 <= i <= n:
-        raise IndexError(f"level index {i} outside 1..{n}")
-    z = np.asarray(z, dtype=float)
-    num = np.ones_like(z)
-    den = 1.0
-    zi = nodes[i - 1]
-    for m in range(n):
-        if m == i - 1:
-            continue
-        num = num * (z - nodes[m])
-        den *= zi - nodes[m]
-    return num / den
-
-
 def crown_profile_g(z, gamma: float, beta: float, h: float):
     """Upstream crown curve y = g(z); zero at the crest, slope zero at z = beta*h."""
     if h <= 0:
@@ -195,6 +176,13 @@ class DepthInterpolant:
     takes that level's value exactly. slopes=True also stores the
     derivative terms: squared offsets, and differentiation-matrix rows for
     the depths that hit a level.
+
+    The level axis leads in the stored terms, (n_levels, n_depths), and in
+    the products formed from them, so each sum over the levels is a few
+    whole-array adds instead of one short inner loop per output value.
+    numpy adds an axis of fewer than 8 entries strictly left to right,
+    whether it is the first or the last, so the sums are the same bit for
+    bit as with the level axis last.
     """
 
     def __init__(self, levels: ControlLevels, z, slopes: bool = False):
@@ -203,22 +191,32 @@ class DepthInterpolant:
         d = x[:, None] - x[None, :]
         np.fill_diagonal(d, 1.0)
         self._w = 1.0 / d.prod(axis=1)
-        dz = self.z[:, None] - x[None, :]
+        dz = self.z[None, :] - x[:, None]
         hit = np.abs(dz) <= 1e-12 * max(float(x[-1] - x[0]), 1.0)
-        self._at = hit.any(axis=1)
+        self._at = hit.any(axis=0)
         self._off = ~self._at
-        self._node = hit[self._at].argmax(axis=1)
-        self._r = self._w / dz[self._off]
-        self._rsum = self._r.sum(axis=1)
+        self._node = hit[:, self._at].argmax(axis=0)
+        dz = np.ascontiguousarray(dz[:, self._off])
+        self._r = self._w[:, None] / dz
+        self._rsum = self._r.sum(axis=0)
         if slopes:
-            self._dz2 = dz[self._off] ** 2
+            self._dz2 = dz**2
             D = (self._w[None, :] / self._w[:, None]) / d
             np.fill_diagonal(D, 0.0)
             np.fill_diagonal(D, -D.sum(axis=1))
             self._d_at = D[self._node]
 
+    @staticmethod
+    def _levels_first(a, f):
+        """a of shape (n_levels, k) and f of shape (..., n_levels) as
+        broadcastable (n_levels, ..., k) and (n_levels, ..., 1)."""
+        batch = f.ndim - 1
+        return (a.reshape(a.shape[:1] + (1,) * batch + a.shape[1:]),
+                np.ascontiguousarray(f.transpose(batch, *range(batch)))[..., None])
+
     def _off_values(self, f):
-        return (self._r * f[..., None, :]).sum(axis=-1) / self._rsum
+        r, f = self._levels_first(self._r, f)
+        return (r * f).sum(axis=0) / self._rsum
 
     def values(self, f):
         out = np.empty(f.shape[:-1] + self.z.shape)
@@ -233,14 +231,19 @@ class DepthInterpolant:
         # whole batch rounds differently in the last bit
         out[..., self._at] = np.matmul(self._d_at, f[..., None])[..., 0]
         p = self._off_values(f)
-        num = (self._w * (p[..., None] - f[..., None, :]) / self._dz2).sum(axis=-1)
-        out[..., self._off] = num / self._rsum
+        dz2, f = self._levels_first(self._dz2, f)
+        w = self._w.reshape(dz2.shape[:-1] + (1,))
+        out[..., self._off] = (w * (p - f) / dz2).sum(axis=0) / self._rsum
         return out
 
 
 class VolumeQuadrature:
     """Tensor-product Gauss-Legendre rule for the concrete volume: `order`
-    depths, and at each depth `order` points across the canyon width."""
+    depths, and at each depth `order` points across the canyon width.
+
+    The (n, order, order) integrand is built in one buffer, in place: at
+    n = 100 each temporary of that shape is 800 KB, and allocating three
+    of them cost more than the arithmetic."""
 
     def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int = 32):
         if order < 2:
@@ -255,12 +258,13 @@ class VolumeQuadrature:
         self._wx = half_width * w
         self.depths = DepthInterpolant(levels, zq)
 
-    def __call__(self, tc, ru, rd):
-        """Volumes for node values of shape (n, n_levels), shape (n,)."""
-        tc = self.depths.values(tc)[..., None]
-        ru = self.depths.values(ru)[..., None]
-        rd = self.depths.values(rd)[..., None]
-        thick = np.abs(tc + self._half_x2 * (1.0 / rd - 1.0 / ru))
+    def __call__(self, nodes):
+        """Volumes, shape (n,), for the node values of tc, ru and rd
+        stacked as shape (3, n, n_levels)."""
+        tc, ru, rd = self.depths.values(nodes)[..., None]
+        thick = np.multiply(self._half_x2, 1.0 / rd - 1.0 / ru)
+        thick += tc
+        np.abs(thick, out=thick)
         return np.einsum("nij,ij,i->n", thick, self._wx, self._wz)
 
 
@@ -359,7 +363,7 @@ class DamGeometry:
         x-extent clipped to the canyon half-width at each depth."""
         d = self.design
         quad = VolumeQuadrature(self.levels, self.canyon, order)
-        return float(quad(d.tc[None], d.ru[None], d.rd[None])[0])
+        return float(quad(np.array((d.tc, d.ru, d.rd))[:, None])[0])
 
     def central_angle(self, z):
         """Arch central angle at depth z, degrees."""

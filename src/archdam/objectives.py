@@ -144,7 +144,9 @@ class DamProblem:
         X = self._checked(X)
         n = len(X)
         gamma, beta = X[:, 0], X[:, 1]
-        tc, ru, rd = (np.ascontiguousarray(X[:, k:k + 6]) for k in (2, 8, 14))
+        # node values of tc, ru and rd stacked: (3, n, 6)
+        nodes = np.ascontiguousarray(X[:, 2:].reshape(n, 3, 6).transpose(1, 0, 2))
+        tc, ru, rd = nodes
 
         F = np.empty((n, 2))
         F[:] = (self.penalty_fit1, self.penalty_fit2)
@@ -155,19 +157,17 @@ class DamProblem:
         # ordering constraints stay computable even for degenerate shapes,
         # keeping a violation gradient among penalized designs
         viol = np.maximum(rd / ru - 1.0, 0.0).sum(axis=1) + 1.0
-        radius_ok = ((self._radius_depths.values(ru).min(axis=1) > 0.0)
-                     & (self._radius_depths.values(rd).min(axis=1) > 0.0))
+        radius_ok = (self._radius_depths.values(nodes[1:]).min(axis=2) > 0.0).all(axis=0)
         degenerate[~radius_ok] = "radius"
 
         g = np.flatnonzero(radius_ok)
-        tc, ru, rd = tc[g], ru[g], rd[g]
-        cons_g = self._constraints(gamma[g], beta[g], tc, ru, rd, self.gamma_allow)
+        nodes = nodes[:, g]
+        cons_g = self._constraints(gamma[g], beta[g], *nodes, self.gamma_allow)
         cons[g] = cons_g
         viol_g = np.maximum(cons_g, 0.0).sum(axis=1)
-        fit1 = self._volume(tc, ru, rd)
+        fit1 = self._volume(nodes)
 
-        tc_d = self._stress_depths.values(tc)
-        ru_d = self._stress_depths.values(ru)
+        tc_d, ru_d = self._stress_depths.values(nodes[:2])
         thick_ok = (tc_d.min(axis=1) > 0.0) & (ru_d.min(axis=1) > 0.0)
         states = self._stresses(tc_d[thick_ok], ru_d[thick_ok])
         margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)

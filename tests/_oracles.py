@@ -4,8 +4,9 @@ Everything here is deliberately slow and literal: brute-force dominance
 ranks, the archive prune that rescans every alive pair per deletion,
 the pairwise force sum over explicit difference vectors, grid-sum and
 loop hypervolume, Monte Carlo volume, the closed-form calibration stress
-states for the failure criterion, and the dam evaluator one design at a
-time.
+states for the failure criterion, the Lagrange basis in product form
+and the barycentric interpolant for one design, and the dam evaluator one
+design at a time.
 """
 
 import numpy as np
@@ -183,6 +184,25 @@ def random_population(rng, max_points=30, n_objectives=2):
         F[dst] = F[src]
     viol = np.where(rng.random(n) < 0.3, rng.random(n), 0.0)
     return F, viol
+
+
+def lagrange_basis(z, i, levels):
+    """i-th Lagrange basis polynomial (1-based level index) at depth z, in
+    product form."""
+    nodes = levels.z
+    n = len(nodes)
+    if not 1 <= i <= n:
+        raise IndexError(f"level index {i} outside 1..{n}")
+    z = np.asarray(z, dtype=float)
+    num = np.ones_like(z)
+    den = 1.0
+    zi = nodes[i - 1]
+    for m in range(n):
+        if m == i - 1:
+            continue
+        num = num * (z - nodes[m])
+        den *= zi - nodes[m]
+    return num / den
 
 
 class LagrangeInterpolant:

@@ -23,7 +23,6 @@ from archdam import (
     StrengthParams,
     criterion_values,
     get_benchmark,
-    lagrange_basis,
     pareto_rank,
     rank_R,
     run_mocss,
@@ -37,6 +36,7 @@ from archdam.mtdm import acceptable_mask
 from _oracles import (
     brute_force_rank,
     calibration_states,
+    lagrange_basis,
     mc_volume,
     random_population,
     spearman,

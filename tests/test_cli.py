@@ -64,6 +64,24 @@ def test_config_n_arc_must_be_odd_and_at_least_nine(tmp_path, capsys):
         assert "n_arc" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload, key, reason", [
+    ({"strength": {"f_c": 30, "f_t": 40}}, "strength",
+     "tensile strength must be below compressive"),
+    ({"strength": {"f_1": 1e9}}, "strength", "singular calibration system"),
+])
+def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, key, reason):
+    # the schema accepts these values; the library rejects them on assembly
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    for argv in (["evaluate", "--design", TABLE5_ARG],
+                 ["optimize", "--out", str(tmp_path / "run")]):
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {key} invalid: ")
+        assert reason in captured.err and "Traceback" not in captured.err
+
+
 def test_evaluate_geometry_artifact(tmp_path, capsys):
     out = tmp_path / "geo"
     assert main(["evaluate-geometry", "--design", TABLE5_ARG, "--out", str(out)]) == 0
@@ -203,6 +221,25 @@ def test_decide_input_validation(tmp_path, capsys):
     cols = "gamma,beta,tc1,tc2,tc3,tc4,tc5,tc6,ru1,ru2,ru3,ru4,ru5,ru6,rd1,rd2,rd3,rd4,rd5,rd6,fit1,fit2,violation,feasible"
     row = ",".join(map(str, TABLE5)) + ",317086.7,-0.036,0,1"
     lone.write_text(f"{cols}\n{row}\n")
+
+    # malformed data rows exit 2 naming the file and line, after a comment
+    # line and a good row
+    malformed = {
+        "short": (",".join(row.split(",")[:20]), "line 4: 20 columns, expected 24"),
+        "long": (row + ",7", "line 4: 25 columns, expected 24"),
+        "not a number": (row.replace("0.201", "abc", 1), "line 4: could not convert"),
+        "nan": (row.replace("317086.7", "nan"), "line 4: fit1 = nan is not finite"),
+        "inf": (row.replace("0.516", "-inf", 1), "line 4: beta = -inf is not finite"),
+    }
+    for name, (bad_row, message) in malformed.items():
+        ragged = tmp_path / "ragged.csv"
+        ragged.write_text(f"# manifest: x\n{cols}\n{row}\n{bad_row}\n")
+        assert main(["decide", "--archive", str(ragged),
+                     "--scenarios", str(scen), "--out", str(tmp_path)]) == 2, name
+        err = capsys.readouterr().err
+        assert f"archive {str(ragged)!r} {message}" in err, (name, err)
+        assert "Traceback" not in err
+
     code = main(["decide", "--archive", str(lone),
                  "--scenarios", str(scen), "--out", str(tmp_path)])
     assert code == 1

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -150,3 +151,17 @@ def test_default_canyon_defined_once():
     assert (geo["h"], geo["w_crest"], geo["w_base"]) == (canyon.h, canyon.w_crest, canyon.w_base)
     assert DamProblem().canyon == canyon
     assert DamGeometry(DesignVector.from_array(LOWER_BOUNDS)).canyon == canyon
+
+
+@pytest.mark.parametrize("section, value, key", [
+    ("loads", [{"kind": "hydrostatic"}, {"kind": "sloshing"}], "loads[1]"),
+    ("geometry", {"h": 100.0, "w_crest": 50.0, "w_base": 60.0}, "geometry"),
+    ("geometry", {"h": -1.0, "w_crest": 50.0, "w_base": 40.0}, "geometry"),
+    ("strength", {"f_c": 30.0, "f_t": -1.0}, "strength"),
+])
+def test_make_problem_names_the_rejected_section(section, value, key):
+    # a dict that skipped load_config's schema and checks
+    cfg = default_config()
+    cfg[section] = value
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{key} invalid: ")):
+        make_problem(cfg)

@@ -12,13 +12,13 @@ from archdam import (
     VARIABLE_NAMES,
 )
 from archdam.geometry import (
+    DepthInterpolant,
     InvalidLevelsError,
     central_angle_deg,
     crown_profile_g,
-    lagrange_basis,
 )
 
-from _oracles import mc_volume
+from _oracles import LagrangeInterpolant, lagrange_basis, mc_volume
 from conftest import TABLE5
 
 
@@ -84,6 +84,29 @@ def test_interpolation_reproduces_quintics():
     zs = rng.uniform(0.0, levels.h, 50)
     s_u, s_d = geo.face_slopes(zs)  # the faces differ by tc, so by tc' in slope
     assert np.max(np.abs((s_d - s_u) - dpoly(zs / levels.h) / levels.h)) < 1e-9
+
+
+@pytest.mark.parametrize("depths", ["level hits", "no level hits"])
+def test_depth_interpolant_equals_per_design_reference(depths):
+    # the batched interpolant sums over the levels in the order of the
+    # one-design reference, so the two agree bit for bit at any batch shape
+    levels = ControlLevels.evenly_spaced()
+    rng = np.random.default_rng(29)
+    if depths == "level hits":
+        z = np.concatenate([np.linspace(0.0, levels.h, 101), rng.uniform(0.0, levels.h, 20)])
+    else:
+        z = 0.5 * levels.h * (1.0 + np.polynomial.legendre.leggauss(32)[0])
+    hits = np.isin(z, levels.z).sum()
+    assert hits == (6 if depths == "level hits" else 0)
+    interp = DepthInterpolant(levels, z, slopes=True)
+    for shape in [(6,), (7, 6), (2, 7, 6)]:
+        f = rng.uniform(-50.0, 150.0, shape)
+        rows = f.reshape(-1, 6)
+        ref = [LagrangeInterpolant(levels.z, row) for row in rows]
+        values = np.array([r(z) for r in ref]).reshape(shape[:-1] + z.shape)
+        slopes = np.array([r.derivative(z) for r in ref]).reshape(shape[:-1] + z.shape)
+        assert np.array_equal(interp.values(f), values), shape
+        assert np.array_equal(interp.slopes(f), slopes), shape
 
 
 def test_crown_profile_hand_values():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from archdam import StrengthParams, criterion_value, criterion_values, solve_coefficients
 from archdam.willam_warnke import (
@@ -145,6 +147,54 @@ def test_scale_invariance(default_strength, default_coeffs):
         coeffs = solve_coefficients(scaled)
         got = criterion_values(states * lam, scaled, coeffs)
         assert np.max(np.abs(got - base)) < 1e-9
+
+
+@st.composite
+def _states(draw):
+    """1 to 40 sorted principal states; each row draws how many of its
+    components are tensile, so every domain and the zero ties come up."""
+    n = draw(st.integers(1, 40))
+    k = draw(arrays(np.int8, n, elements=st.integers(0, 3)))
+    tension = draw(arrays(float, (n, 3), elements=st.one_of(st.just(0.0), st.floats(1e-3, 4.0))))
+    compression = draw(arrays(float, (n, 3), elements=st.floats(1e-3, 150.0)))
+    states = np.where(np.arange(3) < k[:, None], tension, -compression)
+    return np.sort(states, axis=1)[:, ::-1]
+
+
+def _scaled(strength, lam):
+    return StrengthParams(**{
+        name: getattr(strength, name) * lam
+        for name in ("f_c", "f_t", "f_cb", "f_1", "f_2", "sigma_h_a")})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_states(), st.floats(20.0, 60.0), st.floats(0.03, 0.12),
+       st.integers(-10, 10), st.floats(0.01, 100.0))
+def test_scaling_property(states, f_c, ratio, m, lam):
+    # stress and the six strength constants scaled together leave the
+    # margins unchanged, bit for bit under a power of two: every operation
+    # of the criterion carries that factor exactly
+    strength = StrengthParams(f_c=f_c, f_t=ratio * f_c)
+    base, f_over, s_term, _ = evaluate_components(
+        states, strength, solve_coefficients(strength), strict=False)
+    valid = hydrostatic_validity(states, strength)
+
+    two = _scaled(strength, 2.0**m)
+    got = criterion_values(states * 2.0**m, two, solve_coefficients(two), strict=False)
+    assert np.array_equal(got, base, equal_nan=True)
+    assert np.array_equal(hydrostatic_validity(states * 2.0**m, two), valid)
+
+    # under other factors they agree to rounding inside the calibrated range.
+    # A margin is the difference of two dimensionless terms, F/f_c and
+    # S/s_f, so the bound is relative to the terms: the margin itself
+    # cancels near zero. Outside the range the meridian blend can amplify
+    # the coefficients' rounding a thousandfold.
+    other = _scaled(strength, lam)
+    got = criterion_values(states * lam, other, solve_coefficients(other), strict=False)
+    assert np.array_equal(np.isnan(got), np.isnan(base))
+    ok = valid & ~np.isnan(base)
+    scale = np.abs(f_over) + np.abs(s_term / strength.s_f)
+    assert np.all(np.abs(got - base)[ok] <= 1e-13 * scale[ok])
 
 
 def test_convexity_window(default_strength, default_coeffs):

@@ -18,7 +18,7 @@ import json
 import logging
 import os
 import sys
-from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -159,8 +159,9 @@ ARCHIVE_COLUMNS = list(VARIABLE_NAMES) + ["fit1", "fit2", "violation", "feasible
 
 def _read_archive(path: str):
     """Parse an archive CSV back into (X, fit1, fit2, violation, feasible).
-    A data row needs one finite number per column; ConfigError names the
-    file and line of the first that has not."""
+    A data row needs one finite number per column, and a feasible flag of
+    0 or 1 that agrees with violation == 0; ConfigError names the file and
+    line of the first row that breaks this."""
     try:
         with open(path) as fh:
             lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
@@ -189,12 +190,16 @@ def _read_archive(path: str):
         if bad.any():
             j = int(np.argmax(bad))
             raise ConfigError(f"{where}: {ARCHIVE_COLUMNS[j]} = {row[j]} is not finite")
+        violation, feasible = row[22], row[23]
+        if feasible not in (0.0, 1.0) or (feasible == 1.0) != (violation == 0.0):
+            raise ConfigError(f"{where}: feasible = {_g6(feasible)} does not match "
+                              f"violation = {_g6(violation)}")
         rows.append(row)
     if not rows:
         raise ConfigError(f"archive {path!r} has no data rows")
     body = np.array(rows)
     X = body[:, :20]
-    return X, body[:, 20], body[:, 21], body[:, 22], body[:, 23] != 0.0
+    return X, body[:, 20], body[:, 21], body[:, 22], body[:, 23] == 1.0
 
 
 def _load_scenarios(path: str):
@@ -414,8 +419,8 @@ def _cmd_benchmark(args) -> int:
     res = run_mocss(problem, mocss_cfg, hv_reference=problem.hv_reference)
 
     name = problem.name.lower()
-    golden = resources.files("archdam.data.golden").joinpath(f"{name}_front.csv")
-    samples = np.loadtxt(str(golden), delimiter=",", skiprows=1)
+    golden = Path(__file__).parent / "data" / "golden" / f"{name}_front.csv"
+    samples = np.loadtxt(golden, delimiter=",", skiprows=1)
     scale = samples.max(axis=0) - samples.min(axis=0)
     scale[scale == 0.0] = 1.0
 

@@ -3,16 +3,19 @@
 A configuration file is a JSON object with optional sections problem,
 geometry, strength, loads, mocss, output. Every key is optional and
 falls back to the library defaults; unknown keys and duplicate keys are
-rejected. The schema lives in data/config.schema.json.
+rejected. The schema lives in data/config.schema.json and is enforced by
+_validate, which implements exactly the keywords that file uses. It is
+stricter than JSON Schema in two ways: every number must be finite, and
+an integer must be written as one (4, not 4.0).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from importlib import resources
+import math
+from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .geometry import CanyonProfile, ControlLevels, LOWER_BOUNDS, UPPER_BOUNDS
@@ -30,8 +33,74 @@ class ConfigError(ValueError):
 
 
 def _schema() -> dict:
-    text = resources.files("archdam.data").joinpath("config.schema.json").read_text()
-    return json.loads(text)
+    return json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+
+# numeric keyword, test that the value breaks it, message
+_BOUNDS = (
+    ("minimum", lambda v, b: v < b, "is less than the minimum of"),
+    ("exclusiveMinimum", lambda v, b: v <= b, "is less than or equal to the minimum of"),
+    ("maximum", lambda v, b: v > b, "is greater than the maximum of"),
+    ("multipleOf", lambda v, b: v % b != 0, "is not a multiple of"),
+)
+
+
+def _validate(value, schema: dict, path: str = "$") -> None:
+    """Check a parsed JSON value against the schema; raise ConfigError
+    naming the key path of the first violation. Implements the keywords
+    data/config.schema.json uses, each applied to the JSON type it
+    constrains, as in JSON Schema draft 2020-12."""
+    def fail(message):
+        raise ConfigError(f"config schema violation at {path}: {message}")
+
+    if isinstance(value, float) and not math.isfinite(value):
+        fail(f"{value!r} is not a finite number")
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        fail(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        fail(f"{value!r} is not one of {schema['enum']!r}")
+    if "not" in schema:
+        try:
+            _validate(value, schema["not"], path)
+        except ConfigError:
+            pass
+        else:
+            fail(f"{value!r} should not be valid under {schema['not']!r}")
+    if _TYPES["number"](value):
+        for keyword, broken, text in _BOUNDS:
+            if keyword in schema and broken(value, schema[keyword]):
+                fail(f"{value!r} {text} {schema[keyword]!r}")
+    elif isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            fail(f"{value!r} is too short")
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            fail(f"{value!r} is too short")
+        if len(value) > schema.get("maxItems", len(value)):
+            fail(f"{value!r} is too long")
+        for k, item in enumerate(value):
+            _validate(item, schema.get("items", {}), f"{path}[{k}]")
+    elif isinstance(value, dict):
+        known = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail(f"{key!r} is a required property")
+        extra = [key for key in value if key not in known]
+        if extra and schema.get("additionalProperties") is False:
+            fail(f"additional properties are not allowed: {', '.join(map(repr, extra))}")
+        for key, sub in known.items():
+            if key in value:
+                _validate(value[key], sub, f"{path}.{key}")
 
 
 def default_config() -> dict:
@@ -166,11 +235,7 @@ def load_config(path: str | None = None):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
 
-    try:
-        jsonschema.validate(user, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation at {exc.json_path}: "
-                          f"{exc.message}") from exc
+    _validate(user, _schema())
 
     cfg = _merge(default_config(), user)
     _check_bounds(cfg["problem"])

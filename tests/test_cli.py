@@ -82,6 +82,30 @@ def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, 
         assert reason in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("payload, path", [
+    ({"geometry": {"h": float("nan")}}, "$.geometry.h"),
+    ({"mocss": {"radius": float("nan")}}, "$.mocss.radius"),
+    ({"strength": {"f_c": float("inf")}}, "$.strength.f_c"),
+    ({"mocss": {"n_cps": 4.0}}, "$.mocss.n_cps"),
+    ({"mocss": {"iterations": 1.0}}, "$.mocss.iterations"),
+    ({"problem": {"quadrature_order": 32.0}}, "$.problem.quadrature_order"),
+    ({"problem": {"n_arc": 9.0}}, "$.problem.n_arc"),
+])
+def test_config_non_finite_or_float_integer_exits_2_with_path(tmp_path, capsys, payload, path):
+    # JSON Schema accepts these (NaN passes every bound, 4.0 counts as an
+    # integer); the runtime cannot use them, so load_config rejects them
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    for argv in (["evaluate", "--design", TABLE5_ARG],
+                 ["optimize", "--out", str(tmp_path / "run")]):
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config schema violation at {path}: ")
+        assert "Traceback" not in captured.err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_geometry_artifact(tmp_path, capsys):
     out = tmp_path / "geo"
     assert main(["evaluate-geometry", "--design", TABLE5_ARG, "--out", str(out)]) == 0
@@ -230,6 +254,12 @@ def test_decide_input_validation(tmp_path, capsys):
         "not a number": (row.replace("0.201", "abc", 1), "line 4: could not convert"),
         "nan": (row.replace("317086.7", "nan"), "line 4: fit1 = nan is not finite"),
         "inf": (row.replace("0.516", "-inf", 1), "line 4: beta = -inf is not finite"),
+        "fractional feasible": (row.replace(",0,1", ",7.5,0.5"),
+                                "line 4: feasible = 0.5 does not match violation = 7.5"),
+        "violating, feasible": (row.replace(",0,1", ",7.5,1"),
+                                "line 4: feasible = 1 does not match violation = 7.5"),
+        "clean, infeasible": (row.replace(",0,1", ",0,0"),
+                              "line 4: feasible = 0 does not match violation = 0"),
     }
     for name, (bad_row, message) in malformed.items():
         ragged = tmp_path / "ragged.csv"

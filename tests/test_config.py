@@ -1,11 +1,19 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import archdam
 from archdam.config import (
     ConfigError,
+    _schema,
+    _validate,
     default_config,
     load_config,
     make_mocss_config,
@@ -165,3 +173,124 @@ def test_make_problem_names_the_rejected_section(section, value, key):
     cfg[section] = value
     with pytest.raises(ConfigError, match="^" + re.escape(f"{key} invalid: ")):
         make_problem(cfg)
+
+
+# keywords config._validate implements, plus the annotations it may ignore
+SUPPORTED_KEYWORDS = {
+    "type", "properties", "additionalProperties", "required", "enum",
+    "minimum", "maximum", "exclusiveMinimum", "not", "multipleOf", "items",
+    "minItems", "maxItems", "minLength",
+}
+ANNOTATIONS = {"$schema", "title"}
+
+
+def _subschemas(schema):
+    """The schema and every schema nested in it, under any keyword."""
+    yield schema
+    for keyword, value in schema.items():
+        for sub in value.values() if keyword == "properties" else [value]:
+            if isinstance(sub, dict):
+                yield from _subschemas(sub)
+
+
+def test_schema_uses_only_supported_keywords():
+    for sub in _subschemas(_schema()):
+        assert set(sub) <= SUPPORTED_KEYWORDS | ANNOTATIONS, sorted(set(sub) - SUPPORTED_KEYWORDS)
+        assert sub.get("additionalProperties", False) is False
+
+
+_MUTANTS = [0, 1, 2, 4, 5, 6, 8, 9, 10, -1, 2**40, 0.0, 0.5, 1.0, 1.5, 9.0, -0.5,
+            True, False, None, "", "x", "gravity", "sloshing", [], {},
+            {"kind": "gravity"}, float("nan"), float("inf"), float("-inf")]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) below the root of a parsed JSON document."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list) and value:
+        # the items share one schema: the first and last stand for the rest
+        children = {0: value[0], len(value) - 1: value[-1]}.items()
+    else:
+        children = ()
+    for key, child in children:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _copy_at(doc, path):
+    """A deep copy of doc, and the node of the copy at path."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path:
+        node = node[key]
+    return doc, node
+
+
+def _mutated_defaults():
+    """Default configs with one node replaced or deleted, an unknown key
+    added to one object or an item appended to one list. Each comes with
+    whether the change is one that _validate is deliberately stricter
+    about than JSON Schema: a non-finite number, or an integral float."""
+    base = default_config()
+    for path, _ in _nodes(base):
+        for value in _MUTANTS:
+            doc, parent = _copy_at(base, path[:-1])
+            parent[path[-1]] = value
+            yield doc, isinstance(value, float) and (not math.isfinite(value)
+                                                     or value.is_integer())
+        doc, parent = _copy_at(base, path[:-1])
+        del parent[path[-1]]
+        yield doc, False
+    for path, node in [((), base), *_nodes(base)]:
+        if isinstance(node, (dict, list)):
+            doc, target = _copy_at(base, path)
+            if isinstance(target, dict):
+                target["unknown"] = 1
+            else:
+                target.append(target[-1])
+            yield doc, False
+
+
+def test_validator_matches_jsonschema():
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = _schema()
+    oracle = jsonschema.Draft202012Validator(schema)
+    counts = {"agree accept": 0, "agree reject": 0, "stricter": 0}
+    for doc, stricter in _mutated_defaults():
+        paths = {e.json_path for e in oracle.iter_errors(doc)}
+        try:
+            _validate(doc, schema)
+        except ConfigError as exc:
+            where = re.match(r"config schema violation at (\S+): ", str(exc)).group(1)
+            if paths:
+                assert where in paths, (doc, str(exc), paths)
+                counts["agree reject"] += 1
+            else:
+                # jsonschema accepts, _validate rejects: only NaN, +-inf or
+                # an integral float, and only where the mutation put it
+                assert stricter, (doc, str(exc))
+                counts["stricter"] += 1
+        else:
+            assert not paths, (doc, paths)
+            counts["agree accept"] += 1
+    assert min(counts.values()) > 50, counts
+
+
+def test_import_and_setup_skip_jsonschema_and_importlib_resources(tmp_path):
+    cfg = _write(tmp_path, {"mocss": {"n_cps": 12}, "geometry": {"h": 120.0}})
+    code = (
+        "import sys\n"
+        "import archdam\n"
+        f"cfg, _ = archdam.load_config({cfg!r})\n"
+        "archdam.make_problem(cfg)\n"
+        "print(sorted(m for m in ('jsonschema', 'importlib.resources') if m in sys.modules))\n"
+    )
+    # -S skips site start-up, whose .pth hooks may import importlib.resources
+    # themselves; the path reaches archdam and numpy only
+    path = os.pathsep.join([str(Path(archdam.__file__).parents[1]),
+                            str(Path(np.__file__).parents[1])])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -106,12 +106,12 @@ def _write_manifest(outdir: str, digest: str, seed, outputs) -> str:
         "outputs": sorted(outputs),
     }
     path = os.path.join(outdir, "manifest.json")
-    _write_text(path, json.dumps(manifest, indent=2) + "\n")
+    _write_text(path, json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return path
 
 
 def _write_log_jsonl(path: str, digest: str, entries):
-    lines = [json.dumps({"manifest": digest})]
+    lines = [json.dumps({"manifest": digest}, allow_nan=False)]
     for e in entries:
         rec = {
             "iter": int(e["iter"]),
@@ -120,7 +120,7 @@ def _write_log_jsonl(path: str, digest: str, entries):
             "fit2_min": _round6(e["fit2_min"]) if e["fit2_min"] is not None else None,
             "hypervolume": _round6(e["hypervolume"]) if e["hypervolume"] is not None else None,
         }
-        lines.append(json.dumps(rec))
+        lines.append(json.dumps(rec, allow_nan=False))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -268,6 +268,14 @@ def _cmd_evaluate(args) -> int:
         ev = problem.evaluate(x)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # a config value at the edge of the float range (a subnormal strength
+    # or slope limit) can overflow a quotient; JSON has no inf or NaN
+    values = {"fit1": ev.fit1, "fit2": ev.fit2, "violation": ev.violation}
+    values.update((f"constraints[{k}]", c)
+                  for k, c in enumerate(ev.diagnostics.get("constraints", ())))
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"evaluate: {key} = {value} is not finite under this config")
     out = {
         "fit1": _round6(float(ev.fit1)),
         "fit2": _round6(float(ev.fit2)),
@@ -275,7 +283,7 @@ def _cmd_evaluate(args) -> int:
         "feasible": bool(ev.feasible),
         "diagnostics": _round6(dict(ev.diagnostics)),
     }
-    print(json.dumps(out, indent=2))
+    print(json.dumps(out, indent=2, allow_nan=False))
     return 0
 
 
@@ -432,7 +440,7 @@ def _cmd_benchmark(args) -> int:
     metrics = {"igd": _round6(igd_val), "hypervolume": _round6(hv_val),
                "seed": mocss_cfg.seed}
     _write_text(os.path.join(outdir, "metrics.json"),
-                json.dumps(metrics, indent=2) + "\n")
+                json.dumps(metrics, indent=2, allow_nan=False) + "\n")
     _write_log_jsonl(os.path.join(outdir, "log.jsonl"), digest, res.log)
     _write_manifest(outdir, digest, mocss_cfg.seed,
                     ["front.csv", "metrics.json", "log.jsonl"])

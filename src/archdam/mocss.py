@@ -33,10 +33,12 @@ archive_capacity >= 1.
 Bookkeeping: ranking and pruning run every iteration, so both avoid
 quadratic rework. pareto_rank handles exactly two objectives: it sorts
 the feasible rows into fronts in one sweep in (f1, f2) order, with a
-bisection over the fronts per row, O(n log n) in all (Jensen 2003). The
-CM prune builds its distance matrix once and, per deletion, rescans only
-the rows whose nearest neighbour was deleted. The force step takes its
-distances from the Gram matrix and its sums from one matrix product.
+bisection over the fronts per row, O(n log n) in all (Jensen 2003); the
+CM update takes only the first front, a running minimum in that order.
+The CM prune walks a linked list in weighted-objective order to each
+row's nearest neighbour and, per deletion, rescans only the rows whose
+neighbour was deleted. The force step takes its distances from the Gram
+matrix and its sums from one matrix product.
 
 Randomness: a single seeded numpy Generator, consumed in a fixed order
 each iteration - replacement member picks and their jitter, the
@@ -52,6 +54,7 @@ determinism contract.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -150,6 +153,8 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
         raise ValueError(f"pareto_rank: row {int(np.argmax(bad))} has a non-finite "
                          "objective or violation")
     feas = viol == 0.0
+    if feas.all():
+        return _front_ranks(F)
     ranks = np.zeros(n, dtype=int)
     ranks[feas] = _front_ranks(F[feas])
     _, level = np.unique(viol[~feas], return_inverse=True)
@@ -179,38 +184,72 @@ def _prune_archive(X, F, viol, capacity, alpha):
     pareto_rank requires) until within capacity, never deleting a
     per-objective extreme member.
 
-    The distance matrix is built once. Each row keeps its nearest alive
-    column (the first, on ties) and that distance; the pair to break is
-    the first row with the smallest such distance and its neighbour,
-    which is the row-major first minimum over the alive submatrix. A
-    deletion blanks its column and rescans only the rows whose neighbour
-    it was.
+    Each row keeps its nearest alive neighbour (the lowest index on ties)
+    and that distance; the pair to break is the first row with the least
+    such distance and its neighbour. A search walks outward both ways
+    along the rows linked in (w0, w1) order. Where w1 is monotone in that
+    order (any mutually non-dominated set), distance only grows outward,
+    so it stops at the first farther row; elsewhere, once sqrt(dx * dx)
+    alone exceeds the best. A deletion unlinks its row and rescans only
+    the rows whose neighbour it was.
     """
-    if len(F) <= capacity:
+    n = len(F)
+    if n <= capacity:
         return X, F, viol
-    u = _deletion_weights(F, alpha)
-    W = F * u
-    dx = W[:, None, 0] - W[None, :, 0]
-    dy = W[:, None, 1] - W[None, :, 1]
-    D = np.sqrt(dx * dx + dy * dy)
-    np.fill_diagonal(D, np.inf)
-    nn = D.argmin(axis=1)
-    nd = D[np.arange(len(D)), nn]
-    alive = np.ones(len(F), dtype=bool)
+    W = F * _deletion_weights(F, alpha)
+    order = np.lexsort((W[:, 1], W[:, 0]))
+    step = np.diff(W[order, 1])
+    monotone = bool((step <= 0.0).all() or (step >= 0.0).all())
+    w0, w1, row = W[:, 0].tolist(), W[:, 1].tolist(), order.tolist()
+    pos = np.argsort(order).tolist()
+    prev, succ = [n, *range(n - 1), n], [*range(1, n + 1), n]  # slot n: either end
+
+    def nearest(i):
+        best, near = math.inf, n
+        for link in (prev, succ):
+            p = link[pos[i]]
+            while p < n:
+                j = row[p]
+                dx, dy = w0[i] - w0[j], w1[i] - w1[j]
+                d = math.sqrt(dx * dx + dy * dy)
+                if d < best or (d == best and j < near):
+                    best, near = d, j
+                elif (d if monotone else math.sqrt(dx * dx)) > best:
+                    break
+                p = link[p]
+        return best, near
+
+    nd, nn = map(np.array, zip(*map(nearest, range(n))))
+    alive = np.ones(n, dtype=bool)
     extremes = _extremes(F, alive)
-    for _ in range(len(F) - capacity):
+    for _ in range(n - capacity):
         i = int(nd.argmin())
         j = int(nn[i])
         kill = j if j not in extremes else (i if i not in extremes else j)
-        alive[kill] = False
-        D[:, kill] = np.inf
-        nd[kill] = np.inf
-        stale = np.flatnonzero(alive & (nn == kill))
-        nn[stale] = D[stale].argmin(axis=1)
-        nd[stale] = D[stale, nn[stale]]
+        alive[kill], nd[kill] = False, math.inf
+        p = pos[kill]
+        succ[prev[p]], prev[succ[p]] = succ[p], prev[p]
+        for s in np.flatnonzero(alive & (nn == kill)).tolist():
+            nd[s], nn[s] = nearest(s)
         if kill in extremes:
             extremes = _extremes(F, alive)
     return X[alive], F[alive], viol[alive]
+
+
+def _first_front(F, V):
+    """pareto_rank(F, V) == 1 alone: the rows of least violation if none is
+    feasible, else each feasible row whose f2 lies below every f2 before
+    it in (f1, f2) order, or whose identical predecessor is kept."""
+    feas = V == 0.0
+    if not feas.any():
+        return V == V.min()
+    idx = np.flatnonzero(feas)[np.lexsort((F[feas, 1], F[feas, 0]))]
+    f1, f2 = F[idx, 0], F[idx, 1]
+    before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
+    starts = np.concatenate(([True], (f1[1:] != f1[:-1]) | (f2[1:] != f2[:-1])))
+    keep = np.zeros(len(F), dtype=bool)
+    keep[idx] = (f2 < before)[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+    return keep
 
 
 def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
@@ -228,8 +267,7 @@ def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
         first.setdefault(key, i)
     idx = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     X, F, V = X[idx], F[idx], V[idx]
-    ranks = pareto_rank(F, V)
-    keep = ranks == 1
+    keep = _first_front(F, V)
     return _prune_archive(X[keep], F[keep], V[keep], capacity, alpha)
 
 
@@ -242,16 +280,17 @@ def _forces(X, q, gate, radius):
     product, so no (n, n, d) array is built. A coincident pair's distance
     comes out 0 or at the Gram rounding floor (about 1e-8 |X|), where the
     linear branch scales its pull down to rounding noise; the radius must
-    stay well above that floor. Both branches are evaluated, so the
-    inverse-square one divides by max(r, a), which is r wherever it is
-    taken and keeps it off zero.
+    stay well above that floor. Each branch is computed only where it
+    applies, so the inverse-square one never divides by zero.
     """
-    G = X @ X.T
-    sq = G.diagonal()
-    r = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * G, 0.0))
-    a = radius
-    mag = np.where(r < a, q * r / a**3, q / np.maximum(r, a) ** 2)
-    w = mag * gate
+    w = X @ X.T  # the Gram matrix, then the weights mag * gate in place
+    r = np.add.outer(w.diagonal(), w.diagonal())
+    r -= np.multiply(w, 2.0, out=w)
+    np.sqrt(np.maximum(r, 0.0, out=r), out=r)
+    near = r < radius
+    np.divide(np.multiply(q, r, out=w, where=near), radius**3, out=w, where=near)
+    np.divide(q, np.square(r, out=r), out=w, where=~near)
+    w *= gate
     return w @ X - w.sum(axis=1)[:, None] * X
 
 
@@ -366,11 +405,12 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
             if worst_v != best:
                 q *= (F[:, k] - worst_v) / (best - worst_v)
 
-        ar = np.where(rng.random((n, n)) < config.attraction_prob, 1.0, -1.0)
+        pos = rng.random((n, n)) < config.attraction_prob
         ties = rng.random((n, n)) < 0.5
         attract = (ranks[None, :] < ranks[:, None]) | ((ranks[None, :] == ranks[:, None]) & ties)
         np.fill_diagonal(attract, False)
-        force = _forces(X, q, np.where(attract, ar, 0.0), config.radius)
+        gate = np.subtract(attract & pos, attract & ~pos, dtype=float)
+        force = _forces(X, q, gate, config.radius)
 
         rnd1 = rng.random(n)[:, None]
         rnd2 = rng.random(n)[:, None]

@@ -82,6 +82,22 @@ def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, 
         assert reason in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"strength": {"s_f": 1e-320}}, "fit2 = -inf"),
+    ({"problem": {"gamma_allow": 1e-320}}, "violation = inf"),
+])
+def test_evaluate_non_finite_output_exits_2(tmp_path, capsys, payload, key):
+    # the schema accepts these subnormal values, and a quotient overflows;
+    # evaluate must not print the result as JSON with Infinity in it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 2
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out and "NaN" not in captured.out
+    assert captured.err.startswith(f"error: evaluate: {key} is not finite")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("payload, path", [
     ({"geometry": {"h": float("nan")}}, "$.geometry.h"),
     ({"mocss": {"radius": float("nan")}}, "$.mocss.radius"),

@@ -98,6 +98,38 @@ def test_prune_matches_reference():
         got = _prune_archive(X, F, viol, capacity, alpha)
         want = prune_reference(X, F, viol, capacity, alpha)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
+    for trial in range(80):
+        n = int(rng.integers(100, 131))
+        f1 = np.sort(rng.random(n))
+        if trial % 4 == 0:
+            # a ZDT1-shaped front, mutually non-dominated, over capacity
+            F = np.column_stack([f1, 1.0 - np.sqrt(f1)])
+        elif trial % 4 == 1:
+            # the worst f2 is negative, so the f2 weight is negative
+            F = np.column_stack([f1, -0.5 - np.sqrt(f1)])
+        elif trial % 4 == 2:
+            # rows that differ from another only in the last bit
+            F = np.column_stack([f1, 1.0 - np.sqrt(f1)])
+            k = rng.integers(0, n, n // 2)
+            F[k] = np.nextafter(F[k - 1], np.where(rng.random((len(k), 2)) < 0.5, -np.inf, np.inf))
+        else:
+            # not monotone, with f1 nearly constant: long neighbour walks
+            F = np.column_stack([0.5 + rng.integers(-2, 3, n) * 2.0**-53, rng.random(n)])
+        X = np.arange(n, dtype=float)[:, None]
+        viol = np.zeros(n)
+        alpha = (1.0, 0.5, 3.0)[trial % 3]
+        got = _prune_archive(X, F, viol, 100, alpha)
+        want = prune_reference(X, F, viol, 100, alpha)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
+    # dx * dx underflows to 0 here, so |dx| > 0 would end the walk from
+    # row 0 at row 3, before row 1 ties row 2 at distance 0 with the lower
+    # index; sqrt(dx * dx) is the bound that reaches it
+    a = 1e-170
+    F = np.array([[0.0, 0.0], [a, 0.0], [0.0, -a], [a, -5 * a], [0.0, a]])
+    X, viol = np.arange(5.0)[:, None], np.zeros(5)
+    got = _prune_archive(X, F, viol, 4, 1.0)
+    assert np.array_equal(got[0].ravel(), [0.0, 2.0, 3.0, 4.0])
+    assert all(np.array_equal(g, w) for g, w in zip(got, prune_reference(X, F, viol, 4, 1.0)))
 
 
 def _small_config(**kw):
@@ -249,16 +281,27 @@ def test_coincident_particles_are_safe():
 
 def test_archive_update_drops_repeated_rows_like_np_unique():
     # the union dedup keeps each row's first occurrence, with -0.0 equal
-    # to 0.0, as np.unique(axis=0) did before
+    # to 0.0, as np.unique(axis=0) did before, and the kept rows are the
+    # first front that pareto_rank gives, in their order
     rng = np.random.default_rng(53)
-    for trial in range(50):
+    for trial in range(120):
         n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
         X = rng.integers(-1, 2, (n, d)).astype(float)  # many repeated rows
         X[rng.random((n, d)) < 0.2] = -0.0
         F, V = rng.random((n, 2)), np.zeros(n)
+        if trial % 4 == 1:
+            # nothing feasible; the least violation is tied
+            V = rng.integers(1, 3, n) * 0.5
+        elif trial % 4 == 2:
+            # feasible and infeasible rows mixed
+            V = np.where(rng.random(n) < 0.5, rng.integers(1, 3, n) * 0.5, 0.0)
+        elif trial % 4 == 3:
+            # distinct designs that share objective rows
+            F = rng.integers(0, 3, (n, 2)).astype(float)
         _, first = np.unique(X, axis=0, return_index=True)
         keep = np.sort(first)
-        want = _prune_archive(*(a[keep][pareto_rank(F[keep]) == 1] for a in (X, F, V)), n, 1.0)
+        want = _prune_archive(*(a[keep][pareto_rank(F[keep], V[keep]) == 1] for a in (X, F, V)),
+                              n, 1.0)
         got = _archive_update(X[:n // 2], F[:n // 2], V[:n // 2],
                               X[n // 2:], F[n // 2:], V[n // 2:], n, 1.0)
         for a, b in zip(got, want):

@@ -5,7 +5,9 @@ error. All artifacts are plain CSV/JSON files; every file written by a
 run carries the run manifest's config digest so artifacts and
 configurations can be matched after the fact. Reruns with identical
 config and seed produce byte-identical artifacts (manifests carry no
-wall-clock timestamps for exactly this reason).
+wall-clock timestamps for exactly this reason). A command makes its
+output directory only when it writes its first artifact, so a run that
+fails leaves nothing behind.
 
 Set ARCHDAM_LOG=debug|info|warning|quiet to control stderr verbosity.
 """
@@ -33,7 +35,7 @@ from .config import (
     output_directory,
 )
 from .geometry import DamGeometry, DesignVector, VARIABLE_NAMES
-from .mocss import run_mocss
+from .mocss import NonFiniteError, run_mocss
 from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
 from .stress_model import evaluate_stresses, sample_grid
 
@@ -154,6 +156,16 @@ def _parse_design(raw: str) -> np.ndarray:
     return x
 
 
+def _checked_design(raw: str, problem) -> np.ndarray:
+    """The --design values, checked against the problem's bounds."""
+    x = _parse_design(raw)
+    try:
+        problem.check_designs(x[None])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return x
+
+
 ARCHIVE_COLUMNS = list(VARIABLE_NAMES) + ["fit1", "fit2", "violation", "feasible"]
 
 
@@ -241,11 +253,15 @@ def _cmd_optimize(args) -> int:
     problem = make_problem(cfg)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
     outdir = args.out or output_directory(cfg)
-    os.makedirs(outdir, exist_ok=True)
 
     log.info("optimize: %d CPs, %d iterations, seed %d",
              mocss_cfg.n_cps, mocss_cfg.iterations, mocss_cfg.seed)
-    res = run_mocss(problem, mocss_cfg)
+    try:
+        res = run_mocss(problem, mocss_cfg)
+    except NonFiniteError as exc:
+        # as in evaluate: a config value at the edge of the float range
+        raise ConfigError("optimize: an objective or violation is not finite "
+                          "under this config") from exc
 
     feas = res.violations == 0.0
     _write_csv(
@@ -263,11 +279,7 @@ def _cmd_optimize(args) -> int:
 def _cmd_evaluate(args) -> int:
     cfg, _ = load_config(args.config)
     problem = make_problem(cfg)
-    x = _parse_design(args.design)
-    try:
-        ev = problem.evaluate(x)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    ev = problem.evaluate(_checked_design(args.design, problem))
     # a config value at the edge of the float range (a subnormal strength
     # or slope limit) can overflow a quotient; JSON has no inf or NaN
     values = {"fit1": ev.fit1, "fit2": ev.fit2, "violation": ev.violation}
@@ -290,11 +302,10 @@ def _cmd_evaluate(args) -> int:
 def _cmd_evaluate_geometry(args) -> int:
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
-    x = _parse_design(args.design)
+    x = _checked_design(args.design, problem)
     geo = DamGeometry(design=DesignVector.from_array(x),
                       levels=problem.levels, canyon=problem.canyon)
     outdir = args.out or output_directory(cfg)
-    os.makedirs(outdir, exist_ok=True)
 
     zs = np.linspace(0.0, problem.levels.h, 50)
     rows = []
@@ -314,11 +325,10 @@ def _cmd_evaluate_geometry(args) -> int:
 def _cmd_stress_field(args) -> int:
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
-    x = _parse_design(args.design)
+    x = _checked_design(args.design, problem)
     geo = DamGeometry(design=DesignVector.from_array(x),
                       levels=problem.levels, canyon=problem.canyon)
     outdir = args.out or output_directory(cfg)
-    os.makedirs(outdir, exist_ok=True)
 
     grid = sample_grid(geo, problem.canyon, problem.n_depths, problem.n_arc)
     field = evaluate_stresses(geo, problem.canyon, problem.load_cases,
@@ -346,7 +356,6 @@ def _cmd_ww_surface(args) -> int:
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
     outdir = args.out or output_directory(cfg)
-    os.makedirs(outdir, exist_ok=True)
     if args.sigma_max <= args.sigma_min:
         raise ConfigError("--sigma-max must exceed --sigma-min")
 
@@ -376,7 +385,6 @@ def _cmd_decide(args) -> int:
     with open(args.scenarios, "rb") as fh:
         digest = hashlib.sha256(fh.read()).hexdigest()
     outdir = args.out
-    os.makedirs(outdir, exist_ok=True)
 
     F = np.column_stack([fit1, fit2])
     keep = feas & acceptable_mask(F)
@@ -419,7 +427,6 @@ def _cmd_benchmark(args) -> int:
     problem = get_benchmark(args.problem)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
     outdir = args.out or output_directory(cfg)
-    os.makedirs(outdir, exist_ok=True)
 
     log.info("benchmark %s: %d CPs, %d iterations, seed %d",
              problem.name, mocss_cfg.n_cps, mocss_cfg.iterations,

@@ -60,7 +60,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MocssConfig", "MocssResult", "pareto_rank", "run_mocss"]
+__all__ = ["MocssConfig", "MocssResult", "NonFiniteError", "pareto_rank", "run_mocss"]
+
+
+class NonFiniteError(ValueError):
+    """An objective or violation handed to the ranking is not finite."""
 
 
 @dataclass
@@ -140,8 +144,9 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
     total violation dominates; among feasible rows, plain Pareto
     dominance on the two objective values (minimization). So the feasible
     rows take the first fronts, and each distinct violation value is one
-    further front. Raises ValueError on a non-finite objective or
-    violation, and on any number of objective columns other than two.
+    further front. Raises NonFiniteError on a non-finite objective or
+    violation, and ValueError on any number of objective columns other
+    than two.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     if F.shape[1] != 2:
@@ -150,8 +155,8 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
     viol = np.zeros(n) if violations is None else np.asarray(violations, dtype=float)
     bad = ~(np.isfinite(F).all(axis=1) & np.isfinite(viol))
     if bad.any():
-        raise ValueError(f"pareto_rank: row {int(np.argmax(bad))} has a non-finite "
-                         "objective or violation")
+        raise NonFiniteError(f"pareto_rank: row {int(np.argmax(bad))} has a non-finite "
+                             "objective or violation")
     feas = viol == 0.0
     if feas.all():
         return _front_ranks(F)

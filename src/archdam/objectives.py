@@ -20,10 +20,14 @@ Every depth at which a design is looked at is fixed by the problem: the
 radius-check depths, the constraint depths, the quadrature depths and
 the stress grid. DamProblem builds their interpolation terms once, so
 evaluate_batch is one numpy pass over all its designs, and evaluate is
-a batch of one. Stresses are computed once per distinct (depth, face)
-row of the grid (stress_model.StressSurrogate): fit2 is the maximum over
-the rows, and the validity-warning count weights each row by the number
-of grid points it stands for.
+a batch of one. The radius check runs only where the bounds allow a
+non-positive radius: DamProblem works out from the bounds alone the
+least value the ru and rd interpolants can take at the radius-check
+depths, and over the canonical bounds that value is 21.29 m. Stresses
+are computed once per distinct (depth, face) row of the grid
+(stress_model.StressSurrogate): fit2 is the maximum over the rows, and
+the validity-warning count weights each row by the number of grid
+points it stands for.
 """
 
 from __future__ import annotations
@@ -54,6 +58,9 @@ __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 PENALTY_FIT1 = 3.4e5
 PENALTY_FIT2 = 1.3
 
+# how far outside its bounds a design value may lie and still be accepted
+BOUND_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -77,8 +84,8 @@ class DamProblem:
     """Bundles geometry, stress surrogate, and failure criterion into the
     constrained two-objective evaluation used by the optimizer.
 
-    The geometry and grid fields are read once, at construction; to change
-    one, build a new problem (dataclasses.replace)."""
+    The geometry, grid and bounds fields are read once, at construction;
+    to change one, build a new problem (dataclasses.replace)."""
 
     levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
     canyon: CanyonProfile | None = None
@@ -104,6 +111,17 @@ class DamProblem:
         # design-independent interpolation terms, one set per fixed depth set
         self._radius_depths = DepthInterpolant(
             self.levels, np.linspace(0.0, self.levels.h, RADIUS_CHECK_DEPTHS))
+        # the least value an ru or rd interpolant takes at a radius-check
+        # depth over every accepted design: sum_j min(l_j lo_j, l_j hi_j)
+        # over the level weights l_j. Where it is positive by a margin far
+        # above rounding error (relative 1e-9 against about 1e-15), no
+        # design can fail the radius check, so _evaluate skips it.
+        weights = self._radius_depths.values(np.eye(self.levels.n_levels))
+        lo = (self.lower[8:] - BOUND_SLACK).reshape(2, -1, 1)
+        hi = (self.upper[8:] + BOUND_SLACK).reshape(2, -1, 1)
+        least = np.minimum(weights * lo, weights * hi).sum(axis=1)
+        largest = (np.abs(weights) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1)
+        self._radii_positive = bool(np.all(least > 1e-9 * largest))
         self._constraints = ConstraintDepths(self.levels, self.canyon)
         self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
         self._stresses = StressSurrogate(
@@ -125,7 +143,7 @@ class DamProblem:
         so every admissible point lies inside it."""
         return (self.penalty_fit1, self.penalty_fit2)
 
-    def _checked(self, X) -> np.ndarray:
+    def check_designs(self, X) -> np.ndarray:
         """(n, 20) float designs; ValueError naming the first row and
         variable that is non-finite or outside the bounds."""
         X = np.asarray(X, dtype=float)
@@ -133,7 +151,7 @@ class DamProblem:
             X = X.reshape(0, 20)
         if X.ndim != 2 or X.shape[1] != 20:
             raise ValueError(f"designs must form an (n, 20) array, got shape {X.shape}")
-        bad = ~np.isfinite(X) | (X < self.lower - 1e-9) | (X > self.upper + 1e-9)
+        bad = ~np.isfinite(X) | (X < self.lower - BOUND_SLACK) | (X > self.upper + BOUND_SLACK)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ValueError(f"design row {i}: {VARIABLE_NAMES[j]} = {X[i, j]} is not a "
@@ -141,7 +159,7 @@ class DamProblem:
         return X
 
     def _evaluate(self, X) -> _Batch:
-        X = self._checked(X)
+        X = self.check_designs(X)
         n = len(X)
         gamma, beta = X[:, 0], X[:, 1]
         # node values of tc, ru and rd stacked: (3, n, 6)
@@ -157,7 +175,10 @@ class DamProblem:
         # ordering constraints stay computable even for degenerate shapes,
         # keeping a violation gradient among penalized designs
         viol = np.maximum(rd / ru - 1.0, 0.0).sum(axis=1) + 1.0
-        radius_ok = (self._radius_depths.values(nodes[1:]).min(axis=2) > 0.0).all(axis=0)
+        if self._radii_positive:
+            radius_ok = np.ones(n, dtype=bool)
+        else:
+            radius_ok = (self._radius_depths.values(nodes[1:]).min(axis=2) > 0.0).all(axis=0)
         degenerate[~radius_ok] = "radius"
 
         g = np.flatnonzero(radius_ok)

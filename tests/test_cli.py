@@ -98,6 +98,63 @@ def test_evaluate_non_finite_output_exits_2(tmp_path, capsys, payload, key):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("payload", [
+    {"strength": {"s_f": 1e-320}},
+    {"problem": {"gamma_allow": 1e-320}},
+])
+def test_optimize_non_finite_output_exits_2_leaving_nothing(tmp_path, capsys, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**payload, "mocss": {"n_cps": 8, "iterations": 2}}))
+    run = tmp_path / "run"
+    assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: optimize: an objective or violation is "
+                                   "not finite under this config")
+    assert "Traceback" not in captured.err
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("command, k, value, message", [
+    ("evaluate-geometry", 9, -100.0, "ru2 = -100.0 is not a finite value within [91.0, 118.0]"),
+    ("stress-field", 7, -5.0, "tc6 = -5.0 is not a finite value within [12.0, 31.0]"),
+])
+def test_design_outside_bounds_exits_2_before_writing(tmp_path, capsys, command, k, value,
+                                                       message):
+    x = TABLE5.copy()
+    x[k] = value
+    out = tmp_path / "out"
+    assert main([command, "--design", ",".join(map(str, x)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: design row 0: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, path, ceiling", [
+    ({"geometry": {"h": 1e308}}, "$.geometry.h", {"geometry": {"h": 500}}),
+    ({"loads": [{"kind": "pseudo_seismic", "seismic_coefficient": 1e300}]},
+     "$.loads[0].seismic_coefficient",
+     {"loads": [{"kind": "pseudo_seismic", "seismic_coefficient": 1}]}),
+])
+def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
+                                                         ceiling):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    for argv in (["evaluate", "--design", TABLE5_ARG],
+                 ["optimize", "--out", str(tmp_path / "run")]):
+        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config schema violation at {path}: ")
+        assert "is greater than the maximum of" in captured.err
+    assert not (tmp_path / "run").exists()
+    # the ceiling itself is accepted and gives finite output
+    cfg.write_text(json.dumps(ceiling))
+    assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 0
+    assert np.isfinite(json.loads(capsys.readouterr().out)["fit1"])
+
+
 @pytest.mark.parametrize("payload, path", [
     ({"geometry": {"h": float("nan")}}, "$.geometry.h"),
     ({"mocss": {"radius": float("nan")}}, "$.mocss.radius"),

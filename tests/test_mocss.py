@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from archdam import MocssConfig, get_benchmark, pareto_rank, run_mocss
-from archdam.mocss import _archive_update, _forces, _prune_archive, _repair
+from archdam.mocss import NonFiniteError, _archive_update, _forces, _prune_archive, _repair
 
 from _oracles import brute_force_rank, force_reference, prune_reference, random_population
 
@@ -44,11 +44,11 @@ def test_pareto_rank_tied_violations_and_no_feasible_row():
 
 
 def test_pareto_rank_rejects_non_finite_rows():
-    with pytest.raises(ValueError, match="row 1"):
+    with pytest.raises(NonFiniteError, match="row 1"):
         pareto_rank([[1.0, 1.0], [np.nan, 0.5], [0.5, 2.0]])
-    with pytest.raises(ValueError, match="row 2"):
+    with pytest.raises(NonFiniteError, match="row 2"):
         pareto_rank([[1.0, 1.0], [0.0, 0.5], [np.inf, 2.0]])
-    with pytest.raises(ValueError, match="row 0"):
+    with pytest.raises(NonFiniteError, match="row 0"):
         pareto_rank([[1.0, 1.0], [0.0, 0.5]], [np.nan, 0.0])
 
 

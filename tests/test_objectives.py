@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from archdam import DamGeometry, DamProblem, DesignVector, evaluate_stresses
+from archdam import DamGeometry, DamProblem, DesignVector, default_config, evaluate_stresses, make_problem
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
-from _oracles import evaluate_rowwise
+from _oracles import evaluate_rowwise, lagrange_basis
 from conftest import TABLE5
 
 
@@ -225,3 +225,57 @@ def test_batch_equals_rowwise_reference_property(dam_problem, X):
     F, viol = dam_problem.evaluate_batch(X)
     F_ref, viol_ref = evaluate_rowwise(dam_problem, X)
     assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+
+
+def _borderline_problem():
+    # radius bounds a few nm above zero: the least radius the bounds allow
+    # is about -0.5 nm with the 1e-9 slack a design may lie outside them,
+    # and positive if either bound went without it (the largest sum of
+    # negative level weights at a check depth is about 1.05)
+    lo = LOWER_BOUNDS.copy()
+    hi = UPPER_BOUNDS.copy()
+    lo[8:], hi[8:] = 2.7e-9, 2.8e-9
+    return DamProblem(lower=lo, upper=hi)
+
+
+def _narrowed_problem():
+    cfg = default_config()
+    span = UPPER_BOUNDS - LOWER_BOUNDS
+    cfg["problem"]["lower_bounds"] = (LOWER_BOUNDS + 0.25 * span).tolist()
+    cfg["problem"]["upper_bounds"] = (UPPER_BOUNDS - 0.25 * span).tolist()
+    return make_problem(cfg)
+
+
+def _worst_case_designs(p):
+    """One design per radius-check depth, with every ru and rd node at its
+    bound widened by 1e-9: the lower one where the level's weight at that
+    depth is non-negative, the upper one where it is negative. Both
+    radii then take the least value the bounds allow at that depth."""
+    z = np.linspace(0.0, p.levels.h, 101)
+    weights = np.column_stack([lagrange_basis(z, i, p.levels) for i in range(1, 7)])
+    X = np.tile((p.lower + p.upper) / 2.0, (len(z), 1))
+    for k in (8, 14):
+        X[:, k:k + 6] = np.where(weights < 0.0, p.upper[k:k + 6] + 1e-9,
+                                 p.lower[k:k + 6] - 1e-9)
+    return X
+
+
+@pytest.mark.parametrize("make", [DamProblem, _narrowed_problem, _permissive_problem,
+                                  _borderline_problem])
+def test_radius_check_sound_at_worst_case_designs(make):
+    p = make()
+    X = _worst_case_designs(p)
+    with np.errstate(all="ignore"):  # radii of a few nm overflow the stresses
+        b = p._evaluate(X)
+        F_ref, viol_ref = evaluate_rowwise(p, X)
+    assert np.array_equal(b.F, F_ref) and np.array_equal(b.violation, viol_ref)
+    # where the sweep may be skipped, no worst case comes near zero
+    assert (b.degenerate == "radius").any() != p._radii_positive
+
+
+def test_radius_certificate_from_bounds():
+    assert DamProblem()._radii_positive
+    assert make_problem(default_config())._radii_positive
+    assert _narrowed_problem()._radii_positive
+    assert not _permissive_problem()._radii_positive
+    assert not _borderline_problem()._radii_positive

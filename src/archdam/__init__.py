@@ -22,25 +22,10 @@ from .geometry import (
     VARIABLE_NAMES,
 )
 from .mocss import MocssConfig, MocssResult, pareto_rank, run_mocss
-from .mtdm import (
-    RankingResult,
-    Scenario,
-    UndefinedSetError,
-    acceptable_mask,
-    rank_R,
-    tournament_T,
-    tournament_t,
-)
+from .mtdm import RankingResult, Scenario, UndefinedSetError, acceptable_mask, rank_R
 from .objectives import DamProblem, Evaluation
 from .stress_model import LoadCase, StressField, evaluate_stresses, sample_grid
-from .willam_warnke import (
-    StrengthParams,
-    WWCoefficients,
-    classify_domain,
-    criterion_value,
-    criterion_values,
-    solve_coefficients,
-)
+from .willam_warnke import StrengthParams, WWCoefficients, criterion_values, solve_coefficients
 
 __all__ = [
     "__version__",
@@ -49,10 +34,8 @@ __all__ = [
     "CanyonProfile", "ControlLevels", "DamGeometry", "DegenerateGeometryError",
     "DesignVector", "LOWER_BOUNDS", "UPPER_BOUNDS", "VARIABLE_NAMES",
     "MocssConfig", "MocssResult", "pareto_rank", "run_mocss",
-    "RankingResult",
-    "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R", "tournament_T", "tournament_t",
+    "RankingResult", "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R",
     "DamProblem", "Evaluation",
     "LoadCase", "StressField", "evaluate_stresses", "sample_grid",
-    "StrengthParams", "WWCoefficients", "classify_domain", "criterion_value",
-    "criterion_values", "solve_coefficients",
+    "StrengthParams", "WWCoefficients", "criterion_values", "solve_coefficients",
 ]

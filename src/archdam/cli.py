@@ -5,9 +5,9 @@ error. All artifacts are plain CSV/JSON files; every file written by a
 run carries the run manifest's config digest so artifacts and
 configurations can be matched after the fact. Reruns with identical
 config and seed produce byte-identical artifacts (manifests carry no
-wall-clock timestamps for exactly this reason). A command makes its
-output directory only when it writes its first artifact, so a run that
-fails leaves nothing behind.
+wall-clock timestamps for exactly this reason). A command renders all
+its artifacts before it makes its output directory, so a run that fails
+leaves nothing behind.
 
 Set ARCHDAM_LOG=debug|info|warning|quiet to control stderr verbosity.
 """
@@ -87,32 +87,17 @@ def _round6(obj):
     return obj
 
 
-def _write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def _write_csv(path: str, digest: str, header, rows):
+def _csv(digest: str, header, rows) -> str:
     lines = [f"# manifest: {digest}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_manifest(outdir: str, digest: str, seed, outputs) -> str:
-    manifest = {
-        "config_digest": digest,
-        "seed": seed,
-        "version": __version__,
-        "timestamps": None,
-        "outputs": sorted(outputs),
-    }
-    path = os.path.join(outdir, "manifest.json")
-    _write_text(path, json.dumps(manifest, indent=2, allow_nan=False) + "\n")
-    return path
-
-
-def _write_log_jsonl(path: str, digest: str, entries):
+def _log_jsonl(digest: str, entries) -> str:
     lines = [json.dumps({"manifest": digest}, allow_nan=False)]
     for e in entries:
         rec = {
@@ -123,7 +108,25 @@ def _write_log_jsonl(path: str, digest: str, entries):
             "hypervolume": _round6(e["hypervolume"]) if e["hypervolume"] is not None else None,
         }
         lines.append(json.dumps(rec, allow_nan=False))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_artifacts(outdir: str, digest: str, seed, files: dict) -> None:
+    """Write the rendered artifacts, file name -> text, and a manifest.json
+    whose outputs are those names. Everything is rendered before the
+    first file is written, so a failure leaves no partial directory."""
+    manifest = {
+        "config_digest": digest,
+        "seed": seed,
+        "version": __version__,
+        "timestamps": None,
+        "outputs": sorted(files),
+    }
+    files = {**files, "manifest.json": _json(manifest)}
+    os.makedirs(outdir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(outdir, name), "w", newline="\n") as fh:
+            fh.write(text)
 
 
 # -- input parsing ------------------------------------------------------------
@@ -264,13 +267,11 @@ def _cmd_optimize(args) -> int:
                           "under this config") from exc
 
     feas = res.violations == 0.0
-    _write_csv(
-        os.path.join(outdir, "archive.csv"), digest, ARCHIVE_COLUMNS,
-        _archive_rows(res.positions, res.objectives, res.violations, feas),
-    )
-    _write_log_jsonl(os.path.join(outdir, "log.jsonl"), digest, res.log)
-    _write_manifest(outdir, digest, mocss_cfg.seed,
-                    ["archive.csv", "log.jsonl"])
+    _write_artifacts(outdir, digest, mocss_cfg.seed, {
+        "archive.csv": _csv(digest, ARCHIVE_COLUMNS, _archive_rows(
+            res.positions, res.objectives, res.violations, feas)),
+        "log.jsonl": _log_jsonl(digest, res.log),
+    })
     print(f"archive: {len(res.positions)} designs ({int(feas.sum())} feasible), "
           f"{res.n_evaluations} evaluations, artifacts in {outdir}")
     return 0
@@ -315,9 +316,8 @@ def _cmd_evaluate_geometry(args) -> int:
             _f6(z), _f6(geo.tc(z)), _f6(geo.ru(z)), _f6(geo.rd(z)),
             _f6(geo.central_angle(z)), _f6(max(abs(float(su)), abs(float(sd)))),
         ])
-    _write_csv(os.path.join(outdir, "geometry.csv"), digest,
-               ["z", "tc", "ru", "rd", "phi_deg", "overhang_slope"], rows)
-    _write_manifest(outdir, digest, None, ["geometry.csv"])
+    _write_artifacts(outdir, digest, None, {"geometry.csv": _csv(
+        digest, ["z", "tc", "ru", "rd", "phi_deg", "overhang_slope"], rows)})
     print(f"geometry profile written to {outdir}/geometry.csv")
     return 0
 
@@ -330,7 +330,7 @@ def _cmd_stress_field(args) -> int:
                       levels=problem.levels, canyon=problem.canyon)
     outdir = args.out or output_directory(cfg)
 
-    grid = sample_grid(geo, problem.canyon, problem.n_depths, problem.n_arc)
+    grid = sample_grid(problem.levels.h, problem.canyon, problem.n_depths, problem.n_arc)
     field = evaluate_stresses(geo, problem.canyon, problem.load_cases,
                               grid=grid, moment_share=problem.moment_share)
     margins = ww.criterion_values(field.states, problem.strength, problem.coeffs)
@@ -344,10 +344,8 @@ def _cmd_stress_field(args) -> int:
                 f"{k}:{lc.kind}", _g6(s1), _g6(s2), _g6(s3),
                 _g6(margins[i, k]),
             ])
-    _write_csv(os.path.join(outdir, "stress_field.csv"), digest,
-               ["x", "z", "face", "load_case", "s1", "s2", "s3", "ww_margin"],
-               rows)
-    _write_manifest(outdir, digest, None, ["stress_field.csv"])
+    _write_artifacts(outdir, digest, None, {"stress_field.csv": _csv(
+        digest, ["x", "z", "face", "load_case", "s1", "s2", "s3", "ww_margin"], rows)})
     print(f"stress field written to {outdir}/stress_field.csv")
     return 0
 
@@ -371,10 +369,8 @@ def _cmd_ww_surface(args) -> int:
          _f6(fo), _f6(st), _f6(m)]
         for s, d, fo, st, m in zip(states, dom, f_over, s_term, margin)
     ]
-    _write_csv(os.path.join(outdir, "ww_surface.csv"), digest,
-               ["sigma1", "sigma2", "sigma3", "domain", "F_over_fc", "S",
-                "margin"], rows)
-    _write_manifest(outdir, digest, None, ["ww_surface.csv"])
+    _write_artifacts(outdir, digest, None, {"ww_surface.csv": _csv(
+        digest, ["sigma1", "sigma2", "sigma3", "domain", "F_over_fc", "S", "margin"], rows)})
     print(f"failure surface samples written to {outdir}/ww_surface.csv")
     return 0
 
@@ -410,13 +406,12 @@ def _cmd_decide(args) -> int:
             + [_g6(Fk[b, 0]), _g6(Fk[b, 1]), f"{res.R[b]:.4f}"]
         )
 
-    _write_csv(os.path.join(outdir, "rankings.csv"), digest,
-               ["scenario", "archive_row", "rank", "fit1", "fit2", "R"],
-               ranking_rows)
-    _write_csv(os.path.join(outdir, "decisions.csv"), digest,
-               ["scenario"] + list(VARIABLE_NAMES) + ["fit1", "fit2", "R"],
-               decision_rows)
-    _write_manifest(outdir, digest, None, ["rankings.csv", "decisions.csv"])
+    _write_artifacts(outdir, digest, None, {
+        "rankings.csv": _csv(digest, ["scenario", "archive_row", "rank", "fit1", "fit2", "R"],
+                             ranking_rows),
+        "decisions.csv": _csv(digest, ["scenario"] + list(VARIABLE_NAMES) + ["fit1", "fit2", "R"],
+                              decision_rows),
+    })
     print(f"{len(scenarios)} scenarios decided over {len(idx)} acceptable "
           f"designs, artifacts in {outdir}")
     return 0
@@ -431,7 +426,7 @@ def _cmd_benchmark(args) -> int:
     log.info("benchmark %s: %d CPs, %d iterations, seed %d",
              problem.name, mocss_cfg.n_cps, mocss_cfg.iterations,
              mocss_cfg.seed)
-    res = run_mocss(problem, mocss_cfg, hv_reference=problem.hv_reference)
+    res = run_mocss(problem, mocss_cfg)
 
     name = problem.name.lower()
     golden = Path(__file__).parent / "data" / "golden" / f"{name}_front.csv"
@@ -443,14 +438,13 @@ def _cmd_benchmark(args) -> int:
     hv_val = hypervolume2d(res.objectives, problem.hv_reference, strict=False)
 
     rows = [[_g6(f1), _g6(f2)] for f1, f2 in res.objectives]
-    _write_csv(os.path.join(outdir, "front.csv"), digest, ["f1", "f2"], rows)
     metrics = {"igd": _round6(igd_val), "hypervolume": _round6(hv_val),
                "seed": mocss_cfg.seed}
-    _write_text(os.path.join(outdir, "metrics.json"),
-                json.dumps(metrics, indent=2, allow_nan=False) + "\n")
-    _write_log_jsonl(os.path.join(outdir, "log.jsonl"), digest, res.log)
-    _write_manifest(outdir, digest, mocss_cfg.seed,
-                    ["front.csv", "metrics.json", "log.jsonl"])
+    _write_artifacts(outdir, digest, mocss_cfg.seed, {
+        "front.csv": _csv(digest, ["f1", "f2"], rows),
+        "metrics.json": _json(metrics),
+        "log.jsonl": _log_jsonl(digest, res.log),
+    })
     print(f"{problem.name}: igd={metrics['igd']} "
           f"hypervolume={metrics['hypervolume']}, artifacts in {outdir}")
     return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -104,56 +105,18 @@ def _validate(value, schema: dict, path: str = "$") -> None:
 
 
 def default_config() -> dict:
-    """Complete configuration with every key at its library default."""
-    canyon = CanyonProfile.default()
+    """Complete configuration with every key at its library default, read
+    from the dataclasses that hold the defaults."""
+    problem = {f.name: f.default for f in fields(DamProblem)
+               if isinstance(f.default, (int, float))}
+    problem["lower_bounds"] = LOWER_BOUNDS.tolist()
+    problem["upper_bounds"] = UPPER_BOUNDS.tolist()
     return {
-        "problem": {
-            "gamma_allow": 0.65,
-            "moment_share": 0.02,
-            "quadrature_order": 32,
-            "n_depths": 6,
-            "n_arc": 9,
-            "penalty_fit1": 3.4e5,
-            "penalty_fit2": 1.3,
-            "lower_bounds": [float(v) for v in LOWER_BOUNDS],
-            "upper_bounds": [float(v) for v in UPPER_BOUNDS],
-        },
-        "geometry": {"h": canyon.h, "w_crest": canyon.w_crest, "w_base": canyon.w_base},
-        "strength": {
-            "f_c": 30.0,
-            "f_t": 1.5,
-            "f_cb": 1.2 * 30.0,
-            "f_1": 1.45 * 30.0,
-            "f_2": 1.725 * 30.0,
-            "sigma_h_a": float(np.sqrt(3.0) * 30.0),
-            "s_f": 1.0,
-        },
-        "loads": [
-            {"kind": "hydrostatic", "water_level": 0.0,
-             "seismic_coefficient": 0.1, "water_density": 1000.0,
-             "concrete_density": 2400.0},
-            {"kind": "pseudo_seismic", "water_level": 0.0,
-             "seismic_coefficient": 0.1, "water_density": 1000.0,
-             "concrete_density": 2400.0},
-        ],
-        "mocss": {
-            "n_cps": 100,
-            "iterations": 200,
-            "archive_capacity": 100,
-            "ka": 2.0,
-            "kv": 2.0,
-            "schedule": True,
-            "radius": 1.0,
-            "alpha": 1.0,
-            "cmcr": 0.98,
-            "par": 0.5,
-            "par_step0": 0.02,
-            "par_step_min": 1e-4,
-            "attraction_prob": 0.8,
-            "replace_fraction": 0.3,
-            "infeasible_jitter": 0.1,
-            "seed": 0,
-        },
+        "problem": problem,
+        "geometry": asdict(CanyonProfile.default()),
+        "strength": asdict(StrengthParams()),
+        "loads": [asdict(lc) for lc in DamProblem.load_cases],
+        "mocss": asdict(MocssConfig()),
         "output": {"directory": "."},
     }
 

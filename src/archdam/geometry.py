@@ -27,6 +27,8 @@ __all__ = [
     "VolumeQuadrature",
     "ConstraintDepths",
     "DEFAULT_HEIGHT",
+    "GAMMA_ALLOW",
+    "QUADRATURE_ORDER",
     "LOWER_BOUNDS",
     "UPPER_BOUNDS",
     "VARIABLE_NAMES",
@@ -36,10 +38,11 @@ __all__ = [
 ]
 
 DEFAULT_HEIGHT = 142.65  # m, Morrow Point dam
+GAMMA_ALLOW = 0.65  # largest admissible overhang slope |dy/dz| of either face
+QUADRATURE_ORDER = 32  # Gauss-Legendre points per axis of the volume rule
 
-# evenly spaced depths at which radii are checked positive, and at which
-# the overhang-slope and central-angle constraints are taken
-RADIUS_CHECK_DEPTHS = 101
+# evenly spaced depths at which the overhang-slope and central-angle
+# constraints are taken
 CONSTRAINT_DEPTHS = 50
 
 VARIABLE_NAMES = (
@@ -84,8 +87,9 @@ class ControlLevels:
             raise InvalidLevelsError("dam height must be positive")
 
     @classmethod
-    def evenly_spaced(cls, h: float = DEFAULT_HEIGHT, n_segments: int = 5) -> "ControlLevels":
-        return cls(h=h, z=np.linspace(0.0, h, n_segments + 1))
+    def evenly_spaced(cls, h: float = DEFAULT_HEIGHT) -> "ControlLevels":
+        """The six levels of the design vector, crest to base."""
+        return cls(h=h, z=np.linspace(0.0, h, 6))
 
     @property
     def n_levels(self) -> int:
@@ -171,13 +175,13 @@ class DepthInterpolant:
     Barycentric second form, p(z) = sum_j r_j f_j / sum_j r_j with
     r_j = w_j / (z - x_j). The terms r and their row sums depend only on
     the depths, so they are computed once here; values() and slopes() then
-    map node values of shape (..., n_levels) to (..., n_depths) in one
+    map node values of shape (..., n_levels) to (..., len(z)) in one
     pass. A depth within 1e-12 (relative to the dam height) of a level
     takes that level's value exactly. slopes=True also stores the
     derivative terms: squared offsets, and differentiation-matrix rows for
     the depths that hit a level.
 
-    The level axis leads in the stored terms, (n_levels, n_depths), and in
+    The level axis leads in the stored terms, (n_levels, len(z)), and in
     the products formed from them, so each sum over the levels is a few
     whole-array adds instead of one short inner loop per output value.
     numpy adds an axis of fewer than 8 entries strictly left to right,
@@ -245,7 +249,7 @@ class VolumeQuadrature:
     n = 100 each temporary of that shape is 800 KB, and allocating three
     of them cost more than the arithmetic."""
 
-    def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int = 32):
+    def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int):
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
         t, w = np.polynomial.legendre.leggauss(order)
@@ -269,7 +273,8 @@ class VolumeQuadrature:
 
 
 class ConstraintDepths:
-    """The geometric constraints, checked at n_depths evenly spaced depths.
+    """The geometric constraints, checked at CONSTRAINT_DEPTHS evenly
+    spaced depths.
 
     Layout per design: 6 radius-ordering values rd_i/ru_i - 1, one
     overhang-slope value per face (worst over the depths), one
@@ -277,10 +282,9 @@ class ConstraintDepths:
     degree ceiling). Feasible where <= 0.
     """
 
-    def __init__(self, levels: ControlLevels, canyon: CanyonProfile,
-                 n_depths: int = CONSTRAINT_DEPTHS):
+    def __init__(self, levels: ControlLevels, canyon: CanyonProfile):
         self.h = levels.h
-        self.z = np.linspace(0.0, levels.h, n_depths)
+        self.z = np.linspace(0.0, levels.h, CONSTRAINT_DEPTHS)
         self.half_width = canyon.half_width(self.z)
         self.depths = DepthInterpolant(levels, self.z, slopes=True)
 
@@ -336,12 +340,6 @@ class DamGeometry:
     def rd(self, z):
         return self._at(self.design.rd, z)
 
-    def check_radii(self, n_samples: int = RADIUS_CHECK_DEPTHS) -> None:
-        """Raise DegenerateGeometryError if a radius dips non-positive."""
-        zs = np.linspace(0.0, self.levels.h, n_samples)
-        if np.min(self.ru(zs)) <= 0.0 or np.min(self.rd(zs)) <= 0.0:
-            raise DegenerateGeometryError("interpolated radius non-positive")
-
     # -- faces ---------------------------------------------------------------
 
     def faces(self, x, z):
@@ -358,7 +356,7 @@ class DamGeometry:
 
     # -- integral and constraint quantities ----------------------------------
 
-    def volume(self, order: int = 32) -> float:
+    def volume(self, order: int = QUADRATURE_ORDER) -> float:
         """Concrete volume by tensor-product Gauss-Legendre quadrature,
         x-extent clipped to the canyon half-width at each depth."""
         d = self.design
@@ -374,11 +372,10 @@ class DamGeometry:
         gs = self.g_slope(z)
         return gs, gs + self._at(self.design.tc, z, slopes=True)
 
-    def geometric_constraints(self, gamma_allow: float = 0.65,
-                              n_depths: int = CONSTRAINT_DEPTHS) -> np.ndarray:
+    def geometric_constraints(self, gamma_allow: float = GAMMA_ALLOW) -> np.ndarray:
         """Signed constraint values, feasible where <= 0; layout as in
         ConstraintDepths."""
         d = self.design
-        cons = ConstraintDepths(self.levels, self.canyon, n_depths)
+        cons = ConstraintDepths(self.levels, self.canyon)
         return cons(np.array([d.gamma]), np.array([d.beta]),
                     d.tc[None], d.ru[None], d.rd[None], gamma_allow)[0]

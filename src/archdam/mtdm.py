@@ -15,8 +15,6 @@ __all__ = [
     "Scenario",
     "RankingResult",
     "UndefinedSetError",
-    "tournament_t",
-    "tournament_T",
     "rank_R",
     "acceptable_mask",
 ]
@@ -42,34 +40,6 @@ class Scenario:
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
-
-
-def tournament_t(a, b, objective: int) -> int:
-    """1 when alternative a strictly beats b in the given objective.
-
-    Minimization throughout: a wins iff fit(b) - fit(a) > 0. Ties score 0
-    for both orderings.
-    """
-    fa = float(np.asarray(a, dtype=float).reshape(-1)[objective])
-    fb = float(np.asarray(b, dtype=float).reshape(-1)[objective])
-    return 1 if fb - fa > 0.0 else 0
-
-
-def tournament_T(index: int, F: np.ndarray, objective: int) -> float:
-    """Win ratio of alternative ``index`` against the rest of the set.
-
-    F holds one row of objective values per alternative. Requires at
-    least two alternatives; a singleton set has no opponents.
-    """
-    F = np.atleast_2d(np.asarray(F, dtype=float))
-    n = F.shape[0]
-    if n < 2:
-        raise UndefinedSetError("tournament ratio needs at least 2 alternatives")
-    if not 0 <= index < n:
-        raise IndexError(f"alternative index {index} outside 0..{n - 1}")
-    col = F[:, objective]
-    wins = int((col > col[index]).sum())
-    return wins / (n - 1)
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,15 @@ from .geometry import (
     ControlLevels,
     DepthInterpolant,
     DesignVector,
+    GAMMA_ALLOW,
     LOWER_BOUNDS,
-    RADIUS_CHECK_DEPTHS,
+    QUADRATURE_ORDER,
     UPPER_BOUNDS,
     VARIABLE_NAMES,
     VolumeQuadrature,
 )
-from .stress_model import LoadCase, StressSurrogate, sample_grid
+from .stress_model import (ARC_STATIONS, GRID_DEPTHS, MOMENT_SHARE, LoadCase,
+                           StressSurrogate, sample_grid)
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 
@@ -60,6 +62,9 @@ PENALTY_FIT2 = 1.3
 
 # how far outside its bounds a design value may lie and still be accepted
 BOUND_SLACK = 1e-9
+
+# evenly spaced depths at which ru and rd are checked positive
+RADIUS_CHECK_DEPTHS = 101
 
 
 @dataclass(frozen=True)
@@ -94,11 +99,11 @@ class DamProblem:
         LoadCase(kind="hydrostatic"),
         LoadCase(kind="pseudo_seismic"),
     )
-    gamma_allow: float = 0.65
-    quadrature_order: int = 32
-    n_depths: int = 6
-    n_arc: int = 9
-    moment_share: float = 0.02
+    gamma_allow: float = GAMMA_ALLOW
+    quadrature_order: int = QUADRATURE_ORDER
+    n_depths: int = GRID_DEPTHS
+    n_arc: int = ARC_STATIONS
+    moment_share: float = MOMENT_SHARE
     penalty_fit1: float = PENALTY_FIT1
     penalty_fit2: float = PENALTY_FIT2
     lower: np.ndarray = field(default_factory=lambda: LOWER_BOUNDS.copy())
@@ -125,7 +130,7 @@ class DamProblem:
         self._constraints = ConstraintDepths(self.levels, self.canyon)
         self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
         self._stresses = StressSurrogate(
-            sample_grid(self, self.canyon, self.n_depths, self.n_arc),
+            sample_grid(self.levels.h, self.canyon, self.n_depths, self.n_arc),
             self.levels.h, self.load_cases, self.moment_share)
         self._stress_depths = DepthInterpolant(self.levels, self._stresses.depths)
 

@@ -34,9 +34,16 @@ import numpy as np
 from .geometry import CanyonProfile, DamGeometry, DegenerateGeometryError
 
 __all__ = ["LoadCase", "StressField", "StressSurrogate", "sample_grid",
-           "evaluate_stresses", "GRAVITY"]
+           "evaluate_stresses", "GRAVITY", "GRID_DEPTHS", "ARC_STATIONS",
+           "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
+# the default sample grid: depth stations crest to base, arc stations
+# abutment to abutment
+GRID_DEPTHS = 6
+ARC_STATIONS = 9
+# share of the hydrostatic overturning moment carried by cantilever bending
+MOMENT_SHARE = 0.02
 
 _KINDS = ("gravity", "hydrostatic", "pseudo_seismic")
 
@@ -77,10 +84,11 @@ class StressField:
     states: np.ndarray  # (n_points, n_cases, 3), sorted descending
 
 
-def sample_grid(geometry: DamGeometry, canyon: CanyonProfile, n_depths: int = 6, n_arc: int = 9):
-    """Deterministic sample points: (x, z, face) over both faces.
+def sample_grid(h: float, canyon: CanyonProfile, n_depths: int = GRID_DEPTHS,
+                n_arc: int = ARC_STATIONS):
+    """Deterministic sample points (x, z, face) over both faces of a dam
+    of height h; they depend on no design.
 
-    Only geometry.levels is read, so the points depend on no design.
     n_arc must be odd so the crown x = 0 is sampled; the outermost arc
     stations sit on the abutments at +-halfWidth(z).
     """
@@ -88,7 +96,7 @@ def sample_grid(geometry: DamGeometry, canyon: CanyonProfile, n_depths: int = 6,
         raise ValueError("need at least 6 depth stations")
     if n_arc < 9 or n_arc % 2 == 0:
         raise ValueError("need at least 9 arc stations, odd count")
-    zs = np.linspace(0.0, geometry.levels.h, n_depths)
+    zs = np.linspace(0.0, h, n_depths)
     frac = np.linspace(-1.0, 1.0, n_arc)
     x = (canyon.half_width(zs)[:, None] * frac[None, :]).ravel()
     z = np.repeat(zs, n_arc)
@@ -112,7 +120,7 @@ class StressSurrogate:
     moment_share * rho_w * g * z_w^3, signed by face.
     """
 
-    def __init__(self, grid, h: float, load_cases, moment_share: float = 0.02):
+    def __init__(self, grid, h: float, load_cases, moment_share: float):
         _, z, face = grid
         up = np.asarray(face) == "up"
         z = np.asarray(z, dtype=float)
@@ -169,11 +177,11 @@ def evaluate_stresses(
     canyon: CanyonProfile,
     load_cases,
     grid=None,
-    moment_share: float = 0.02,
+    moment_share: float = MOMENT_SHARE,
 ) -> StressField:
     """Surrogate principal stresses at every (grid point, load case)."""
     if grid is None:
-        grid = sample_grid(geometry, canyon)
+        grid = sample_grid(geometry.levels.h, canyon)
     x, z, face = grid
     surrogate = StressSurrogate(grid, geometry.levels.h, load_cases, moment_share)
     tc = geometry.tc(surrogate.depths)

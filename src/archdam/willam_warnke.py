@@ -28,12 +28,9 @@ __all__ = [
     "DegenerateStrengthError",
     "EvaluationError",
     "solve_coefficients",
-    "classify_domain",
-    "criterion_value",
     "criterion_values",
     "evaluate_components",
     "hydrostatic_validity",
-    "sort_principal",
 ]
 
 _SQ2_15 = math.sqrt(2.0 / 15.0)
@@ -95,12 +92,6 @@ class WWCoefficients:
         return self.b[0] + self.b[1] * xi + self.b[2] * xi**2
 
 
-def sort_principal(sigma):
-    """Sort stresses descending so sigma1 >= sigma2 >= sigma3."""
-    s = np.sort(np.asarray(sigma, dtype=float), axis=-1)
-    return s[..., ::-1]
-
-
 def _solve3(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = np.abs(M).max()
     if scale == 0.0 or np.linalg.cond(M) > 1e12:
@@ -153,18 +144,6 @@ def solve_coefficients(strength: StrengthParams) -> WWCoefficients:
     if not np.all((ratio > 0.5) & (ratio < 1.25)):
         warnings.append("convexity window r1/r2 violated in [-1, xi_t]")
     return WWCoefficients(a=a, b=b, xi0=xi0, valid=not warnings, warnings=tuple(warnings))
-
-
-def classify_domain(sigma) -> str:
-    """Domain of a sorted state; boundary ties go to the more tensile domain."""
-    s1, s2, s3 = (float(v) for v in np.asarray(sigma, dtype=float))
-    if s3 >= 0.0:
-        return "TTT"
-    if s2 > 0.0:
-        return "TTC"
-    if s1 > 0.0:
-        return "TCC"
-    return "CCC"
 
 
 def hydrostatic_validity(sigma, strength: StrengthParams):
@@ -263,9 +242,3 @@ def criterion_values(states, strength: StrengthParams, coeffs: WWCoefficients,
     """Margins only, for sorted states of shape (..., 3); strict as in
     evaluate_components."""
     return evaluate_components(states, strength, coeffs, strict)[0]
-
-
-def criterion_value(sigma, strength: StrengthParams, coeffs: WWCoefficients) -> float:
-    """Scalar criterion margin for one sorted principal stress state."""
-    m = criterion_values(np.asarray(sigma, dtype=float).reshape(1, 3), strength, coeffs)
-    return float(m[0])

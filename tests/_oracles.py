@@ -5,13 +5,15 @@ ranks, the archive prune that rescans every alive pair per deletion,
 the pairwise force sum over explicit difference vectors, grid-sum and
 loop hypervolume, Monte Carlo volume, the closed-form calibration stress
 states for the failure criterion, the Lagrange basis in product form
-and the barycentric interpolant for one design, and the dam evaluator one
-design at a time.
+and the barycentric interpolant for one design, the dam evaluator one
+design at a time, and the scalar forms of the criterion (sorting, domain,
+margin) and of the tournament (one duel, one win ratio).
 """
 
 import numpy as np
 
 from archdam.mocss import _deletion_weights
+from archdam.mtdm import UndefinedSetError
 from archdam.stress_model import GRAVITY, sample_grid
 from archdam.willam_warnke import EvaluationError, criterion_values
 
@@ -294,7 +296,7 @@ def evaluate_rowwise(problem, X):
                        * (1.0 / rd(zq)[:, None] - 1.0 / ru(zq)[:, None]))
         fit1 = float(np.einsum("ij,ij,i->", thick, wx, wz))
 
-        _, z, face = sample_grid(problem, canyon, problem.n_depths, problem.n_arc)
+        _, z, face = sample_grid(h, canyon, problem.n_depths, problem.n_arc)
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
             viol[i] = violation + 1.0
@@ -332,3 +334,55 @@ def surrogate_states(tc, ru, z, face, h, load_cases, moment_share):
         comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
         states[:, k, :] = np.sort(comp, axis=-1)[:, ::-1]
     return states
+
+
+def sort_principal(sigma):
+    """Sort stresses descending so sigma1 >= sigma2 >= sigma3."""
+    s = np.sort(np.asarray(sigma, dtype=float), axis=-1)
+    return s[..., ::-1]
+
+
+def classify_domain(sigma) -> str:
+    """Domain of a sorted state; boundary ties go to the more tensile domain."""
+    s1, s2, s3 = (float(v) for v in np.asarray(sigma, dtype=float))
+    if s3 >= 0.0:
+        return "TTT"
+    if s2 > 0.0:
+        return "TTC"
+    if s1 > 0.0:
+        return "TCC"
+    return "CCC"
+
+
+def criterion_value(sigma, strength, coeffs) -> float:
+    """Scalar criterion margin for one sorted principal stress state."""
+    m = criterion_values(np.asarray(sigma, dtype=float).reshape(1, 3), strength, coeffs)
+    return float(m[0])
+
+
+def tournament_t(a, b, objective: int) -> int:
+    """1 when alternative a strictly beats b in the given objective.
+
+    Minimization throughout: a wins iff fit(b) - fit(a) > 0. Ties score 0
+    for both orderings.
+    """
+    fa = float(np.asarray(a, dtype=float).reshape(-1)[objective])
+    fb = float(np.asarray(b, dtype=float).reshape(-1)[objective])
+    return 1 if fb - fa > 0.0 else 0
+
+
+def tournament_T(index: int, F, objective: int) -> float:
+    """Win ratio of alternative ``index`` against the rest of the set.
+
+    F holds one row of objective values per alternative. Requires at
+    least two alternatives; a singleton set has no opponents.
+    """
+    F = np.atleast_2d(np.asarray(F, dtype=float))
+    n = F.shape[0]
+    if n < 2:
+        raise UndefinedSetError("tournament ratio needs at least 2 alternatives")
+    if not 0 <= index < n:
+        raise IndexError(f"alternative index {index} outside 0..{n - 1}")
+    col = F[:, objective]
+    wins = int((col > col[index]).sum())
+    return wins / (n - 1)

@@ -1,4 +1,6 @@
 import json
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,12 @@ def _tiny_config(tmp_path, n_cps=16, iterations=10, name="cfg.json", **mocss):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def _assert_manifest_lists_the_other_files(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                         if p.name != "manifest.json")
 
 
 def test_usage_and_help_exit_codes(capsys):
@@ -131,11 +139,20 @@ def test_design_outside_bounds_exits_2_before_writing(tmp_path, capsys, command,
     assert not out.exists()
 
 
+PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
+
+
 @pytest.mark.parametrize("payload, path, ceiling", [
     ({"geometry": {"h": 1e308}}, "$.geometry.h", {"geometry": {"h": 500}}),
     ({"loads": [{"kind": "pseudo_seismic", "seismic_coefficient": 1e300}]},
      "$.loads[0].seismic_coefficient",
      {"loads": [{"kind": "pseudo_seismic", "seismic_coefficient": 1}]}),
+    # the floor of the dam height works the same way as the ceilings
+    ({"geometry": {"h": 1e-300}}, "$.geometry.h", {"geometry": {"h": 15}}),
+    ({"geometry": {"h": 14.999999}}, "$.geometry.h", {"geometry": {"h": 15}}),
+    # a larger penalty corner overflows the hypervolume optimize logs
+    ({"problem": {"penalty_fit1": 1e308}}, "$.problem.penalty_fit1", PENALTY_CEILINGS),
+    ({"problem": {"penalty_fit2": 1e308}}, "$.problem.penalty_fit2", PENALTY_CEILINGS),
 ])
 def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
                                                          ceiling):
@@ -143,16 +160,36 @@ def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, paylo
     cfg.write_text(json.dumps(payload))
     for argv in (["evaluate", "--design", TABLE5_ARG],
                  ["optimize", "--out", str(tmp_path / "run")]):
-        assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        assert not caught, [str(w.message) for w in caught]
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: config schema violation at {path}: ")
-        assert "is greater than the maximum of" in captured.err
+        m = re.fullmatch(rf"error: config schema violation at {re.escape(path)}: (\S+) "
+                         r"is (greater than the maximum|less than the minimum) of (\S+)\n",
+                         captured.err)
+        assert m, captured.err
+        value, bound = float(m[1]), float(m[3])
+        assert value > bound if m[2].startswith("greater") else value < bound
     assert not (tmp_path / "run").exists()
-    # the ceiling itself is accepted and gives finite output
+    # the limit itself is accepted and gives finite output
     cfg.write_text(json.dumps(ceiling))
     assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 0
     assert np.isfinite(json.loads(capsys.readouterr().out)["fit1"])
+
+
+def test_optimize_at_penalty_ceilings_logs_finite_hypervolume(tmp_path, capsys):
+    cfg, run = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_text(json.dumps({**PENALTY_CEILINGS, "mocss": {
+        "n_cps": 24, "iterations": 30, "archive_capacity": 50}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 0
+    assert not caught, [str(w.message) for w in caught]
+    assert capsys.readouterr().err == ""
+    hv = json.loads((run / "log.jsonl").read_text().splitlines()[-1])["hypervolume"]
+    assert 0.0 < hv < 1e9 * 1e3
 
 
 @pytest.mark.parametrize("payload, path", [
@@ -183,6 +220,7 @@ def test_evaluate_geometry_artifact(tmp_path, capsys):
     out = tmp_path / "geo"
     assert main(["evaluate-geometry", "--design", TABLE5_ARG, "--out", str(out)]) == 0
     capsys.readouterr()
+    _assert_manifest_lists_the_other_files(out)
     lines = (out / "geometry.csv").read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
     assert lines[1] == "z,tc,ru,rd,phi_deg,overhang_slope"
@@ -196,6 +234,7 @@ def test_stress_field_artifact(tmp_path, capsys):
     out = tmp_path / "sf"
     assert main(["stress-field", "--design", TABLE5_ARG, "--out", str(out)]) == 0
     capsys.readouterr()
+    _assert_manifest_lists_the_other_files(out)
     lines = (out / "stress_field.csv").read_text().splitlines()
     assert lines[1] == "x,z,face,load_case,s1,s2,s3,ww_margin"
     body = [ln.split(",") for ln in lines[2:]]
@@ -212,6 +251,7 @@ def test_ww_surface_artifact(tmp_path, capsys):
     assert main(["ww-surface", "--out", str(out), "--steps", "5",
                  "--sigma-min", "-40", "--sigma-max", "4"]) == 0
     capsys.readouterr()
+    _assert_manifest_lists_the_other_files(out)
     lines = (out / "ww_surface.csv").read_text().splitlines()
     assert lines[1] == "sigma1,sigma2,sigma3,domain,F_over_fc,S,margin"
     assert len(lines) == 2 + 5**3
@@ -240,7 +280,7 @@ def test_optimize_decide_round_trip(tmp_path, capsys):
     manifest = json.loads((run / "manifest.json").read_text())
     assert manifest["seed"] == 0
     assert manifest["timestamps"] is None
-    assert sorted(manifest["outputs"]) == manifest["outputs"]
+    _assert_manifest_lists_the_other_files(run)
 
     log_lines = (run / "log.jsonl").read_text().splitlines()
     assert json.loads(log_lines[0])["manifest"] == manifest["config_digest"]
@@ -262,6 +302,7 @@ def test_optimize_decide_round_trip(tmp_path, capsys):
     assert len(dlines) == 4  # manifest + header + one pick per scenario
     picks = {ln.split(",")[0] for ln in dlines[2:]}
     assert picks == {"economy", "safety"}
+    _assert_manifest_lists_the_other_files(dec)
 
 
 def test_optimize_reruns_byte_identical(tmp_path, capsys):
@@ -361,6 +402,7 @@ def test_benchmark_artifacts(tmp_path, capsys):
     assert metrics["hypervolume"] > 0.0
     lines = (out / "front.csv").read_text().splitlines()
     assert lines[1] == "f1,f2"
+    _assert_manifest_lists_the_other_files(out)
     assert main(["benchmark", "--problem", "dtlz9", "--config", cfg,
                  "--out", str(out)]) == 2
 

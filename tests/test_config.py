@@ -24,6 +24,88 @@ from archdam import CanyonProfile, DamGeometry, DamProblem, DesignVector
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
 
 
+# default_config() as it was written out before it was read from the
+# dataclasses, and the digest load_config() gives with no file
+DEFAULTS = {
+    "problem": {
+        "gamma_allow": 0.65,
+        "moment_share": 0.02,
+        "quadrature_order": 32,
+        "n_depths": 6,
+        "n_arc": 9,
+        "penalty_fit1": 3.4e5,
+        "penalty_fit2": 1.3,
+        "lower_bounds": [0.0, 0.5, 3.0, 5.0, 7.0, 9.0, 11.0, 12.0, 104.0, 91.0, 78.0, 65.0,
+                         52.0, 39.0, 104.0, 91.0, 78.0, 65.0, 52.0, 39.0],
+        "upper_bounds": [0.3, 1.0, 10.0, 14.0, 19.0, 23.0, 26.0, 31.0, 135.0, 118.0, 101.0,
+                         85.0, 68.0, 51.0, 135.0, 118.0, 101.0, 85.0, 68.0, 51.0],
+    },
+    "geometry": {"h": 142.65, "w_crest": 135.0, "w_base": 0.35 * 135.0},
+    "strength": {
+        "f_c": 30.0,
+        "f_t": 1.5,
+        "f_cb": 1.2 * 30.0,
+        "f_1": 1.45 * 30.0,
+        "f_2": 1.725 * 30.0,
+        "sigma_h_a": math.sqrt(3.0) * 30.0,
+        "s_f": 1.0,
+    },
+    "loads": [
+        {"kind": "hydrostatic", "water_level": 0.0,
+         "seismic_coefficient": 0.1, "water_density": 1000.0,
+         "concrete_density": 2400.0},
+        {"kind": "pseudo_seismic", "water_level": 0.0,
+         "seismic_coefficient": 0.1, "water_density": 1000.0,
+         "concrete_density": 2400.0},
+    ],
+    "mocss": {
+        "n_cps": 100,
+        "iterations": 200,
+        "archive_capacity": 100,
+        "ka": 2.0,
+        "kv": 2.0,
+        "schedule": True,
+        "radius": 1.0,
+        "alpha": 1.0,
+        "cmcr": 0.98,
+        "par": 0.5,
+        "par_step0": 0.02,
+        "par_step_min": 1e-4,
+        "attraction_prob": 0.8,
+        "replace_fraction": 0.3,
+        "infeasible_jitter": 0.1,
+        "seed": 0,
+    },
+    "output": {"directory": "."},
+}
+DEFAULT_DIGEST = "e2f7d6e7e81087d25457591a75ffb976e062a849e449a6cb57fb366883e1224d"
+
+
+def _assert_same_json(got, want, path="$"):
+    """got equals want key for key, item for item and type for type, so
+    an int default does not turn into a float."""
+    assert type(got) is type(want), (path, got, want)
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_same_json(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_same_json(g, w, f"{path}[{k}]")
+    else:
+        assert got == want, (path, got, want)
+
+
+def test_defaults_pinned():
+    cfg = default_config()
+    _assert_same_json(cfg, DEFAULTS)
+    _validate(cfg, _schema())
+    got, digest = load_config()
+    _assert_same_json(got, DEFAULTS)
+    assert digest == DEFAULT_DIGEST
+
+
 def _write(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(payload if isinstance(payload, str) else json.dumps(payload))

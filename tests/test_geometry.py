@@ -5,7 +5,6 @@ from archdam import (
     CanyonProfile,
     ControlLevels,
     DamGeometry,
-    DegenerateGeometryError,
     DesignVector,
     LOWER_BOUNDS,
     UPPER_BOUNDS,
@@ -182,16 +181,6 @@ def test_table5_feasible_under_defaults(table5_design):
     zs = np.linspace(0.0, 142.65, 50)
     phi = geo.central_angle(zs)
     assert phi.min() >= 90.0 and phi.max() <= 130.0
-
-
-def test_degenerate_radius_detected():
-    # alternating extreme radii force the quintic negative between nodes
-    x = np.array([0.2, 0.6, 5, 6, 8, 10, 12, 13,
-                  135, 39, 135, 39, 135, 39,
-                  135, 39, 135, 39, 135, 39], dtype=float)
-    geo = DamGeometry(design=DesignVector.from_array(x))
-    with pytest.raises(DegenerateGeometryError):
-        geo.check_radii()
 
 
 def test_angle_constraint_violated_when_canyon_too_narrow(table5_design):

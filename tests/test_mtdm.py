@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from archdam import Scenario, UndefinedSetError, acceptable_mask, rank_R
-from archdam.mtdm import tournament_T, tournament_t
+
+from _oracles import tournament_T, tournament_t
 
 
 def test_pairwise_tournament():

@@ -3,7 +3,8 @@ import pytest
 
 from archdam import CanyonProfile, DamGeometry, DesignVector, LoadCase, evaluate_stresses
 from archdam.geometry import DegenerateGeometryError
-from archdam.stress_model import GRAVITY, StressSurrogate, _sorted_states, sample_grid
+from archdam.stress_model import (GRAVITY, MOMENT_SHARE, StressSurrogate, _sorted_states,
+                                  sample_grid)
 
 from _oracles import surrogate_states
 
@@ -53,7 +54,7 @@ def test_gravity_case_is_uniaxial():
 def test_empty_reservoir_matches_gravity():
     geo = _constant_geometry()
     canyon = _canyon()
-    grid = sample_grid(geo, canyon)
+    grid = sample_grid(geo.levels.h, canyon)
     dry = evaluate_stresses(geo, canyon, [LoadCase(kind="hydrostatic", water_level=geo.levels.h)], grid=grid)
     grav = evaluate_stresses(geo, canyon, [LoadCase(kind="gravity")], grid=grid)
     assert np.array_equal(dry.states, grav.states)
@@ -72,7 +73,7 @@ def test_upstream_face_less_compressed_vertically():
 def test_peak_compression_monotone_in_water_level(table5_design):
     geo = DamGeometry(table5_design)
     canyon = _canyon()
-    grid = sample_grid(geo, canyon)
+    grid = sample_grid(geo.levels.h, canyon)
     peaks = []
     for wl in (0.0, 30.0, 60.0, 100.0, geo.levels.h):
         field = evaluate_stresses(geo, canyon, [LoadCase(water_level=wl)], grid=grid)
@@ -84,7 +85,7 @@ def test_peak_compression_monotone_in_water_level(table5_design):
 def test_pseudo_seismic_adds_compression(table5_design):
     geo = DamGeometry(table5_design)
     canyon = _canyon()
-    grid = sample_grid(geo, canyon)
+    grid = sample_grid(geo.levels.h, canyon)
     hyd = evaluate_stresses(geo, canyon, [LoadCase(kind="hydrostatic")], grid=grid)
     ps = evaluate_stresses(geo, canyon, [LoadCase(kind="pseudo_seismic")], grid=grid)
     # only the hoop component gains the Westergaard share, so the sorted
@@ -105,7 +106,7 @@ def test_states_sorted_descending(dam_problem, table5_design):
 def test_default_grid_layout():
     geo = _constant_geometry()
     canyon = _canyon()
-    x, z, face = sample_grid(geo, canyon)
+    x, z, face = sample_grid(geo.levels.h, canyon)
     assert len(x) == len(z) == len(face) == 108
     assert set(face) == {"up", "down"}
     # crown column sampled at every depth, abutments at the canyon wall
@@ -115,11 +116,11 @@ def test_default_grid_layout():
     assert np.all(xs[:, 4] == 0.0)
     assert np.allclose(np.abs(xs[:, 0]), canyon.half_width(zs[:, 0]))
     with pytest.raises(ValueError):
-        sample_grid(geo, canyon, n_depths=5)
+        sample_grid(geo.levels.h, canyon, n_depths=5)
     with pytest.raises(ValueError):
-        sample_grid(geo, canyon, n_arc=8)
+        sample_grid(geo.levels.h, canyon, n_arc=8)
     with pytest.raises(ValueError):
-        sample_grid(geo, canyon, n_arc=7)
+        sample_grid(geo.levels.h, canyon, n_arc=7)
 
 
 def test_mirror_symmetry(table5_design):
@@ -178,9 +179,9 @@ def test_closed_form_order_matches_np_sort():
 
 def test_distinct_rows_of_the_default_grid(table5_design):
     geo = DamGeometry(table5_design)
-    grid = sample_grid(geo, _canyon())
+    grid = sample_grid(geo.levels.h, _canyon())
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
-    surrogate = StressSurrogate(grid, geo.levels.h, cases)
+    surrogate = StressSurrogate(grid, geo.levels.h, cases, MOMENT_SHARE)
     assert len(surrogate.multiplicity) == 12 and np.all(surrogate.multiplicity == 9)
     assert np.array_equal(surrogate.depths, np.unique(grid[1]))
     assert np.array_equal(surrogate.index, np.repeat(np.arange(12), 9))
@@ -194,7 +195,7 @@ def test_states_equal_per_point_reference(table5_design):
     canyon = _canyon()
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
-    x, z, face = sample_grid(geo, canyon)
+    x, z, face = sample_grid(geo.levels.h, canyon)
     order = np.random.default_rng(1).permutation(len(z))
     for grid in ((x, z, face), (x[order], z[order], face[order])):
         field = evaluate_stresses(geo, canyon, cases, grid=grid)

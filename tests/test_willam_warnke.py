@@ -3,17 +3,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from archdam import StrengthParams, criterion_value, criterion_values, solve_coefficients
+from archdam import StrengthParams, criterion_values, solve_coefficients
 from archdam.willam_warnke import (
     DOMAIN_NAMES,
     DegenerateStrengthError,
-    classify_domain,
     evaluate_components,
     hydrostatic_validity,
-    sort_principal,
 )
 
-from _oracles import calibration_states
+from _oracles import calibration_states, classify_domain, criterion_value, sort_principal
 
 
 def test_default_coefficients_frozen(default_coeffs):

@@ -8,8 +8,12 @@ import pytest
 
 import archdam
 from archdam.benchmarks import hypervolume2d
-from archdam.cli import main
+from archdam.cli import _f6, _g6, main
+from archdam.geometry import CanyonProfile, ControlLevels
+from archdam.stress_model import LoadCase, MOMENT_SHARE, sample_grid
+from archdam.willam_warnke import StrengthParams, criterion_values, solve_coefficients
 
+from _oracles import LagrangeInterpolant, surrogate_states
 from conftest import TABLE5
 
 TABLE5_ARG = ",".join(f"{v}" for v in TABLE5)
@@ -216,6 +220,11 @@ def test_config_non_finite_or_float_integer_exits_2_with_path(tmp_path, capsys, 
     assert not (tmp_path / "run").exists()
 
 
+def _table5_interpolants():
+    levels = ControlLevels.evenly_spaced()
+    return levels.h, (LagrangeInterpolant(levels.z, TABLE5[k:k + 6]) for k in (2, 8, 14))
+
+
 def test_evaluate_geometry_artifact(tmp_path, capsys):
     out = tmp_path / "geo"
     assert main(["evaluate-geometry", "--design", TABLE5_ARG, "--out", str(out)]) == 0
@@ -224,10 +233,16 @@ def test_evaluate_geometry_artifact(tmp_path, capsys):
     lines = (out / "geometry.csv").read_text().splitlines()
     assert lines[0].startswith("# manifest: ")
     assert lines[1] == "z,tc,ru,rd,phi_deg,overhang_slope"
-    assert len(lines) == 52  # manifest + header + 50 depth stations
-    first = lines[2].split(",")
-    assert first[0] == "0.000000"
-    assert float(first[2]) == pytest.approx(110.637, abs=1e-6)
+    # every value, from the per-design interpolant and the formulas written out
+    h, (tc, ru, rd) = _table5_interpolants()
+    gamma, beta = TABLE5[:2]
+    z = np.linspace(0.0, h, 50)
+    s_u = gamma * z / (beta * h) - gamma
+    s_d = s_u + tc.derivative(z)
+    phi = np.degrees(2.0 * np.arctan(CanyonProfile.default().half_width(z) / ru(z)))
+    slope = np.maximum(np.abs(s_u), np.abs(s_d))
+    assert lines[2:] == [",".join(map(_f6, row))
+                         for row in zip(z, tc(z), ru(z), rd(z), phi, slope)]
 
 
 def test_stress_field_artifact(tmp_path, capsys):
@@ -237,12 +252,17 @@ def test_stress_field_artifact(tmp_path, capsys):
     _assert_manifest_lists_the_other_files(out)
     lines = (out / "stress_field.csv").read_text().splitlines()
     assert lines[1] == "x,z,face,load_case,s1,s2,s3,ww_margin"
-    body = [ln.split(",") for ln in lines[2:]]
-    assert len(body) == 108 * 2  # two default load cases
-    assert {r[2] for r in body} == {"up", "down"}
-    assert {r[3] for r in body} == {"0:hydrostatic", "1:pseudo_seismic"}
-    s = np.array([[float(r[4]), float(r[5]), float(r[6])] for r in body])
-    assert np.all(np.diff(s, axis=1) <= 0.0)
+    # every value, from the per-point surrogate on the per-design interpolant
+    h, (tc, ru, _) = _table5_interpolants()
+    x, z, face = sample_grid(h, CanyonProfile.default())
+    cases = [LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic")]
+    states = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
+    strength = StrengthParams()
+    margins = criterion_values(states, strength, solve_coefficients(strength))
+    assert lines[2:] == [
+        ",".join([_g6(x[i]), _g6(z[i]), face[i], f"{k}:{lc.kind}", *map(_g6, states[i, k]),
+                  _g6(margins[i, k])])
+        for i in range(len(z)) for k, lc in enumerate(cases)]
     assert not any("-0," in ln or ln.endswith("-0") for ln in lines)
 
 

@@ -34,10 +34,10 @@ from .config import (
     make_problem,
     output_directory,
 )
-from .geometry import DamGeometry, DesignVector, VARIABLE_NAMES
+from .geometry import VARIABLE_NAMES, central_angle_deg, crown_slope
 from .mocss import NonFiniteError, run_mocss
 from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
-from .stress_model import evaluate_stresses, sample_grid
+from .stress_model import sample_grid
 
 log = logging.getLogger("archdam")
 
@@ -304,18 +304,15 @@ def _cmd_evaluate_geometry(args) -> int:
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
     x = _checked_design(args.design, problem)
-    geo = DamGeometry(design=DesignVector.from_array(x),
-                      levels=problem.levels, canyon=problem.canyon)
     outdir = args.out or output_directory(cfg)
 
-    zs = np.linspace(0.0, problem.levels.h, 50)
-    rows = []
-    for z in zs:
-        su, sd = geo.face_slopes(z)
-        rows.append([
-            _f6(z), _f6(geo.tc(z)), _f6(geo.ru(z)), _f6(geo.rd(z)),
-            _f6(geo.central_angle(z)), _f6(max(abs(float(su)), abs(float(sd)))),
-        ])
+    cons = problem.constraint_depths
+    tc, ru, rd = cons.depths.values(x[2:].reshape(3, 6))
+    s_u = crown_slope(cons.z, x[0], x[1], cons.h)
+    s_d = s_u + cons.depths.slopes(x[2:8])
+    phi = central_angle_deg(cons.half_width, ru)
+    slope = np.maximum(np.abs(s_u), np.abs(s_d))
+    rows = [[_f6(v) for v in row] for row in zip(cons.z, tc, ru, rd, phi, slope)]
     _write_artifacts(outdir, digest, None, {"geometry.csv": _csv(
         digest, ["z", "tc", "ru", "rd", "phi_deg", "overhang_slope"], rows)})
     print(f"geometry profile written to {outdir}/geometry.csv")
@@ -326,24 +323,25 @@ def _cmd_stress_field(args) -> int:
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
     x = _checked_design(args.design, problem)
-    geo = DamGeometry(design=DesignVector.from_array(x),
-                      levels=problem.levels, canyon=problem.canyon)
     outdir = args.out or output_directory(cfg)
 
+    # the surrogate's rows, expanded to the points of the problem's grid
+    surrogate = problem.stress_surrogate
+    tc, ru = problem.stress_depths.values(x[2:14].reshape(2, 6))
+    if np.min(tc) <= 0.0:
+        raise ValueError("non-positive thickness at a stress sample")
+    if np.min(ru) <= 0.0:
+        raise ValueError("non-positive radius at a stress sample")
+    states = surrogate(tc, ru)[surrogate.index]
+    margins = ww.criterion_values(states, problem.strength, problem.coeffs)
     grid = sample_grid(problem.levels.h, problem.canyon, problem.n_depths, problem.n_arc)
-    field = evaluate_stresses(geo, problem.canyon, problem.load_cases,
-                              grid=grid, moment_share=problem.moment_share)
-    margins = ww.criterion_values(field.states, problem.strength, problem.coeffs)
 
-    rows = []
-    for i in range(len(field.x)):
-        for k, lc in enumerate(field.cases):
-            s1, s2, s3 = field.states[i, k]
-            rows.append([
-                _g6(field.x[i]), _g6(field.z[i]), str(field.face[i]),
-                f"{k}:{lc.kind}", _g6(s1), _g6(s2), _g6(s3),
-                _g6(margins[i, k]),
-            ])
+    rows = [
+        [_g6(px), _g6(pz), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]),
+         _g6(margins[i, k])]
+        for i, (px, pz, face) in enumerate(zip(*grid))
+        for k, lc in enumerate(problem.load_cases)
+    ]
     _write_artifacts(outdir, digest, None, {"stress_field.csv": _csv(
         digest, ["x", "z", "face", "load_case", "s1", "s2", "s3", "ww_margin"], rows)})
     print(f"stress field written to {outdir}/stress_field.csv")

@@ -4,25 +4,34 @@ The dam is described by 20 shape variables: a crest overhang slope gamma,
 a profile ratio beta, and crown thickness / upstream radius / downstream
 radius at six control levels spaced evenly over the height. Thickness and
 radii are interpolated over depth with a degree-5 Lagrange polynomial;
-both faces are parabolic in the cross-valley coordinate.
+both faces are parabolic in the cross-valley coordinate:
+
+    y_u = x^2 / (2 ru(z)) + g(z),   y_d = x^2 / (2 rd(z)) + g(z) + tc(z),
+
+with the upstream crown curve g(z) = gamma z^2 / (2 beta h) - gamma z.
 
 Coordinate frame: z measured downward from the crest (z = 0 crest,
 z = h base), x across the valley, y positive downstream.
+
+Every quantity is taken at a depth set fixed in advance, for any batch
+of designs: DepthInterpolant holds the design-independent interpolation
+terms of one depth set, and VolumeQuadrature and ConstraintDepths build
+the volume and the geometric constraints on theirs. DamProblem builds
+each of them once, and the CLI tabulates a design's sections through
+the problem's ConstraintDepths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "DegenerateGeometryError",
     "InvalidLevelsError",
     "ControlLevels",
     "CanyonProfile",
     "DesignVector",
-    "DamGeometry",
     "DepthInterpolant",
     "VolumeQuadrature",
     "ConstraintDepths",
@@ -32,7 +41,6 @@ __all__ = [
     "LOWER_BOUNDS",
     "UPPER_BOUNDS",
     "VARIABLE_NAMES",
-    "crown_profile_g",
     "crown_slope",
     "central_angle_deg",
 ]
@@ -61,10 +69,6 @@ UPPER_BOUNDS = np.array(
     [0.3, 1.0, 10, 14, 19, 23, 26, 31, 135, 118, 101, 85, 68, 51, 135, 118, 101, 85, 68, 51],
     dtype=float,
 )
-
-
-class DegenerateGeometryError(ValueError):
-    """Interpolated radius is non-positive somewhere in the dam body."""
 
 
 class InvalidLevelsError(ValueError):
@@ -147,16 +151,6 @@ class DesignVector:
 
     def to_array(self) -> np.ndarray:
         return np.concatenate([[self.gamma, self.beta], self.tc, self.ru, self.rd])
-
-
-def crown_profile_g(z, gamma: float, beta: float, h: float):
-    """Upstream crown curve y = g(z); zero at the crest, slope zero at z = beta*h."""
-    if h <= 0:
-        raise ValueError("dam height must be positive")
-    if beta == 0:
-        raise ZeroDivisionError("beta must be non-zero")
-    z = np.asarray(z, dtype=float)
-    return gamma * z**2 / (2.0 * beta * h) - gamma * z
 
 
 def crown_slope(z, gamma, beta, h: float):
@@ -299,83 +293,3 @@ class ConstraintDepths:
         phi = central_angle_deg(self.half_width, self.depths.values(ru))
         out[:, 8] = np.max(np.maximum(90.0 - phi, phi - 130.0), axis=1) / 130.0
         return out
-
-
-@dataclass
-class DamGeometry:
-    """One dam shape: face surfaces, section properties, constraints, volume.
-
-    Every quantity goes through the same fixed-depth helpers that the
-    batched evaluator uses, as a batch of one design.
-    """
-
-    design: DesignVector
-    levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
-    canyon: CanyonProfile | None = None
-
-    def __post_init__(self):
-        if self.canyon is None:
-            self.canyon = CanyonProfile.default(self.levels.h)
-
-    def _at(self, f, z, slopes=False):
-        z = np.asarray(z, dtype=float)
-        depths = DepthInterpolant(self.levels, z.ravel(), slopes=slopes)
-        out = depths.slopes(f) if slopes else depths.values(f)
-        return out.reshape(z.shape) if z.ndim else float(out[0])
-
-    # -- interpolated section properties ------------------------------------
-
-    def g(self, z):
-        return crown_profile_g(z, self.design.gamma, self.design.beta, self.levels.h)
-
-    def g_slope(self, z):
-        return crown_slope(z, self.design.gamma, self.design.beta, self.levels.h)
-
-    def tc(self, z):
-        return self._at(self.design.tc, z)
-
-    def ru(self, z):
-        return self._at(self.design.ru, z)
-
-    def rd(self, z):
-        return self._at(self.design.rd, z)
-
-    # -- faces ---------------------------------------------------------------
-
-    def faces(self, x, z):
-        """Upstream and downstream face offsets (y_u, y_d) at (x, z)."""
-        x = np.asarray(x, dtype=float)
-        ru = self.ru(z)
-        rd = self.rd(z)
-        if np.any(np.asarray(ru) <= 0.0) or np.any(np.asarray(rd) <= 0.0):
-            raise DegenerateGeometryError("interpolated radius non-positive")
-        g = self.g(z)
-        y_u = x**2 / (2.0 * ru) + g
-        y_d = x**2 / (2.0 * rd) + g + self.tc(z)
-        return y_u, y_d
-
-    # -- integral and constraint quantities ----------------------------------
-
-    def volume(self, order: int = QUADRATURE_ORDER) -> float:
-        """Concrete volume by tensor-product Gauss-Legendre quadrature,
-        x-extent clipped to the canyon half-width at each depth."""
-        d = self.design
-        quad = VolumeQuadrature(self.levels, self.canyon, order)
-        return float(quad(np.array((d.tc, d.ru, d.rd))[:, None])[0])
-
-    def central_angle(self, z):
-        """Arch central angle at depth z, degrees."""
-        return central_angle_deg(self.canyon.half_width(z), self.ru(z))
-
-    def face_slopes(self, z):
-        """(upstream, downstream) crown-line slopes dy/dz at x = 0."""
-        gs = self.g_slope(z)
-        return gs, gs + self._at(self.design.tc, z, slopes=True)
-
-    def geometric_constraints(self, gamma_allow: float = GAMMA_ALLOW) -> np.ndarray:
-        """Signed constraint values, feasible where <= 0; layout as in
-        ConstraintDepths."""
-        d = self.design
-        cons = ConstraintDepths(self.levels, self.canyon)
-        return cons(np.array([d.gamma]), np.array([d.beta]),
-                    d.tc[None], d.ru[None], d.rd[None], gamma_allow)[0]

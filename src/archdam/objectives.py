@@ -90,7 +90,10 @@ class DamProblem:
     constrained two-objective evaluation used by the optimizer.
 
     The geometry, grid and bounds fields are read once, at construction;
-    to change one, build a new problem (dataclasses.replace)."""
+    to change one, build a new problem (dataclasses.replace). The
+    fixed-depth helpers built from them are public, so that the CLI
+    tabulates a design through them: constraint_depths, stress_depths
+    and stress_surrogate."""
 
     levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
     canyon: CanyonProfile | None = None
@@ -127,12 +130,12 @@ class DamProblem:
         least = np.minimum(weights * lo, weights * hi).sum(axis=1)
         largest = (np.abs(weights) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1)
         self._radii_positive = bool(np.all(least > 1e-9 * largest))
-        self._constraints = ConstraintDepths(self.levels, self.canyon)
+        self.constraint_depths = ConstraintDepths(self.levels, self.canyon)
         self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
-        self._stresses = StressSurrogate(
+        self.stress_surrogate = StressSurrogate(
             sample_grid(self.levels.h, self.canyon, self.n_depths, self.n_arc),
             self.levels.h, self.load_cases, self.moment_share)
-        self._stress_depths = DepthInterpolant(self.levels, self._stresses.depths)
+        self.stress_depths = DepthInterpolant(self.levels, self.stress_surrogate.depths)
 
     @property
     def dimension(self) -> int:
@@ -188,14 +191,14 @@ class DamProblem:
 
         g = np.flatnonzero(radius_ok)
         nodes = nodes[:, g]
-        cons_g = self._constraints(gamma[g], beta[g], *nodes, self.gamma_allow)
+        cons_g = self.constraint_depths(gamma[g], beta[g], *nodes, self.gamma_allow)
         cons[g] = cons_g
         viol_g = np.maximum(cons_g, 0.0).sum(axis=1)
         fit1 = self._volume(nodes)
 
-        tc_d, ru_d = self._stress_depths.values(nodes[:2])
+        tc_d, ru_d = self.stress_depths.values(nodes[:2])
         thick_ok = (tc_d.min(axis=1) > 0.0) & (ru_d.min(axis=1) > 0.0)
-        states = self._stresses(tc_d[thick_ok], ru_d[thick_ok])
+        states = self.stress_surrogate(tc_d[thick_ok], ru_d[thick_ok])
         margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         # NaN where a compressive meridian came out non-positive
@@ -208,7 +211,7 @@ class DamProblem:
         F[ok, 0] = fit1[ok_g]
         F[ok, 1] = fit2[meridian_ok]
         # each row stands for `multiplicity` grid points
-        warnings[ok] = invalid[meridian_ok].sum(axis=2) @ self._stresses.multiplicity
+        warnings[ok] = invalid[meridian_ok].sum(axis=2) @ self.stress_surrogate.multiplicity
         degenerate[g[~thick_ok]] = "thickness"
         degenerate[g[thick_ok][~meridian_ok]] = "meridian"
         viol[g] = np.where(ok_g, viol_g, viol_g + 1.0)

@@ -3,8 +3,9 @@
 This module is deliberately simple plumbing, not structural analysis: it
 produces principal stress states with the right shape, signs, and scaling
 so the failure-criterion pipeline can be exercised end to end. A real FE
-backend can replace it by satisfying the same evaluator contract
-(geometry in, StressField out).
+backend can replace it by satisfying the same evaluator contract: the
+crown thickness and upstream radius at the row depths in, sorted
+principal states per (row, load case) out.
 
 Per sample point the surrogate composes three components:
   * arch hoop stress from thin-ring theory, -p(z) * ru(z) / tc(z), with
@@ -31,11 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CanyonProfile, DamGeometry, DegenerateGeometryError
+from .geometry import CanyonProfile
 
-__all__ = ["LoadCase", "StressField", "StressSurrogate", "sample_grid",
-           "evaluate_stresses", "GRAVITY", "GRID_DEPTHS", "ARC_STATIONS",
-           "MOMENT_SHARE"]
+__all__ = ["LoadCase", "StressSurrogate", "sample_grid", "GRAVITY", "GRID_DEPTHS",
+           "ARC_STATIONS", "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
 # the default sample grid: depth stations crest to base, arc stations
@@ -71,17 +71,6 @@ class LoadCase:
             raise ValueError("densities must be positive")
         if self.seismic_coefficient < 0:
             raise ValueError("seismic coefficient must be non-negative")
-
-
-@dataclass(frozen=True)
-class StressField:
-    """Principal stress states per (sample point, load case), MPa."""
-
-    x: np.ndarray
-    z: np.ndarray
-    face: np.ndarray  # "up" / "down" per point
-    cases: tuple
-    states: np.ndarray  # (n_points, n_cases, 3), sorted descending
 
 
 def sample_grid(h: float, canyon: CanyonProfile, n_depths: int = GRID_DEPTHS,
@@ -170,25 +159,3 @@ def _sorted_states(hoop, vertical):
     states[..., 1] = np.where(pos, 0.0, np.where(ge, vertical, hoop))
     states[..., 2] = np.where(ge, hoop, vertical)
     return states
-
-
-def evaluate_stresses(
-    geometry: DamGeometry,
-    canyon: CanyonProfile,
-    load_cases,
-    grid=None,
-    moment_share: float = MOMENT_SHARE,
-) -> StressField:
-    """Surrogate principal stresses at every (grid point, load case)."""
-    if grid is None:
-        grid = sample_grid(geometry.levels.h, canyon)
-    x, z, face = grid
-    surrogate = StressSurrogate(grid, geometry.levels.h, load_cases, moment_share)
-    tc = geometry.tc(surrogate.depths)
-    if np.min(tc) <= 0.0:
-        raise DegenerateGeometryError("non-positive thickness at a stress sample")
-    ru = geometry.ru(surrogate.depths)
-    if np.min(ru) <= 0.0:
-        raise DegenerateGeometryError("non-positive radius at a stress sample")
-    states = surrogate(tc, ru)[surrogate.index]
-    return StressField(x=x, z=z, face=face, cases=tuple(load_cases), states=states)

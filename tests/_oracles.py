@@ -126,8 +126,13 @@ def grid_hypervolume(front, reference, resolution=1e-3):
     return covered.sum() * resolution * resolution
 
 
-def mc_volume(geometry, canyon, n_samples, seed=0, chunk=2_000_000):
-    """Monte Carlo estimate of the concrete volume over the clipped canyon."""
+def mc_volume(design, levels, canyon, n_samples, seed=0, chunk=2_000_000):
+    """Monte Carlo estimate of the concrete volume over the clipped canyon
+    for one design of 20 values, with the faces of the parabolic arch
+    (y_u = x^2 / 2ru + g, y_d = x^2 / 2rd + g + tc) taken from the
+    per-design interpolant."""
+    gamma, beta = design[0], design[1]
+    tc, ru, rd = (LagrangeInterpolant(levels.z, design[k:k + 6]) for k in (2, 8, 14))
     rng = np.random.default_rng(seed)
     h = canyon.h
     wc = canyon.w_crest
@@ -139,7 +144,10 @@ def mc_volume(geometry, canyon, n_samples, seed=0, chunk=2_000_000):
         z = rng.uniform(0.0, h, m)
         inside = np.abs(x) <= canyon.half_width(z)
         if inside.any():
-            y_u, y_d = geometry.faces(x[inside], z[inside])
+            x, z = x[inside], z[inside]
+            g = gamma * z**2 / (2.0 * beta * levels.h) - gamma * z
+            y_u = x**2 / (2.0 * ru(z)) + g
+            y_d = x**2 / (2.0 * rd(z)) + g + tc(z)
             total += float(np.abs(y_d - y_u).sum())
         done += m
     area = 2.0 * wc * h

@@ -17,6 +17,14 @@ TABLE5 = np.array([
 ])
 
 
+def grid_states(problem, x):
+    """Sorted states (n_points, n_cases, 3) of one design of 20 values at
+    every point of the problem's grid, through the problem's stress
+    helpers as `archdam stress-field` takes them."""
+    surrogate = problem.stress_surrogate
+    return surrogate(*problem.stress_depths.values(x[2:14].reshape(2, 6)))[surrogate.index]
+
+
 @pytest.fixture(scope="session")
 def table5_design():
     return DesignVector.from_array(TABLE5)

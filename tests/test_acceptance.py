@@ -29,7 +29,7 @@ from archdam import (
     solve_coefficients,
 )
 from archdam.cli import main
-from archdam.geometry import ControlLevels, DamGeometry, DesignVector
+from archdam.geometry import ControlLevels
 from archdam.benchmarks import igd
 from archdam.mtdm import acceptable_mask
 
@@ -148,11 +148,10 @@ def test_criterion_02_boundary_continuity(capsys):
 
 def test_criterion_03_volume_oracle(capsys):
     t0 = perf_counter()
-    geo = DamGeometry(DesignVector.from_array(TABLE5))
     problem = DamProblem()
-    vol32 = geo.volume(32)
-    vol64 = geo.volume(64)
-    mc = mc_volume(geo, problem.canyon, 10_000_000, seed=7)
+    vol32 = problem.evaluate(TABLE5).fit1
+    vol64 = DamProblem(quadrature_order=64).evaluate(TABLE5).fit1
+    mc = mc_volume(TABLE5, problem.levels, problem.canyon, 10_000_000, seed=7)
     dt = perf_counter() - t0
 
     mc_rel = abs(vol32 - mc) / mc

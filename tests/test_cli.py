@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import warnings
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import archdam
+from archdam import DamProblem
 from archdam.benchmarks import hypervolume2d
 from archdam.cli import _f6, _g6, main
 from archdam.geometry import CanyonProfile, ControlLevels
@@ -94,31 +96,45 @@ def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, 
         assert reason in captured.err and "Traceback" not in captured.err
 
 
+# the schema keeps every config value in a range where the evaluation stays
+# finite; these backstops stand behind it, so a non-finite evaluation is
+# injected by wrapping the problem's evaluation
+
+
 @pytest.mark.parametrize("payload, key", [
-    ({"strength": {"s_f": 1e-320}}, "fit2 = -inf"),
-    ({"problem": {"gamma_allow": 1e-320}}, "violation = inf"),
+    ({"fit2": -np.inf}, "fit2 = -inf"),
+    ({"violation": np.inf}, "violation = inf"),
 ])
-def test_evaluate_non_finite_output_exits_2(tmp_path, capsys, payload, key):
-    # the schema accepts these subnormal values, and a quotient overflows;
+def test_evaluate_non_finite_output_exits_2(monkeypatch, capsys, payload, key):
     # evaluate must not print the result as JSON with Infinity in it
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(payload))
-    assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 2
+    evaluate = DamProblem.evaluate
+    monkeypatch.setattr(DamProblem, "evaluate",
+                        lambda self, x: dataclasses.replace(evaluate(self, x), **payload))
+    assert main(["evaluate", "--design", TABLE5_ARG]) == 2
     captured = capsys.readouterr()
-    assert "Infinity" not in captured.out and "NaN" not in captured.out
+    assert captured.out == ""
     assert captured.err.startswith(f"error: evaluate: {key} is not finite")
     assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("payload", [
-    {"strength": {"s_f": 1e-320}},
-    {"problem": {"gamma_allow": 1e-320}},
+    {"fit2": -np.inf},
+    {"violation": np.inf},
 ])
-def test_optimize_non_finite_output_exits_2_leaving_nothing(tmp_path, capsys, payload):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**payload, "mocss": {"n_cps": 8, "iterations": 2}}))
+def test_optimize_non_finite_output_exits_2_leaving_nothing(tmp_path, monkeypatch, capsys,
+                                                            payload):
+    evaluate_batch = DamProblem.evaluate_batch
+
+    def non_finite(self, X):
+        F, violation = evaluate_batch(self, X)
+        F[-1, 1] = payload.get("fit2", F[-1, 1])
+        violation[-1] = payload.get("violation", violation[-1])
+        return F, violation
+
+    monkeypatch.setattr(DamProblem, "evaluate_batch", non_finite)
+    cfg = _tiny_config(tmp_path, n_cps=8, iterations=2)
     run = tmp_path / "run"
-    assert main(["optimize", "--config", str(cfg), "--out", str(run)]) == 2
+    assert main(["optimize", "--config", cfg, "--out", str(run)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: optimize: an objective or violation is "
@@ -157,6 +173,10 @@ PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
     # a larger penalty corner overflows the hypervolume optimize logs
     ({"problem": {"penalty_fit1": 1e308}}, "$.problem.penalty_fit1", PENALTY_CEILINGS),
     ({"problem": {"penalty_fit2": 1e308}}, "$.problem.penalty_fit2", PENALTY_CEILINGS),
+    # subnormal divisors overflow the margin and the slope constraint
+    ({"strength": {"s_f": 1e-320}}, "$.strength.s_f", {"strength": {"s_f": 1}}),
+    ({"problem": {"gamma_allow": 1e-320}}, "$.problem.gamma_allow",
+     {"problem": {"gamma_allow": 0.01}}),
 ])
 def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
                                                          ceiling):
@@ -264,6 +284,24 @@ def test_stress_field_artifact(tmp_path, capsys):
                   _g6(margins[i, k])])
         for i in range(len(z)) for k, lc in enumerate(cases)]
     assert not any("-0," in ln or ln.endswith("-0") for ln in lines)
+
+
+def test_stress_field_non_positive_thickness_exits_1(tmp_path, capsys):
+    # with 8 grid depths, a design inside the bounds whose thickness nodes
+    # alternate between their extremes dips to -3.76 m at the second depth
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"n_depths": 8}}))
+    x = TABLE5.copy()
+    x[2:8] = [3.0, 5.0, 19.0, 9.0, 26.0, 12.0]
+    design = ",".join(map(str, x))
+    out = tmp_path / "sf"
+    assert main(["stress-field", "--config", str(cfg), "--design", design,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: non-positive thickness at a stress sample\n"
+    assert not out.exists()
+    # the evaluator penalizes the same design as degenerate kind "thickness"
+    assert main(["evaluate", "--config", str(cfg), "--design", design]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == {"degenerate": "thickness"}
 
 
 def test_ww_surface_artifact(tmp_path, capsys):

@@ -20,7 +20,7 @@ from archdam.config import (
     make_problem,
     output_directory,
 )
-from archdam import CanyonProfile, DamGeometry, DamProblem, DesignVector
+from archdam import CanyonProfile, DamProblem
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
 
 
@@ -240,7 +240,6 @@ def test_default_canyon_defined_once():
     geo = default_config()["geometry"]
     assert (geo["h"], geo["w_crest"], geo["w_base"]) == (canyon.h, canyon.w_crest, canyon.w_base)
     assert DamProblem().canyon == canyon
-    assert DamGeometry(DesignVector.from_array(LOWER_BOUNDS)).canyon == canyon
 
 
 @pytest.mark.parametrize("section, value, key", [

@@ -4,21 +4,37 @@ import pytest
 from archdam import (
     CanyonProfile,
     ControlLevels,
-    DamGeometry,
     DesignVector,
     LOWER_BOUNDS,
     UPPER_BOUNDS,
     VARIABLE_NAMES,
 )
 from archdam.geometry import (
+    GAMMA_ALLOW,
+    QUADRATURE_ORDER,
+    ConstraintDepths,
     DepthInterpolant,
     InvalidLevelsError,
+    VolumeQuadrature,
     central_angle_deg,
-    crown_profile_g,
+    crown_slope,
 )
 
 from _oracles import LagrangeInterpolant, lagrange_basis, mc_volume
 from conftest import TABLE5
+
+
+def _volume(x, canyon=None, order=QUADRATURE_ORDER):
+    """The quadrature volume of one design of 20 values."""
+    quad = VolumeQuadrature(ControlLevels.evenly_spaced(), canyon or CanyonProfile.default(),
+                            order)
+    return float(quad(x[2:].reshape(3, 1, 6))[0])
+
+
+def _constraints(x, canyon=None):
+    """The 9 geometric constraint values of one design of 20 values."""
+    cons = ConstraintDepths(ControlLevels.evenly_spaced(), canyon or CanyonProfile.default())
+    return cons(x[:1], x[1:2], *x[2:].reshape(3, 1, 6), GAMMA_ALLOW)[0]
 
 
 def test_variable_layout():
@@ -73,16 +89,14 @@ def test_interpolation_reproduces_quintics():
     def f(z):
         return poly(z / levels.h) + 20.0
 
-    x = np.concatenate([[1.0, 1.0], f(levels.z),
-                        np.full(6, 100.0), np.full(6, 90.0)])
-    geo = DamGeometry(design=DesignVector.from_array(x))
     zq = rng.uniform(0.0, levels.h, 100)
-    assert np.max(np.abs(geo.tc(zq) - f(zq))) < 1e-9
+    values = DepthInterpolant(levels, zq).values(f(levels.z))
+    assert np.max(np.abs(values - f(zq))) < 1e-9
     # derivative of the interpolant matches the quintic's as well
     dpoly = poly.deriv()
     zs = rng.uniform(0.0, levels.h, 50)
-    s_u, s_d = geo.face_slopes(zs)  # the faces differ by tc, so by tc' in slope
-    assert np.max(np.abs((s_d - s_u) - dpoly(zs / levels.h) / levels.h)) < 1e-9
+    slopes = DepthInterpolant(levels, zs, slopes=True).slopes(f(levels.z))
+    assert np.max(np.abs(slopes - dpoly(zs / levels.h) / levels.h)) < 1e-9
 
 
 @pytest.mark.parametrize("depths", ["level hits", "no level hits"])
@@ -109,12 +123,15 @@ def test_depth_interpolant_equals_per_design_reference(depths):
 
 
 def test_crown_profile_hand_values():
-    # g(z) = gamma z^2 / (2 beta h) - gamma z: zero at crest, minimum at beta h
-    assert crown_profile_g(0.0, 0.2, 0.5, 100.0) == 0.0
-    assert crown_profile_g(50.0, 0.2, 0.5, 100.0) == pytest.approx(-5.0)
+    # g(z) = gamma z^2 / (2 beta h) - gamma z: slope -gamma at the crest,
+    # zero at its minimum, beta h
+    assert crown_slope(0.0, 0.2, 0.5, 100.0) == pytest.approx(-0.2)
+    assert crown_slope(50.0, 0.2, 0.5, 100.0) == pytest.approx(0.0, abs=1e-15)
     z = np.linspace(0, 100, 1001)
-    g = crown_profile_g(z, 0.2, 0.5, 100.0)
-    assert z[np.argmin(g)] == pytest.approx(50.0, abs=0.1)
+    g = 0.2 * z**2 / (2 * 0.5 * 100.0) - 0.2 * z
+    # central differences are exact for a quadratic
+    fd = (g[2:] - g[:-2]) / (z[2:] - z[:-2])
+    assert np.allclose(crown_slope(z[1:-1], 0.2, 0.5, 100.0), fd, rtol=0, atol=1e-12)
 
 
 def test_central_angle_definition():
@@ -137,54 +154,39 @@ def test_constant_thickness_slab_volume():
     x = np.concatenate([[0.0, 0.5], np.full(6, t), np.full(6, 5000.0),
                         np.full(6, 5000.0)])
     canyon = CanyonProfile(h=h, w_crest=w, w_base=w)
-    geo = DamGeometry(design=DesignVector.from_array(x), canyon=canyon)
-    assert geo.volume() == pytest.approx(2 * w * h * t, rel=1e-12)
+    assert _volume(x, canyon) == pytest.approx(2 * w * h * t, rel=1e-12)
 
 
-def test_face_symmetry(table5_design):
-    geo = DamGeometry(design=table5_design)
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0, 60, 50)
-    z = rng.uniform(0, 142.65, 50)
-    yu1, yd1 = geo.faces(x, z)
-    yu2, yd2 = geo.faces(-x, z)
-    assert np.array_equal(yu1, yu2) and np.array_equal(yd1, yd2)
+def test_volume_against_monte_carlo():
+    v_mc = mc_volume(TABLE5, ControlLevels.evenly_spaced(), CanyonProfile.default(),
+                     200_000, seed=5)
+    assert _volume(TABLE5) == pytest.approx(v_mc, rel=0.02)
 
 
-def test_volume_against_monte_carlo(table5_design):
-    geo = DamGeometry(design=table5_design)
-    v_quad = geo.volume()
-    v_mc = mc_volume(geo, geo.canyon, 200_000, seed=5)
-    assert v_quad == pytest.approx(v_mc, rel=0.02)
-
-
-def test_volume_order_convergence(table5_design):
-    geo = DamGeometry(design=table5_design)
-    v32 = geo.volume(order=32)
-    v64 = geo.volume(order=64)
+def test_volume_order_convergence():
+    v32 = _volume(TABLE5, order=32)
+    v64 = _volume(TABLE5, order=64)
     assert abs(v64 - v32) / v32 < 1e-3
 
 
 def test_radius_ordering_constraint_value():
     x = TABLE5.copy()
     x[8], x[14] = 60.0, 50.0  # ru1 = 60, rd1 = 50
-    geo = DamGeometry(design=DesignVector.from_array(x))
-    cons = geo.geometric_constraints()
+    cons = _constraints(x)
     assert cons[0] == pytest.approx(50.0 / 60.0 - 1.0)
     assert len(cons) == 9
 
 
-def test_table5_feasible_under_defaults(table5_design):
-    geo = DamGeometry(design=table5_design)
-    cons = geo.geometric_constraints()
-    assert np.all(cons <= 0.0)
-    zs = np.linspace(0.0, 142.65, 50)
-    phi = geo.central_angle(zs)
+def test_table5_feasible_under_defaults():
+    assert np.all(_constraints(TABLE5) <= 0.0)
+    levels = ControlLevels.evenly_spaced()
+    zs = np.linspace(0.0, levels.h, 50)
+    ru = DepthInterpolant(levels, zs).values(TABLE5[8:14])
+    phi = central_angle_deg(CanyonProfile.default().half_width(zs), ru)
     assert phi.min() >= 90.0 and phi.max() <= 130.0
 
 
-def test_angle_constraint_violated_when_canyon_too_narrow(table5_design):
+def test_angle_constraint_violated_when_canyon_too_narrow():
     narrow = CanyonProfile(h=142.65, w_crest=99.0, w_base=0.35 * 99.0)
-    geo = DamGeometry(design=table5_design, canyon=narrow)
-    cons = geo.geometric_constraints()
+    cons = _constraints(TABLE5, narrow)
     assert cons[8] > 0.0  # angle drops below the 90 degree floor

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from archdam import DamGeometry, DamProblem, DesignVector, default_config, evaluate_stresses, make_problem
+from archdam import DamProblem, default_config, make_problem
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
 from _oracles import evaluate_rowwise, lagrange_basis
-from conftest import TABLE5
+from conftest import TABLE5, grid_states
 
 
 def test_reference_design_regression(dam_problem, table5_design):
@@ -191,10 +191,10 @@ def test_thin_design_penalized_alone_as_meridian():
     F_ref, viol_ref = evaluate_rowwise(p, X)
     assert np.array_equal(b.F, F_ref) and np.array_equal(b.violation, viol_ref)
     # the scalar criterion keeps raising for direct callers
-    field = evaluate_stresses(DamGeometry(DesignVector.from_array(X[0])), p.canyon, p.load_cases)
+    states = grid_states(p, X[0])
     with pytest.raises(EvaluationError):
-        criterion_values(field.states, p.strength, p.coeffs)
-    assert np.isnan(criterion_values(field.states, p.strength, p.coeffs, strict=False)).any()
+        criterion_values(states, p.strength, p.coeffs)
+    assert np.isnan(criterion_values(states, p.strength, p.coeffs, strict=False)).any()
 
 
 def test_validity_warnings_weighted_by_multiplicity():
@@ -204,9 +204,8 @@ def test_validity_warnings_weighted_by_multiplicity():
     assert e.fit2 == pytest.approx(22.37, abs=0.01)
     # two distinct (depth, face) states, each standing for 9 arc stations
     assert e.diagnostics["validity_warnings"] == 18
-    field = evaluate_stresses(DamGeometry(DesignVector.from_array(x)), p.canyon, p.load_cases,
-                              moment_share=p.moment_share)
-    assert e.diagnostics["validity_warnings"] == (~hydrostatic_validity(field.states, p.strength)).sum()
+    invalid = ~hydrostatic_validity(grid_states(p, x), p.strength)
+    assert e.diagnostics["validity_warnings"] == invalid.sum()
 
 
 @st.composite

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 from .benchmarks import BenchmarkProblem, get_benchmark, hypervolume2d, igd
 from .config import ConfigError, default_config, load_config, make_mocss_config, make_problem
-from .geometry import (CanyonProfile, ControlLevels, DesignVector, LOWER_BOUNDS,
-                       UPPER_BOUNDS, VARIABLE_NAMES)
+from .geometry import CanyonProfile, ControlLevels, LOWER_BOUNDS, UPPER_BOUNDS, VARIABLE_NAMES
 from .mocss import MocssConfig, MocssResult, pareto_rank, run_mocss
 from .mtdm import RankingResult, Scenario, UndefinedSetError, acceptable_mask, rank_R
 from .objectives import DamProblem, Evaluation
@@ -23,8 +22,7 @@ __all__ = [
     "__version__",
     "BenchmarkProblem", "get_benchmark", "hypervolume2d", "igd",
     "ConfigError", "default_config", "load_config", "make_mocss_config", "make_problem",
-    "CanyonProfile", "ControlLevels", "DesignVector", "LOWER_BOUNDS", "UPPER_BOUNDS",
-    "VARIABLE_NAMES",
+    "CanyonProfile", "ControlLevels", "LOWER_BOUNDS", "UPPER_BOUNDS", "VARIABLE_NAMES",
     "MocssConfig", "MocssResult", "pareto_rank", "run_mocss",
     "RankingResult", "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R",
     "DamProblem", "Evaluation",

@@ -309,7 +309,7 @@ def _cmd_evaluate_geometry(args) -> int:
     cons = problem.constraint_depths
     tc, ru, rd = cons.depths.values(x[2:].reshape(3, 6))
     s_u = crown_slope(cons.z, x[0], x[1], cons.h)
-    s_d = s_u + cons.depths.slopes(x[2:8])
+    s_d = s_u + cons.depths.slopes(x[2:8], tc)
     phi = central_angle_deg(cons.half_width, ru)
     slope = np.maximum(np.abs(s_u), np.abs(s_d))
     rows = [[_f6(v) for v in row] for row in zip(cons.z, tc, ru, rd, phi, slope)]

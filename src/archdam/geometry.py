@@ -31,7 +31,6 @@ __all__ = [
     "InvalidLevelsError",
     "ControlLevels",
     "CanyonProfile",
-    "DesignVector",
     "DepthInterpolant",
     "VolumeQuadrature",
     "ConstraintDepths",
@@ -125,34 +124,6 @@ class CanyonProfile:
         return self.w_crest + (self.w_base - self.w_crest) * np.clip(z / self.h, 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class DesignVector:
-    """The 20 shape variables: gamma, beta, tc[6], ru[6], rd[6]."""
-
-    gamma: float
-    beta: float
-    tc: np.ndarray
-    ru: np.ndarray
-    rd: np.ndarray
-
-    def __post_init__(self):
-        for name in ("tc", "ru", "rd"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (6,):
-                raise ValueError(f"{name} must have exactly 6 entries")
-            object.__setattr__(self, name, v)
-
-    @classmethod
-    def from_array(cls, x) -> "DesignVector":
-        x = np.asarray(x, dtype=float)
-        if x.shape != (20,):
-            raise ValueError("design vector must have exactly 20 entries")
-        return cls(gamma=float(x[0]), beta=float(x[1]), tc=x[2:8], ru=x[8:14], rd=x[14:20])
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([[self.gamma, self.beta], self.tc, self.ru, self.rd])
-
-
 def crown_slope(z, gamma, beta, h: float):
     """Slope dg/dz of the upstream crown curve."""
     return gamma * np.asarray(z, dtype=float) / (beta * h) - gamma
@@ -171,7 +142,9 @@ class DepthInterpolant:
     the depths, so they are computed once here; values() and slopes() then
     map node values of shape (..., n_levels) to (..., len(z)) in one
     pass. A depth within 1e-12 (relative to the dam height) of a level
-    takes that level's value exactly. slopes=True also stores the
+    takes that level's value exactly; when every depth lies on a level,
+    as the default stress depths do, values() is that lookup alone, and
+    when none does, the off-level sums alone. slopes=True also stores the
     derivative terms: squared offsets, and differentiation-matrix rows for
     the depths that hit a level.
 
@@ -191,11 +164,17 @@ class DepthInterpolant:
         self._w = 1.0 / d.prod(axis=1)
         dz = self.z[None, :] - x[:, None]
         hit = np.abs(dz) <= 1e-12 * max(float(x[-1] - x[0]), 1.0)
-        self._at = hit.any(axis=0)
-        self._off = ~self._at
-        self._node = hit[:, self._at].argmax(axis=0)
-        dz = np.ascontiguousarray(dz[:, self._off])
+        at = hit.any(axis=0)
+        self._at = np.flatnonzero(at)
+        self._node = hit[:, at].argmax(axis=0)
+        self._at_only, self._off_only = bool(at.all()), not at.any()
+        # the sums run over every depth. A depth on a level gets stand-in
+        # terms, offsets and weights of 1, whose sum stays far from zero
+        # (the weights w sum to about 1e-25); the value computed there is
+        # then overwritten with the level's
+        dz[:, at] = 1.0
         self._r = self._w[:, None] / dz
+        self._r[:, at] = 1.0
         self._rsum = self._r.sum(axis=0)
         if slopes:
             self._dz2 = dz**2
@@ -212,26 +191,30 @@ class DepthInterpolant:
         return (a.reshape(a.shape[:1] + (1,) * batch + a.shape[1:]),
                 np.ascontiguousarray(f.transpose(batch, *range(batch)))[..., None])
 
-    def _off_values(self, f):
+    def _sums(self, f):
         r, f = self._levels_first(self._r, f)
         return (r * f).sum(axis=0) / self._rsum
 
     def values(self, f):
-        out = np.empty(f.shape[:-1] + self.z.shape)
-        out[..., self._at] = f[..., self._node]
-        out[..., self._off] = self._off_values(f)
+        if self._at_only:
+            return f.take(self._node, axis=-1)
+        out = self._sums(f)
+        if not self._off_only:
+            out[..., self._at] = f.take(self._node, axis=-1)
         return out
 
-    def slopes(self, f):
-        out = np.empty(f.shape[:-1] + self.z.shape)
-        # stacked matmul makes the same BLAS matrix-vector call for each design
-        # as for a lone one; a summed product or one matrix product for the
-        # whole batch rounds differently in the last bit
-        out[..., self._at] = np.matmul(self._d_at, f[..., None])[..., 0]
-        p = self._off_values(f)
-        dz2, f = self._levels_first(self._dz2, f)
+    def slopes(self, f, values=None):
+        """Slopes of the interpolant of f; values, when given, are
+        self.values(f) already computed, which spares its sums."""
+        p = self._sums(f) if values is None else values
+        dz2, fl = self._levels_first(self._dz2, f)
         w = self._w.reshape(dz2.shape[:-1] + (1,))
-        out[..., self._off] = (w * (p - f) / dz2).sum(axis=0) / self._rsum
+        out = (w * (p - fl) / dz2).sum(axis=0) / self._rsum
+        if not self._off_only:
+            # stacked matmul makes the same BLAS matrix-vector call for each
+            # design as for a lone one; a summed product or one matrix product
+            # for the whole batch rounds differently in the last bit
+            out[..., self._at] = np.matmul(self._d_at, f[..., None])[..., 0]
         return out
 
 
@@ -259,7 +242,8 @@ class VolumeQuadrature:
     def __call__(self, nodes):
         """Volumes, shape (n,), for the node values of tc, ru and rd
         stacked as shape (3, n, n_levels)."""
-        tc, ru, rd = self.depths.values(nodes)[..., None]
+        v = self.depths.values(nodes)[..., None]
+        tc, ru, rd = v[0], v[1], v[2]
         thick = np.multiply(self._half_x2, 1.0 / rd - 1.0 / ru)
         thick += tc
         np.abs(thick, out=thick)
@@ -282,14 +266,17 @@ class ConstraintDepths:
         self.half_width = canyon.half_width(self.z)
         self.depths = DepthInterpolant(levels, self.z, slopes=True)
 
-    def __call__(self, gamma, beta, tc, ru, rd, gamma_allow: float):
-        """gamma, beta of shape (n,), node values (n, n_levels) -> (n, 9)."""
+    def __call__(self, gamma, beta, nodes, gamma_allow: float):
+        """gamma, beta of shape (n,), node values of tc, ru and rd stacked
+        as shape (3, n, n_levels) -> (n, 9)."""
         out = np.empty((len(gamma), 9))
-        out[:, :6] = rd / ru - 1.0
+        out[:, :6] = nodes[2] / nodes[1] - 1.0
+        v = self.depths.values(nodes[:2])
+        tc, ru = v[0], v[1]
         s_u = crown_slope(self.z, gamma[:, None], beta[:, None], self.h)
-        s_d = s_u + self.depths.slopes(tc)
-        out[:, 6] = np.max(np.abs(s_u), axis=1) / gamma_allow - 1.0
-        out[:, 7] = np.max(np.abs(s_d), axis=1) / gamma_allow - 1.0
-        phi = central_angle_deg(self.half_width, self.depths.values(ru))
-        out[:, 8] = np.max(np.maximum(90.0 - phi, phi - 130.0), axis=1) / 130.0
+        s_d = s_u + self.depths.slopes(nodes[0], tc)
+        out[:, 6] = np.abs(s_u).max(axis=1) / gamma_allow - 1.0
+        out[:, 7] = np.abs(s_d).max(axis=1) / gamma_allow - 1.0
+        phi = central_angle_deg(self.half_width, ru)
+        out[:, 8] = np.maximum(90.0 - phi, phi - 130.0).max(axis=1) / 130.0
         return out

@@ -43,7 +43,6 @@ from .geometry import (
     ConstraintDepths,
     ControlLevels,
     DepthInterpolant,
-    DesignVector,
     GAMMA_ALLOW,
     LOWER_BOUNDS,
     QUADRATURE_ORDER,
@@ -130,6 +129,8 @@ class DamProblem:
         least = np.minimum(weights * lo, weights * hi).sum(axis=1)
         largest = (np.abs(weights) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1)
         self._radii_positive = bool(np.all(least > 1e-9 * largest))
+        self._lowest = self.lower - BOUND_SLACK
+        self._highest = self.upper + BOUND_SLACK
         self.constraint_depths = ConstraintDepths(self.levels, self.canyon)
         self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
         self.stress_surrogate = StressSurrogate(
@@ -159,9 +160,11 @@ class DamProblem:
             X = X.reshape(0, 20)
         if X.ndim != 2 or X.shape[1] != 20:
             raise ValueError(f"designs must form an (n, 20) array, got shape {X.shape}")
-        bad = ~np.isfinite(X) | (X < self.lower - BOUND_SLACK) | (X > self.upper + BOUND_SLACK)
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
+        ok = np.isfinite(X)
+        ok &= X >= self._lowest
+        ok &= X <= self._highest
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
             raise ValueError(f"design row {i}: {VARIABLE_NAMES[j]} = {X[i, j]} is not a "
                              f"finite value within [{self.lower[j]}, {self.upper[j]}]")
         return X
@@ -172,57 +175,66 @@ class DamProblem:
         gamma, beta = X[:, 0], X[:, 1]
         # node values of tc, ru and rd stacked: (3, n, 6)
         nodes = np.ascontiguousarray(X[:, 2:].reshape(n, 3, 6).transpose(1, 0, 2))
-        tc, ru, rd = nodes
+        degenerate = np.empty(n, dtype=object)  # object arrays start as None
 
-        F = np.empty((n, 2))
-        F[:] = (self.penalty_fit1, self.penalty_fit2)
-        cons = np.full((n, 9), np.nan)
-        degenerate = np.full(n, None, dtype=object)
-        warnings = np.zeros(n, dtype=int)
-
-        # ordering constraints stay computable even for degenerate shapes,
-        # keeping a violation gradient among penalized designs
-        viol = np.maximum(rd / ru - 1.0, 0.0).sum(axis=1) + 1.0
-        if self._radii_positive:
-            radius_ok = np.ones(n, dtype=bool)
-        else:
+        # the rows with positive radii, None while that is every row
+        g = None
+        if not self._radii_positive:
             radius_ok = (self._radius_depths.values(nodes[1:]).min(axis=2) > 0.0).all(axis=0)
-        degenerate[~radius_ok] = "radius"
+            if not radius_ok.all():
+                degenerate[~radius_ok] = "radius"
+                g = np.flatnonzero(radius_ok)
+                gamma, beta, nodes = gamma[g], beta[g], nodes[:, g]
 
-        g = np.flatnonzero(radius_ok)
-        nodes = nodes[:, g]
-        cons_g = self.constraint_depths(gamma[g], beta[g], *nodes, self.gamma_allow)
-        cons[g] = cons_g
-        viol_g = np.maximum(cons_g, 0.0).sum(axis=1)
+        cons = self.constraint_depths(gamma, beta, nodes, self.gamma_allow)
+        viol = np.maximum(cons, 0.0).sum(axis=1)
         fit1 = self._volume(nodes)
 
-        tc_d, ru_d = self.stress_depths.values(nodes[:2])
-        thick_ok = (tc_d.min(axis=1) > 0.0) & (ru_d.min(axis=1) > 0.0)
-        states = self.stress_surrogate(tc_d[thick_ok], ru_d[thick_ok])
+        # tc and ru at the stress depths: (2, n, n_depths)
+        sections = self.stress_depths.values(nodes[:2])
+        thick_ok = (sections.min(axis=2) > 0.0).all(axis=0)
+        all_thick = thick_ok.all()
+        if not all_thick:
+            sections = sections[:, thick_ok]
+        states = self.stress_surrogate(sections[0], sections[1])
         margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         # NaN where a compressive meridian came out non-positive
         fit2 = margins.max(axis=(1, 2))
+        # each row stands for `multiplicity` grid points
+        warnings = invalid.sum(axis=2) @ self.stress_surrogate.multiplicity
         meridian_ok = ~np.isnan(fit2)
 
+        if g is None and all_thick and meridian_ok.all():
+            F = np.empty((n, 2))
+            F[:, 0] = fit1
+            F[:, 1] = fit2
+            return _Batch(F, viol, cons, degenerate, warnings)
+
+        # some row is degenerate: penalty objectives, violation + 1
+        rows = np.arange(n) if g is None else g
         ok_g = thick_ok.copy()
         ok_g[thick_ok] = meridian_ok
-        ok = g[ok_g]
+        ok = rows[ok_g]
+        F = np.empty((n, 2))
+        F[:] = (self.penalty_fit1, self.penalty_fit2)
         F[ok, 0] = fit1[ok_g]
         F[ok, 1] = fit2[meridian_ok]
-        # each row stands for `multiplicity` grid points
-        warnings[ok] = invalid[meridian_ok].sum(axis=2) @ self.stress_surrogate.multiplicity
-        degenerate[g[~thick_ok]] = "thickness"
-        degenerate[g[thick_ok][~meridian_ok]] = "meridian"
-        viol[g] = np.where(ok_g, viol_g, viol_g + 1.0)
-        return _Batch(F, viol, cons, degenerate, warnings)
+        degenerate[rows[~thick_ok]] = "thickness"
+        degenerate[rows[thick_ok][~meridian_ok]] = "meridian"
+        all_cons = np.full((n, 9), np.nan)
+        all_cons[rows] = cons
+        all_warnings = np.zeros(n, dtype=int)
+        all_warnings[ok] = warnings[meridian_ok]
+        # ordering constraints stay computable even for degenerate shapes,
+        # keeping a violation gradient among penalized designs
+        all_viol = np.maximum(X[:, 14:] / X[:, 8:14] - 1.0, 0.0).sum(axis=1) + 1.0
+        all_viol[rows] = np.where(ok_g, viol, viol + 1.0)
+        return _Batch(F, all_viol, all_cons, degenerate, all_warnings)
 
     def evaluate(self, design) -> Evaluation:
-        """One design (a DesignVector or 20 values), as a batch of one."""
-        if isinstance(design, DesignVector):
-            x = design.to_array()
-        else:
-            x = np.asarray(design, dtype=float)
+        """One design of 20 values, as a batch of one."""
+        x = np.asarray(design, dtype=float)
         if x.shape != (20,):
             raise ValueError("design vector must have exactly 20 entries")
         b = self._evaluate(x[None, :])

@@ -140,8 +140,8 @@ class StressSurrogate:
         """Sorted principal states, shape (..., n_rows, n_cases, 3), from
         the crown thickness and upstream radius at `depths`, shape
         (..., n_depths), for one design or a batch."""
-        tc = tc[..., self.row_depth, None]
-        ru = ru[..., self.row_depth, None]
+        tc = tc.take(self.row_depth, axis=-1)[..., None]
+        ru = ru.take(self.row_depth, axis=-1)[..., None]
         hoop = self._neg_p * ru / tc / 1e6
         vertical = self._weight + self._bend / tc**2 / 1e6
         return _sorted_states(hoop, vertical)

@@ -149,25 +149,66 @@ def solve_coefficients(strength: StrengthParams) -> WWCoefficients:
 def hydrostatic_validity(sigma, strength: StrengthParams):
     """True where |mean stress| <= sqrt(3) f_c (boundary inclusive)."""
     s = np.asarray(sigma, dtype=float)
-    sh = s.mean(axis=-1)
-    return np.abs(sh) <= math.sqrt(3.0) * strength.f_c
-
-
-def _cos_eta(s1, s2, s3):
-    dev = (s1 - s2) ** 2 + (s2 - s3) ** 2 + (s3 - s1) ** 2
-    num = 2.0 * s1 - s2 - s3
-    den = math.sqrt(2.0) * np.sqrt(dev)
-    # hydrostatic axis: 0/0, defined as the tensile meridian
-    return np.where(den == 0.0, 1.0, num / np.where(den == 0.0, 1.0, den))
+    # sum / 3 is the arithmetic of np.mean, without its dispatch
+    return np.abs(s.sum(axis=-1) / 3.0) <= math.sqrt(3.0) * strength.f_c
 
 
 def _meridian(r1, r2, cos_eta):
     """Elliptic blend between the tensile (r1) and compressive (r2) meridians."""
     c2 = cos_eta * cos_eta
     dd = r2 * r2 - r1 * r1
-    disc = 4.0 * dd * c2 + 5.0 * r1 * r1 - 4.0 * r1 * r2
-    den = 4.0 * dd * c2 + (r2 - 2.0 * r1) ** 2
-    return (2.0 * r2 * dd * cos_eta + r2 * (2.0 * r1 - r2) * np.sqrt(np.maximum(disc, 0.0))) / den
+    ddc = 4.0 * dd * c2
+    t = 2.0 * r1 - r2
+    disc = ddc + 5.0 * r1 * r1 - 4.0 * r1 * r2
+    # t**2 is (r2 - 2 r1)**2 exactly
+    return (2.0 * r2 * dd * cos_eta + r2 * t * np.sqrt(np.maximum(disc, 0.0))) / (ddc + t**2)
+
+
+def _passes(states, strength: StrengthParams, coeffs: WWCoefficients, strict: bool):
+    """The criterion's two passes over sorted states flattened to (k, 3).
+
+    The tension pass (TTC and TTT) runs on every state. The margins of
+    the tensile components share S = (f_t/f_c)(1 + min(s3, 0)/f_c), which
+    is f_t/f_c where s3 >= 0, so F/f_c is the largest component (the
+    larger of s1 and s2 in TTC, where s3 < 0 < s2).
+    The meridian pass runs on the compressive states (CCC and TCC) only,
+    whose values replace those: TCC is CCC with s1 taken as 0 in the
+    meridian abscissa and in F, and S scaled by (1 - s1/f_t). The
+    non-positive meridian check looks at CCC states, before that factor.
+    Returns the compressive mask, its TCC mask, and the (F/f_c, S) pairs
+    of the tension pass and of the meridian pass.
+    """
+    fc, ft = strength.f_c, strength.f_t
+    s = np.asarray(states, dtype=float).reshape(-1, 3)
+    s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
+    tension = (np.maximum(np.maximum(s1, s2), s3) / fc,
+               (ft / fc) * (1.0 + np.minimum(s3, 0.0) / fc))
+
+    comp = ~((s3 >= 0.0) | (s2 > 0.0))
+    c = s[comp]
+    a1, a2, a3 = c[:, 0], c[:, 1], c[:, 2]
+    tcc = a1 > 0.0
+    # s1 as it enters the meridian abscissa and F
+    m1 = np.where(tcc, 0.0, a1)
+    d23 = (a2 - a3) ** 2
+    xi = (m1 + a2 + a3) / (3.0 * fc)
+    xi2 = xi**2
+    a_0, a_1, a_2 = coeffs.a.tolist()
+    b_0, b_1, b_2 = coeffs.b.tolist()
+    r1 = a_0 + a_1 * xi + a_2 * xi2
+    r2 = b_0 + b_1 * xi + b_2 * xi2
+    den = math.sqrt(2.0) * np.sqrt((a1 - a2) ** 2 + d23 + (a3 - a1) ** 2)
+    # on the hydrostatic axis, 0/0, the tensile meridian: cos eta = 1
+    cos_eta = np.divide(2.0 * a1 - a2 - a3, den, out=np.ones_like(den), where=den != 0.0)
+    S = _meridian(r1, r2, cos_eta)
+    bad = (S <= 0.0) & ~tcc
+    if bad.any():
+        if strict:
+            raise EvaluationError("non-positive compressive meridian value")
+        S[bad] = np.nan
+    S *= np.where(tcc, 1.0 - a1 / ft, 1.0)
+    F = np.sqrt(((m1 - a2) ** 2 + d23 + (a3 - m1) ** 2) / 15.0)
+    return comp, tcc, tension, (F / fc, S)
 
 
 def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients,
@@ -181,64 +222,20 @@ def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients
     the margin of that state are NaN instead.
     """
     s = np.asarray(states, dtype=float)
-    s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2]
-    fc, ft, sf = strength.f_c, strength.f_t, strength.s_f
-
-    ttt = s3 >= 0.0
-    ttc = ~ttt & (s2 > 0.0)
-    tcc = ~ttt & ~ttc & (s1 > 0.0)
-    ccc = ~(ttt | ttc | tcc)
-
-    f_over = np.zeros_like(s1)
-    s_term = np.zeros_like(s1)
-    dom = np.zeros(s1.shape, dtype=np.int8)
-
-    if np.any(ccc):
-        a1, a2v, a3 = s1[ccc], s2[ccc], s3[ccc]
-        xi = (a1 + a2v + a3) / (3.0 * fc)
-        r1 = coeffs.r1(xi)
-        r2 = coeffs.r2(xi)
-        S = _meridian(r1, r2, _cos_eta(a1, a2v, a3))
-        bad = S <= 0.0
-        if np.any(bad):
-            if strict:
-                raise EvaluationError("non-positive compressive meridian value")
-            S = np.where(bad, np.nan, S)
-        F = np.sqrt(((a1 - a2v) ** 2 + (a2v - a3) ** 2 + (a3 - a1) ** 2) / 15.0)
-        f_over[ccc] = F / fc
-        s_term[ccc] = S
-        dom[ccc] = 0
-
-    if np.any(tcc):
-        a1, a2v, a3 = s1[tcc], s2[tcc], s3[tcc]
-        # mean of the two compressive components, normalized by f_c so the
-        # meridian abscissa stays dimensionless
-        chi = (a2v + a3) / (3.0 * fc)
-        p1 = coeffs.r1(chi)
-        p2 = coeffs.r2(chi)
-        S = (1.0 - a1 / ft) * _meridian(p1, p2, _cos_eta(a1, a2v, a3))
-        F = np.sqrt(((a2v - a3) ** 2 + a2v**2 + a3**2) / 15.0)
-        f_over[tcc] = F / fc
-        s_term[tcc] = S
-        dom[tcc] = 1
-
-    if np.any(ttc):
-        # per-component margins share S; the worst is the largest tension
-        S = (ft / fc) * (1.0 + s3[ttc] / fc)
-        f_over[ttc] = np.maximum(s1[ttc], s2[ttc]) / fc
-        s_term[ttc] = S
-        dom[ttc] = 2
-
-    if np.any(ttt):
-        f_over[ttt] = np.maximum(np.maximum(s1[ttt], s2[ttt]), s3[ttt]) / fc
-        s_term[ttt] = ft / fc
-        dom[ttt] = 3
-
-    return f_over - s_term / sf, f_over, s_term, dom
+    comp, tcc, (f_over, s_term), (f_comp, s_comp) = _passes(s, strength, coeffs, strict)
+    f_over[comp] = f_comp
+    s_term[comp] = s_comp
+    dom = np.where(s[..., 2].ravel() >= 0.0, 3, 2).astype(np.int8)
+    dom[comp] = tcc
+    margin = f_over - s_term / strength.s_f
+    return tuple(a.reshape(s.shape[:-1]) for a in (margin, f_over, s_term, dom))
 
 
 def criterion_values(states, strength: StrengthParams, coeffs: WWCoefficients,
                      strict: bool = True):
     """Margins only, for sorted states of shape (..., 3); strict as in
     evaluate_components."""
-    return evaluate_components(states, strength, coeffs, strict)[0]
+    comp, _, (f_over, s_term), (f_comp, s_comp) = _passes(states, strength, coeffs, strict)
+    margin = f_over - s_term / strength.s_f
+    margin[comp] = f_comp - s_comp / strength.s_f
+    return margin.reshape(np.shape(states)[:-1])

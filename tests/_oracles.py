@@ -6,9 +6,12 @@ the pairwise force sum over explicit difference vectors, grid-sum and
 loop hypervolume, Monte Carlo volume, the closed-form calibration stress
 states for the failure criterion, the Lagrange basis in product form
 and the barycentric interpolant for one design, the dam evaluator one
-design at a time, and the scalar forms of the criterion (sorting, domain,
-margin) and of the tournament (one duel, one win ratio).
+design at a time, the four-pass criterion (one masked pass per stress
+domain), and the scalar forms of the criterion (sorting, domain, margin)
+and of the tournament (one duel, one win ratio).
 """
+
+import math
 
 import numpy as np
 
@@ -126,7 +129,7 @@ def grid_hypervolume(front, reference, resolution=1e-3):
     return covered.sum() * resolution * resolution
 
 
-def mc_volume(design, levels, canyon, n_samples, seed=0, chunk=2_000_000):
+def mc_volume(design, levels, canyon, n_samples, seed=0, chunk=100_000):
     """Monte Carlo estimate of the concrete volume over the clipped canyon
     for one design of 20 values, with the faces of the parabolic arch
     (y_u = x^2 / 2ru + g, y_d = x^2 / 2rd + g + tc) taken from the
@@ -342,6 +345,85 @@ def surrogate_states(tc, ru, z, face, h, load_cases, moment_share):
         comp = np.stack([hoop, vertical, np.zeros_like(hoop)], axis=-1)
         states[:, k, :] = np.sort(comp, axis=-1)[:, ::-1]
     return states
+
+
+def _cos_eta(s1, s2, s3):
+    dev = (s1 - s2) ** 2 + (s2 - s3) ** 2 + (s3 - s1) ** 2
+    num = 2.0 * s1 - s2 - s3
+    den = math.sqrt(2.0) * np.sqrt(dev)
+    # hydrostatic axis: 0/0, defined as the tensile meridian
+    return np.where(den == 0.0, 1.0, num / np.where(den == 0.0, 1.0, den))
+
+
+def _meridian(r1, r2, cos_eta):
+    """Elliptic blend between the tensile (r1) and compressive (r2) meridians."""
+    c2 = cos_eta * cos_eta
+    dd = r2 * r2 - r1 * r1
+    disc = 4.0 * dd * c2 + 5.0 * r1 * r1 - 4.0 * r1 * r2
+    den = 4.0 * dd * c2 + (r2 - 2.0 * r1) ** 2
+    return (2.0 * r2 * dd * cos_eta + r2 * (2.0 * r1 - r2) * np.sqrt(np.maximum(disc, 0.0))) / den
+
+
+def evaluate_components_four_pass(states, strength, coeffs, strict=True):
+    """The criterion as four masked passes, one per stress domain, each
+    gathering its states and scattering F/f_c, S and the domain code
+    back: (margin, F_over_fc, S, domain_code) as
+    willam_warnke.evaluate_components returns them."""
+    s = np.asarray(states, dtype=float)
+    s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2]
+    fc, ft, sf = strength.f_c, strength.f_t, strength.s_f
+
+    ttt = s3 >= 0.0
+    ttc = ~ttt & (s2 > 0.0)
+    tcc = ~ttt & ~ttc & (s1 > 0.0)
+    ccc = ~(ttt | ttc | tcc)
+
+    f_over = np.zeros_like(s1)
+    s_term = np.zeros_like(s1)
+    dom = np.zeros(s1.shape, dtype=np.int8)
+
+    if np.any(ccc):
+        a1, a2v, a3 = s1[ccc], s2[ccc], s3[ccc]
+        xi = (a1 + a2v + a3) / (3.0 * fc)
+        r1 = coeffs.r1(xi)
+        r2 = coeffs.r2(xi)
+        S = _meridian(r1, r2, _cos_eta(a1, a2v, a3))
+        bad = S <= 0.0
+        if np.any(bad):
+            if strict:
+                raise EvaluationError("non-positive compressive meridian value")
+            S = np.where(bad, np.nan, S)
+        F = np.sqrt(((a1 - a2v) ** 2 + (a2v - a3) ** 2 + (a3 - a1) ** 2) / 15.0)
+        f_over[ccc] = F / fc
+        s_term[ccc] = S
+        dom[ccc] = 0
+
+    if np.any(tcc):
+        a1, a2v, a3 = s1[tcc], s2[tcc], s3[tcc]
+        # mean of the two compressive components, normalized by f_c so the
+        # meridian abscissa stays dimensionless
+        chi = (a2v + a3) / (3.0 * fc)
+        p1 = coeffs.r1(chi)
+        p2 = coeffs.r2(chi)
+        S = (1.0 - a1 / ft) * _meridian(p1, p2, _cos_eta(a1, a2v, a3))
+        F = np.sqrt(((a2v - a3) ** 2 + a2v**2 + a3**2) / 15.0)
+        f_over[tcc] = F / fc
+        s_term[tcc] = S
+        dom[tcc] = 1
+
+    if np.any(ttc):
+        # per-component margins share S; the worst is the largest tension
+        S = (ft / fc) * (1.0 + s3[ttc] / fc)
+        f_over[ttc] = np.maximum(s1[ttc], s2[ttc]) / fc
+        s_term[ttc] = S
+        dom[ttc] = 2
+
+    if np.any(ttt):
+        f_over[ttt] = np.maximum(np.maximum(s1[ttt], s2[ttt]), s3[ttt]) / fc
+        s_term[ttt] = ft / fc
+        dom[ttt] = 3
+
+    return f_over - s_term / sf, f_over, s_term, dom
 
 
 def sort_principal(sigma):

@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from archdam import DamProblem, DesignVector, StrengthParams, solve_coefficients
+from archdam import DamProblem, StrengthParams, solve_coefficients
 
 # reference optimized design used as the regression anchor
 TABLE5 = np.array([
@@ -27,7 +27,7 @@ def grid_states(problem, x):
 
 @pytest.fixture(scope="session")
 def table5_design():
-    return DesignVector.from_array(TABLE5)
+    return TABLE5
 
 
 @pytest.fixture(scope="session")

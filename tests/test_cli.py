@@ -177,6 +177,12 @@ PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
     ({"strength": {"s_f": 1e-320}}, "$.strength.s_f", {"strength": {"s_f": 1}}),
     ({"problem": {"gamma_allow": 1e-320}}, "$.problem.gamma_allow",
      {"problem": {"gamma_allow": 0.01}}),
+    # huge densities overflow the stresses and the meridian
+    ({"loads": [{"kind": "hydrostatic", "water_density": 1e150}]}, "$.loads[0].water_density",
+     {"loads": [{"kind": "hydrostatic", "water_density": 2000}]}),
+    ({"loads": [{"kind": "hydrostatic", "concrete_density": 1e300}]},
+     "$.loads[0].concrete_density",
+     {"loads": [{"kind": "hydrostatic", "concrete_density": 6000}]}),
 ])
 def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
                                                          ceiling):
@@ -197,9 +203,12 @@ def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, paylo
         value, bound = float(m[1]), float(m[3])
         assert value > bound if m[2].startswith("greater") else value < bound
     assert not (tmp_path / "run").exists()
-    # the limit itself is accepted and gives finite output
+    # the limit itself is accepted and gives finite output, without a warning
     cfg.write_text(json.dumps(ceiling))
-    assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 0
+    assert not caught, [str(w.message) for w in caught]
     assert np.isfinite(json.loads(capsys.readouterr().out)["fit1"])
 
 

@@ -23,10 +23,12 @@ def test_reference_design_regression(dam_problem, table5_design):
     assert len(e.diagnostics["constraints"]) == 9
 
 
-def test_evaluate_accepts_array_and_vector(dam_problem, table5_design):
+def test_evaluate_accepts_array_and_vector(dam_problem):
     ea = dam_problem.evaluate(TABLE5)
-    ev = dam_problem.evaluate(table5_design)
-    assert ea.fit1 == ev.fit1 and ea.fit2 == ev.fit2
+    el = dam_problem.evaluate(TABLE5.tolist())
+    assert ea.fit1 == el.fit1 and ea.fit2 == el.fit2
+    with pytest.raises(ValueError, match="exactly 20 entries"):
+        dam_problem.evaluate(TABLE5[:19])
 
 
 def test_repeat_evaluations_bitwise_identical(dam_problem):

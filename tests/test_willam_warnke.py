@@ -7,11 +7,13 @@ from archdam import StrengthParams, criterion_values, solve_coefficients
 from archdam.willam_warnke import (
     DOMAIN_NAMES,
     DegenerateStrengthError,
+    EvaluationError,
     evaluate_components,
     hydrostatic_validity,
 )
 
-from _oracles import calibration_states, classify_domain, criterion_value, sort_principal
+from _oracles import (calibration_states, classify_domain, criterion_value,
+                      evaluate_components_four_pass, sort_principal)
 
 
 def test_default_coefficients_frozen(default_coeffs):
@@ -56,6 +58,59 @@ def test_domain_classification():
     assert classify_domain((1.0, 0.0, -1.0)) == "TCC"
     assert classify_domain((0.0, -1.0, -2.0)) == "CCC"
     assert DOMAIN_NAMES == ("CCC", "TCC", "TTC", "TTT")
+
+
+def _edge_and_drawn_states(strength, rng):
+    """Sorted states: hand-picked edges of every domain (signed zeros,
+    ties at s1, s2 or s3 = 0, s1 at and above f_t, the hydrostatic axis)
+    and random draws, a tenth of them scaled far beyond the calibrated
+    range, where compressive meridians come out non-positive."""
+    ft = strength.f_t
+    edges = [
+        [-1.0, -2.0, -3.0], [0.0, -1.0, -2.0], [-0.0, -1.0, -2.0], [0.0, 0.0, -2.0],
+        [1.0, 0.0, -2.0], [1.0, -0.0, -2.0], [1.0, 0.5, 0.0], [1.0, 0.5, -0.0],
+        [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, -0.0, -0.0], [ft, -1.0, -2.0],
+        [1.5 * ft, -1.0, -2.0], [ft, 0.5, -2.0], [2.0 * ft, 1.0, -3.0], [ft, ft, ft],
+        [ft, 0.0, -0.0], [-10.0, -10.0, -10.0], [-2.0, -2.0, -5.0], [-1.0, -4.0, -4.0],
+    ]
+    drawn = rng.normal(0.0, 20.0, (6000, 3))
+    drawn[::3, rng.integers(0, 3)] = 0.0
+    drawn[1::7, rng.integers(0, 3)] = -0.0
+    drawn[2::5, 0] = rng.choice([ft, 1.5 * ft], len(drawn[2::5]))
+    drawn[::10] *= 30.0
+    states = np.vstack([edges, np.sort(drawn, axis=1)[:, ::-1]])
+    states[6::9, 2] = states[6::9, 1]
+    return states
+
+
+def test_criterion_matches_four_pass_oracle(default_strength, default_coeffs):
+    # bit for bit, NaN positions included, against one masked pass per domain
+    states = _edge_and_drawn_states(default_strength, np.random.default_rng(41))
+    for shaped in (states, states.reshape(-1, 2, 3)):
+        ref = evaluate_components_four_pass(shaped, default_strength, default_coeffs,
+                                            strict=False)
+        got = evaluate_components(shaped, default_strength, default_coeffs, strict=False)
+        margins = criterion_values(shaped, default_strength, default_coeffs, strict=False)
+        for a, b in zip((margins,) + got[:3], (ref[0],) + ref[:3]):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert got[3].dtype == ref[3].dtype and np.array_equal(got[3], ref[3])
+    dom, margin = ref[3].ravel(), ref[0].ravel()
+    assert set(np.unique(dom)) == {0, 1, 2, 3}
+    assert np.isnan(margin).any() and not np.isnan(margin[dom != 0]).any()
+    assert (ref[2].ravel()[dom == 1] < 0.0).any()  # TCC states beyond f_t
+    with pytest.raises(EvaluationError):
+        evaluate_components_four_pass(states, default_strength, default_coeffs)
+    with pytest.raises(EvaluationError):
+        criterion_values(states, default_strength, default_coeffs)
+    with pytest.raises(EvaluationError):
+        evaluate_components(states, default_strength, default_coeffs)
+    finite = states[~np.isnan(margin)]
+    strict = evaluate_components(finite, default_strength, default_coeffs)
+    assert np.array_equal(criterion_values(finite, default_strength, default_coeffs),
+                          strict[0])
+    for a, b in zip(strict, evaluate_components_four_pass(finite, default_strength,
+                                                          default_coeffs)):
+        assert np.array_equal(a, b)
 
 
 def test_sort_principal():

@@ -123,7 +123,7 @@ def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
         dominated = np.all(ref <= front, axis=1) & np.any(ref < front, axis=1)
         if np.any(dominated):
             raise ValueError("reference point lies inside the front region")
-    inside = np.all(front < ref, axis=1)
+    inside = (front[:, 0] < ref[0]) & (front[:, 1] < ref[1])
     if not inside.any():
         return 0.0
     pts = _nd_filter(front[inside])

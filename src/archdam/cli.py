@@ -20,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -358,9 +357,15 @@ def _cmd_ww_surface(args) -> int:
     axis = np.linspace(args.sigma_min, args.sigma_max, args.steps)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     states = np.sort(pts.reshape(-1, 3), axis=1)[:, ::-1]
-    margin, f_over, s_term, dom = ww.evaluate_components(
-        states, problem.strength, problem.coeffs
-    )
+    try:
+        margin, f_over, s_term, dom = ww.evaluate_components(
+            states, problem.strength, problem.coeffs
+        )
+    except ww.EvaluationError as exc:
+        raise ConfigError(
+            f"--sigma-min/--sigma-max: the grid [{args.sigma_min:g}, {args.sigma_max:g}] MPa "
+            f"reaches states outside the criterion's calibrated range ({exc})"
+        ) from exc
 
     rows = [
         [_f6(s[0]), _f6(s[1]), _f6(s[2]), ww.DOMAIN_NAMES[d],
@@ -426,9 +431,7 @@ def _cmd_benchmark(args) -> int:
              mocss_cfg.seed)
     res = run_mocss(problem, mocss_cfg)
 
-    name = problem.name.lower()
-    golden = Path(__file__).parent / "data" / "golden" / f"{name}_front.csv"
-    samples = np.loadtxt(golden, delimiter=",", skiprows=1)
+    samples = problem.analytic_front(1000)
     scale = samples.max(axis=0) - samples.min(axis=0)
     scale[scale == 0.0] = 1.0
 

@@ -30,15 +30,21 @@ from: the initial front of n >= 2 CPs is non-empty, every update keeps
 the rank-1 rows of a non-empty union, and the prune stops at
 archive_capacity >= 1.
 
-Bookkeeping: ranking and pruning run every iteration, so both avoid
-quadratic rework. pareto_rank handles exactly two objectives: it sorts
-the feasible rows into fronts in one sweep in (f1, f2) order, with a
-bisection over the fronts per row, O(n log n) in all (Jensen 2003); the
-CM update takes only the first front, a running minimum in that order.
-The CM prune walks a linked list in weighted-objective order to each
-row's nearest neighbour and, per deletion, rescans only the rows whose
-neighbour was deleted. The force step takes its distances from the Gram
-matrix and its sums from one matrix product.
+Bookkeeping: ranking, the CM update and the prune run every iteration,
+so each avoids quadratic rework, and per-row Python where an array pass
+gives the same bits. pareto_rank handles exactly two objectives: it
+sorts the feasible rows into fronts in one sweep in (f1, f2) order, with
+a bisection over the fronts per row, O(n log n) in all (Jensen 2003).
+The CM update takes only the first front, a running minimum in that
+order, and compares designs only among its rows that share an objective
+row. The CM prune keeps each row's nearest neighbour along a linked list
+in weighted-objective order: on a mutually non-dominated set one
+vectorised pass over the gaps between adjacent rows finds it, and a walk
+settles rows with equal gaps. Deletions come off a heap, and each
+rescans only the rows whose neighbour it removed, found through reverse
+pointers. The force step takes its distances from the Gram matrix and
+its sums from one matrix product, and computes the inverse-square branch
+only when some pair lies outside the radius.
 
 Randomness: a single seeded numpy Generator, consumed in a fixed order
 each iteration - replacement member picks and their jitter, the
@@ -153,7 +159,7 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
         raise ValueError(f"pareto_rank: needs two objective columns, got {F.shape[1]}")
     n = len(F)
     viol = np.zeros(n) if violations is None else np.asarray(violations, dtype=float)
-    bad = ~(np.isfinite(F).all(axis=1) & np.isfinite(viol))
+    bad = ~(np.isfinite(F[:, 0]) & np.isfinite(F[:, 1]) & np.isfinite(viol))
     if bad.any():
         raise NonFiniteError(f"pareto_rank: row {int(np.argmax(bad))} has a non-finite "
                              "objective or violation")
@@ -195,15 +201,23 @@ def _prune_archive(X, F, viol, capacity, alpha):
     along the rows linked in (w0, w1) order. Where w1 is monotone in that
     order (any mutually non-dominated set), distance only grows outward,
     so it stops at the first farther row; elsewhere, once sqrt(dx * dx)
-    alone exceeds the best. A deletion unlinks its row and rescans only
-    the rows whose neighbour it was.
+    alone exceeds the best. On a monotone set the first search of each
+    row is one vectorised pass over the gaps between adjacent rows: the
+    nearer of its two adjacent rows, unless the row two out on a side is
+    no farther than the adjacent one, where the walk decides. Deletions
+    come off a heap keyed (distance, row), whose stale entries are
+    skipped; a deletion unlinks its row and rescans only the rows whose
+    neighbour it was.
     """
     n = len(F)
     if n <= capacity:
         return X, F, viol
+    import heapq  # here, so that runs whose CM stays within capacity never load it
+
     W = F * _deletion_weights(F, alpha)
     order = np.lexsort((W[:, 1], W[:, 0]))
-    step = np.diff(W[order, 1])
+    Wo = W[order]
+    step = np.diff(Wo[:, 1])
     monotone = bool((step <= 0.0).all() or (step >= 0.0).all())
     w0, w1, row = W[:, 0].tolist(), W[:, 1].tolist(), order.tolist()
     pos = np.argsort(order).tolist()
@@ -224,21 +238,65 @@ def _prune_archive(X, F, viol, capacity, alpha):
                 p = link[p]
         return best, near
 
-    nd, nn = map(np.array, zip(*map(nearest, range(n))))
-    alive = np.ones(n, dtype=bool)
+    if monotone:
+        # the walk's distances from each position in (w0, w1) order to
+        # the rows one and two places on, with an infinite gap at each end
+        gap = np.full(n + 1, math.inf)
+        gap[1:n] = _distances(Wo[1:], Wo[:-1])
+        two = _distances(Wo[2:], Wo[:-2])
+        side = np.full(n + 2, n)
+        side[1:-1] = order
+        left, right, jl, jr = gap[:-1], gap[1:], side[:-2], side[2:]
+        take = (right < left) | ((right == left) & (jr < jl))
+        nd, nn = np.empty(n), np.empty(n, dtype=np.intp)
+        nd[order] = np.where(take, right, left)
+        nn[order] = np.where(take, jr, jl)
+        nd, nn = nd.tolist(), nn.tolist()
+        walk = np.zeros(n, dtype=bool)
+        walk[2:] = two == left[2:]
+        walk[:-2] |= two == right[:-2]
+        for i in order[walk].tolist():
+            nd[i], nn[i] = nearest(i)
+    else:
+        nd, nn = map(list, zip(*map(nearest, range(n))))
+
+    # each alive row's current heap entry; an entry popped that is not its
+    # row's current one is stale
+    entry = list(zip(nd, range(n)))
+    heap = entry.copy()
+    heapq.heapify(heap)
+    watchers = [[] for _ in range(n + 1)]  # the rows whose nearest neighbour each row is
+    for s, j in enumerate(nn):
+        watchers[j].append(s)
+    alive = [True] * n
     extremes = _extremes(F, alive)
     for _ in range(n - capacity):
-        i = int(nd.argmin())
-        j = int(nn[i])
+        top = heapq.heappop(heap)
+        while top is not entry[top[1]]:
+            top = heapq.heappop(heap)
+        i = top[1]
+        j = nn[i]
         kill = j if j not in extremes else (i if i not in extremes else j)
-        alive[kill], nd[kill] = False, math.inf
+        alive[kill], entry[kill] = False, None
         p = pos[kill]
         succ[prev[p]], prev[succ[p]] = succ[p], prev[p]
-        for s in np.flatnonzero(alive & (nn == kill)).tolist():
-            nd[s], nn[s] = nearest(s)
+        for s in watchers[kill]:
+            if nn[s] == kill and alive[s]:
+                d, nn[s] = nearest(s)
+                watchers[nn[s]].append(s)
+                entry[s] = (d, s)
+                heapq.heappush(heap, entry[s])
         if kill in extremes:
             extremes = _extremes(F, alive)
+    alive = np.array(alive)
     return X[alive], F[alive], viol[alive]
+
+
+def _distances(A, B):
+    """Row-wise sqrt(dx * dx + dy * dy) of two (m, 2) arrays, rounded as
+    math.sqrt rounds it on Python floats."""
+    dx, dy = A[:, 0] - B[:, 0], A[:, 1] - B[:, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _first_front(F, V):
@@ -258,22 +316,35 @@ def _first_front(F, V):
 
 
 def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
+    """The CM after adding the candidates: the first front of the union,
+    each repeated design once (its first occurrence), pruned to capacity.
+
+    Exact duplicates add nothing and would flood the archive once the
+    competition step starts cloning members back into the population.
+    A repeated design carries the same objective row and violation, since
+    run_mocss evaluates lo + X * span row by row, so all its copies are
+    on the first front or none is, and only kept rows that share (f1, f2)
+    with another kept row need their design compared. Those are keyed on
+    their bytes (+ 0.0 makes -0.0 equal to 0.0).
+    """
     X = np.vstack([aX, cX])
     F = np.vstack([aF, cF])
     V = np.concatenate([aV, cV])
-    # exact duplicates add nothing and would flood the archive once the
-    # competition step starts cloning members back into the population;
-    # keep each row's first occurrence, keyed on its bytes (+ 0.0 makes
-    # -0.0 equal to 0.0)
-    rows = X + 0.0
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    first = {}
-    for i, key in enumerate(keys.tolist()):
-        first.setdefault(key, i)
-    idx = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    X, F, V = X[idx], F[idx], V[idx]
     keep = _first_front(F, V)
-    return _prune_archive(X[keep], F[keep], V[keep], capacity, alpha)
+    X, F, V = X[keep], F[keep], V[keep]
+    order = np.lexsort((F[:, 1], F[:, 0]))
+    f1, f2 = F[order, 0], F[order, 1]
+    tie = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
+    if tie.any():
+        tied = np.zeros(len(F), dtype=bool)
+        tied[order[1:][tie]] = tied[order[:-1][tie]] = True
+        rows = X[tied] + 0.0
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+        _, first = np.unique(keys, return_index=True)
+        keep = ~tied
+        keep[np.flatnonzero(tied)[first]] = True
+        X, F, V = X[keep], F[keep], V[keep]
+    return _prune_archive(X, F, V, capacity, alpha)
 
 
 def _forces(X, q, gate, radius):
@@ -285,16 +356,19 @@ def _forces(X, q, gate, radius):
     product, so no (n, n, d) array is built. A coincident pair's distance
     comes out 0 or at the Gram rounding floor (about 1e-8 |X|), where the
     linear branch scales its pull down to rounding noise; the radius must
-    stay well above that floor. Each branch is computed only where it
-    applies, so the inverse-square one never divides by zero.
+    stay well above that floor. The linear branch is computed everywhere,
+    and the inverse-square one only where some pair lies outside the
+    radius and only at those pairs, so it never divides by zero.
     """
     w = X @ X.T  # the Gram matrix, then the weights mag * gate in place
     r = np.add.outer(w.diagonal(), w.diagonal())
     r -= np.multiply(w, 2.0, out=w)
     np.sqrt(np.maximum(r, 0.0, out=r), out=r)
-    near = r < radius
-    np.divide(np.multiply(q, r, out=w, where=near), radius**3, out=w, where=near)
-    np.divide(q, np.square(r, out=r), out=w, where=~near)
+    np.multiply(q, r, out=w)
+    w /= radius**3
+    if r.max() >= radius:  # the inverse-square branch, at the pairs outside only
+        far = r >= radius
+        np.divide(q, np.square(r, out=r), out=w, where=far)
     w *= gate
     return w @ X - w.sum(axis=1)[:, None] * X
 

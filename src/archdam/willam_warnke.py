@@ -85,12 +85,6 @@ class WWCoefficients:
     valid: bool = True
     warnings: tuple = field(default_factory=tuple)
 
-    def r1(self, xi):
-        return self.a[0] + self.a[1] * xi + self.a[2] * xi**2
-
-    def r2(self, xi):
-        return self.b[0] + self.b[1] * xi + self.b[2] * xi**2
-
 
 def _solve3(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     scale = np.abs(M).max()

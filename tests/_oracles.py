@@ -2,13 +2,15 @@
 
 Everything here is deliberately slow and literal: brute-force dominance
 ranks, the archive prune that rescans every alive pair per deletion,
-the pairwise force sum over explicit difference vectors, grid-sum and
-loop hypervolume, Monte Carlo volume, the closed-form calibration stress
-states for the failure criterion, the Lagrange basis in product form
-and the barycentric interpolant for one design, the dam evaluator one
-design at a time, the four-pass criterion (one masked pass per stress
-domain), and the scalar forms of the criterion (sorting, domain, margin)
-and of the tournament (one duel, one win ratio).
+the pairwise force sum over explicit difference vectors and the force
+step with one masked pass per branch, grid-sum and loop hypervolume,
+Monte Carlo volume, the closed-form calibration stress states for the
+failure criterion, the Lagrange basis in product form and the
+barycentric interpolant for one design, the dam evaluator one design at
+a time, the four-pass criterion (one masked pass per stress domain) with
+its meridian polynomials, and the scalar forms of the criterion
+(sorting, domain, margin) and of the tournament (one duel, one win
+ratio).
 """
 
 import math
@@ -90,6 +92,22 @@ def force_reference(X, q, gate, radius):
     r_safe = np.where(r == 0.0, 1.0, r)
     mag = np.where(r < a, q[None, :] * r / a**3, q[None, :] / r_safe**2)
     return np.einsum("ji,jid->jd", mag * gate, diff)
+
+
+def forces_masked(X, q, gate, radius):
+    """The Gram-matrix force step with each branch written by a masked
+    ufunc only where it applies, so neither divides by zero: the same
+    operations in the same order as archdam.mocss._forces, which must
+    agree with it bit for bit."""
+    w = X @ X.T
+    r = np.add.outer(w.diagonal(), w.diagonal())
+    r -= np.multiply(w, 2.0, out=w)
+    np.sqrt(np.maximum(r, 0.0, out=r), out=r)
+    near = r < radius
+    np.divide(np.multiply(q, r, out=w, where=near), radius**3, out=w, where=near)
+    np.divide(q, np.square(r, out=r), out=w, where=~near)
+    w *= gate
+    return w @ X - w.sum(axis=1)[:, None] * X
 
 
 def hypervolume_reference(front, reference):
@@ -347,6 +365,16 @@ def surrogate_states(tc, ru, z, face, h, load_cases, moment_share):
     return states
 
 
+def meridian_r1(coeffs, xi):
+    """The tensile meridian r1 = a0 + a1 xi + a2 xi^2 of fitted coefficients."""
+    return coeffs.a[0] + coeffs.a[1] * xi + coeffs.a[2] * xi**2
+
+
+def meridian_r2(coeffs, xi):
+    """The compressive meridian r2 = b0 + b1 xi + b2 xi^2 of fitted coefficients."""
+    return coeffs.b[0] + coeffs.b[1] * xi + coeffs.b[2] * xi**2
+
+
 def _cos_eta(s1, s2, s3):
     dev = (s1 - s2) ** 2 + (s2 - s3) ** 2 + (s3 - s1) ** 2
     num = 2.0 * s1 - s2 - s3
@@ -385,8 +413,8 @@ def evaluate_components_four_pass(states, strength, coeffs, strict=True):
     if np.any(ccc):
         a1, a2v, a3 = s1[ccc], s2[ccc], s3[ccc]
         xi = (a1 + a2v + a3) / (3.0 * fc)
-        r1 = coeffs.r1(xi)
-        r2 = coeffs.r2(xi)
+        r1 = meridian_r1(coeffs, xi)
+        r2 = meridian_r2(coeffs, xi)
         S = _meridian(r1, r2, _cos_eta(a1, a2v, a3))
         bad = S <= 0.0
         if np.any(bad):
@@ -403,8 +431,8 @@ def evaluate_components_four_pass(states, strength, coeffs, strict=True):
         # mean of the two compressive components, normalized by f_c so the
         # meridian abscissa stays dimensionless
         chi = (a2v + a3) / (3.0 * fc)
-        p1 = coeffs.r1(chi)
-        p2 = coeffs.r2(chi)
+        p1 = meridian_r1(coeffs, chi)
+        p2 = meridian_r2(coeffs, chi)
         S = (1.0 - a1 / ft) * _meridian(p1, p2, _cos_eta(a1, a2v, a3))
         F = np.sqrt(((a2v - a3) ** 2 + a2v**2 + a3**2) / 15.0)
         f_over[tcc] = F / fc

@@ -1,5 +1,3 @@
-import csv
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -156,14 +154,3 @@ def test_zdt_evaluations_and_fronts():
 def test_unknown_benchmark_raises():
     with pytest.raises(ValueError):
         get_benchmark("DTLZ2")
-
-
-def test_golden_front_files_match_analytic():
-    for name in ("sch", "zdt1", "zdt2"):
-        ref = resources.files("archdam.data.golden").joinpath(f"{name}_front.csv")
-        with ref.open() as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["f1", "f2"]
-        stored = np.array(rows[1:], dtype=float)
-        assert stored.shape == (1000, 2)
-        assert np.allclose(stored, get_benchmark(name).analytic_front(1000), atol=1e-15)

@@ -327,6 +327,16 @@ def test_ww_surface_artifact(tmp_path, capsys):
     assert len(domains) >= 3
     assert main(["ww-surface", "--out", str(out), "--sigma-min", "5",
                  "--sigma-max", "-5"]) == 2
+    capsys.readouterr()
+    # a grid reaching past the calibrated range (mean stress below about
+    # -3.06 f_c) is a usage error naming the range, not a runtime failure
+    far = tmp_path / "ww_far"
+    assert main(["ww-surface", "--out", str(far), "--sigma-min", "-400",
+                 "--sigma-max", "20", "--steps", "31"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --sigma-min/--sigma-max: the grid [-400, 20] MPa ")
+    assert err.count("\n") == 1
+    assert not far.exists()
 
 
 def test_optimize_decide_round_trip(tmp_path, capsys):
@@ -463,10 +473,9 @@ def test_benchmark_artifacts(tmp_path, capsys):
     assert main(["benchmark", "--problem", "sch", "--config", cfg,
                  "--out", str(out)]) == 0
     capsys.readouterr()
+    # pinned to the digit: IGD is measured against analytic_front(1000)
     metrics = json.loads((out / "metrics.json").read_text())
-    assert set(metrics) == {"igd", "hypervolume", "seed"}
-    assert metrics["igd"] < 0.5
-    assert metrics["hypervolume"] > 0.0
+    assert metrics == {"igd": 0.0173779, "hypervolume": 17.4318, "seed": 0}
     lines = (out / "front.csv").read_text().splitlines()
     assert lines[1] == "f1,f2"
     _assert_manifest_lists_the_other_files(out)

@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 from archdam import MocssConfig, get_benchmark, pareto_rank, run_mocss
 from archdam.mocss import NonFiniteError, _archive_update, _forces, _prune_archive, _repair
 
-from _oracles import brute_force_rank, force_reference, prune_reference, random_population
+from _oracles import (brute_force_rank, force_reference, forces_masked, prune_reference,
+                      random_population)
 
 
 def test_pareto_rank_matches_brute_force():
@@ -98,23 +99,45 @@ def test_prune_matches_reference():
         got = _prune_archive(X, F, viol, capacity, alpha)
         want = prune_reference(X, F, viol, capacity, alpha)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
-    for trial in range(80):
+    for trial in range(140):
         n = int(rng.integers(100, 131))
         f1 = np.sort(rng.random(n))
-        if trial % 4 == 0:
+        if trial % 7 == 0:
             # a ZDT1-shaped front, mutually non-dominated, over capacity
             F = np.column_stack([f1, 1.0 - np.sqrt(f1)])
-        elif trial % 4 == 1:
+        elif trial % 7 == 1:
             # the worst f2 is negative, so the f2 weight is negative
             F = np.column_stack([f1, -0.5 - np.sqrt(f1)])
-        elif trial % 4 == 2:
+        elif trial % 7 == 2:
             # rows that differ from another only in the last bit
             F = np.column_stack([f1, 1.0 - np.sqrt(f1)])
             k = rng.integers(0, n, n // 2)
             F[k] = np.nextafter(F[k - 1], np.where(rng.random((len(k), 2)) < 0.5, -np.inf, np.inf))
-        else:
+        elif trial % 7 == 3:
             # not monotone, with f1 nearly constant: long neighbour walks
             F = np.column_stack([0.5 + rng.integers(-2, 3, n) * 2.0**-53, rng.random(n)])
+        elif trial % 7 == 4:
+            # a front with repeated rows: the row two out is no farther
+            # than the adjacent one, so the first search walks
+            F = np.column_stack([f1, 1.0 - np.sqrt(f1)])
+            k = rng.integers(1, n, n // 4)
+            F[k] = F[k - 1]
+        elif trial % 7 == 5:
+            # an integer anti-diagonal with repeats: equal gaps on both
+            # sides and two rows out
+            f1 = rng.integers(0, 40, n).astype(float)
+            F = np.column_stack([f1, 40.0 - f1])
+        else:
+            # an evenly spaced anti-diagonal, so a row's two gaps are equal
+            # and the lower row index decides, with one value repeated:
+            # row 0 lies between rows 3 and 1 (equal) and row 2, so its
+            # search must walk past row 3 to row 1, which it deletes once
+            # row 1 has deleted row 3
+            v = int(rng.integers(2, n - 3))
+            f1 = np.empty(n)
+            f1[:4] = v, v - 1, v + 1, v - 1
+            f1[4:] = rng.permutation(np.setdiff1d(np.arange(n - 1.0), [v - 1, v, v + 1]))
+            F = np.column_stack([f1, n - f1])
         X = np.arange(n, dtype=float)[:, None]
         viol = np.zeros(n)
         alpha = (1.0, 0.5, 3.0)[trial % 3]
@@ -279,34 +302,54 @@ def test_coincident_particles_are_safe():
     assert np.isfinite(res.objectives).all()
 
 
+def _archive_update_like_np_unique(X, F, V):
+    """_archive_update on the union split in two equals the first front,
+    in order, of the rows np.unique(axis=0) keeps (each design's first
+    occurrence, -0.0 equal to 0.0); bytes, so that the kept one of -0.0
+    and 0.0 counts too."""
+    n = len(X)
+    _, first = np.unique(X, axis=0, return_index=True)
+    keep = np.sort(first)
+    want = _prune_archive(*(a[keep][pareto_rank(F[keep], V[keep]) == 1] for a in (X, F, V)),
+                          n, 1.0)
+    got = _archive_update(X[:n // 2], F[:n // 2], V[:n // 2],
+                          X[n // 2:], F[n // 2:], V[n // 2:], n, 1.0)
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 def test_archive_update_drops_repeated_rows_like_np_unique():
-    # the union dedup keeps each row's first occurrence, with -0.0 equal
-    # to 0.0, as np.unique(axis=0) did before, and the kept rows are the
-    # first front that pareto_rank gives, in their order
+    # a repeated design carries one objective row and violation, as
+    # run_mocss's row-by-row evaluation gives it, so they are drawn per
+    # distinct design
     rng = np.random.default_rng(53)
-    for trial in range(120):
+    for trial in range(150):
         n, d = int(rng.integers(1, 60)), int(rng.integers(1, 6))
         X = rng.integers(-1, 2, (n, d)).astype(float)  # many repeated rows
         X[rng.random((n, d)) < 0.2] = -0.0
-        F, V = rng.random((n, 2)), np.zeros(n)
-        if trial % 4 == 1:
-            # nothing feasible; the least violation is tied
-            V = rng.integers(1, 3, n) * 0.5
-        elif trial % 4 == 2:
-            # feasible and infeasible rows mixed
-            V = np.where(rng.random(n) < 0.5, rng.integers(1, 3, n) * 0.5, 0.0)
-        elif trial % 4 == 3:
+        design = np.unique(X, axis=0, return_inverse=True)[1].ravel()
+        m = design.max() + 1
+        F, V = rng.random((m, 2)), np.zeros(m)
+        if trial % 5 in (3, 4):
             # distinct designs that share objective rows
-            F = rng.integers(0, 3, (n, 2)).astype(float)
-        _, first = np.unique(X, axis=0, return_index=True)
-        keep = np.sort(first)
-        want = _prune_archive(*(a[keep][pareto_rank(F[keep], V[keep]) == 1] for a in (X, F, V)),
-                              n, 1.0)
-        got = _archive_update(X[:n // 2], F[:n // 2], V[:n // 2],
-                              X[n // 2:], F[n // 2:], V[n // 2:], n, 1.0)
-        for a, b in zip(got, want):
-            # bytes, so that the kept one of -0.0 and 0.0 counts too
-            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            F = rng.integers(0, 3, (m, 2)).astype(float)
+        if trial % 5 in (1, 4):
+            # nothing feasible; the least violation is tied
+            V = rng.integers(1, 3, m) * 0.5
+        elif trial % 5 == 2:
+            # feasible and infeasible rows mixed
+            V = np.where(rng.random(m) < 0.5, rng.integers(1, 3, m) * 0.5, 0.0)
+        assert _archive_update_like_np_unique(X, F[design], V[design]), trial
+    # a run of distinct designs sharing one objective row, with a repeated
+    # design at its first and at its last place, beside a row off the run,
+    # feasible and with nothing feasible
+    a, b, c, e = [0.0, 1.0], [1.0, 0.0], [-0.0, 0.5], [0.5, 0.5]
+    for rows in ([a, b, c, a], [b, a, c, c], [a, a, b, c, a], [e, a, b, e, c, a],
+                 [c, e, b, a, [0.0, 0.5]]):
+        X = np.array(rows)
+        off = (X == e).all(axis=1)
+        F = np.where(off[:, None], [0.1, 0.9], [0.2, 0.2])
+        for V in (np.zeros(len(X)), np.full(len(X), 0.5), np.where(off, 0.25, 0.5)):
+            assert _archive_update_like_np_unique(X, F, V), rows
 
 
 def test_forces_match_pairwise_reference():
@@ -334,6 +377,36 @@ def test_forces_match_pairwise_reference():
         with np.errstate(all="raise"):
             force = _forces(X, np.linspace(0.0, 1.0, 40), gate, radius)
         assert np.abs(force).max() <= 1e-12
+
+
+def test_forces_equal_masked_branches_bit_for_bit():
+    # the linear branch over the whole matrix, and the inverse-square one
+    # only when some pair lies outside the radius, give the bits of one
+    # masked pass per branch, with no floating-point warning
+    rng = np.random.default_rng(71)
+    cases = []
+    for trial in range(48):
+        n, d = int(rng.integers(2, 100)), (1, 2, 20, 30)[trial % 4]
+        X = rng.random((n, d))
+        X[rng.integers(0, n, n // 4)] = X[rng.integers(0, n, n // 4)]  # coincident rows
+        q = rng.random(n)
+        q[rng.integers(0, n)] = 0.0  # the worst CP carries no charge
+        gate = rng.choice([-1.0, 0.0, 1.0], size=(n, n))
+        np.fill_diagonal(gate, 0.0)
+        # every pair inside the radius, both branches, and every pair of
+        # distinct rows outside it
+        radius = (10.0 * np.sqrt(d), 0.4 * np.sqrt(d), 1e-3)[trial % 3]
+        cases.append((X, q, gate, radius))
+    # pairs at exactly r == radius, and coincident ones, both in one matrix
+    X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 0.0], [1.0, 2.0]])
+    gate = np.ones((5, 5))
+    np.fill_diagonal(gate, 0.0)
+    cases += [(X, np.linspace(0.0, 1.0, 5), gate, radius) for radius in (1.0, 2.0)]
+    for X, q, gate, radius in cases:
+        with np.errstate(all="raise"):
+            got = _forces(X, q, gate, radius)
+            want = forces_masked(X, q, gate, radius)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_repair_contract():

@@ -13,7 +13,7 @@ from archdam.willam_warnke import (
 )
 
 from _oracles import (calibration_states, classify_domain, criterion_value,
-                      evaluate_components_four_pass, sort_principal)
+                      evaluate_components_four_pass, meridian_r1, meridian_r2, sort_principal)
 
 
 def test_default_coefficients_frozen(default_coeffs):
@@ -252,7 +252,7 @@ def test_scaling_property(states, f_c, ratio, m, lam):
 
 def test_convexity_window(default_strength, default_coeffs):
     xi = np.linspace(-1.0, default_strength.f_t / (3.0 * default_strength.f_c), 100)
-    ratio = default_coeffs.r1(xi) / default_coeffs.r2(xi)
+    ratio = meridian_r1(default_coeffs, xi) / meridian_r2(default_coeffs, xi)
     assert np.all(ratio > 0.5) and np.all(ratio < 1.25)
 
 
@@ -269,7 +269,7 @@ def test_hydrostatic_axis_margin(default_strength, default_coeffs):
     # deviatoric magnitude is zero so only the meridian value matters
     m = criterion_value((-10.0, -10.0, -10.0), default_strength, default_coeffs)
     xi = -10.0 / default_strength.f_c
-    assert m == pytest.approx(-float(default_coeffs.r1(xi)), rel=1e-12)
+    assert m == pytest.approx(-float(meridian_r1(default_coeffs, xi)), rel=1e-12)
 
 
 def test_degenerate_strength_raises():

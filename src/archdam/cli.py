@@ -36,7 +36,6 @@ from .config import (
 from .geometry import VARIABLE_NAMES, central_angle_deg, crown_slope
 from .mocss import NonFiniteError, run_mocss
 from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
-from .stress_model import sample_grid
 
 log = logging.getLogger("archdam")
 
@@ -77,12 +76,8 @@ def _round6(obj):
         return float(_g6(obj))
     if isinstance(obj, dict):
         return {k: _round6(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_round6(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(_g6(float(obj)))
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 
@@ -102,9 +97,9 @@ def _log_jsonl(digest: str, entries) -> str:
         rec = {
             "iter": int(e["iter"]),
             "archive_size": int(e["archive_size"]),
-            "fit1_min": _round6(e["fit1_min"]) if e["fit1_min"] is not None else None,
-            "fit2_min": _round6(e["fit2_min"]) if e["fit2_min"] is not None else None,
-            "hypervolume": _round6(e["hypervolume"]) if e["hypervolume"] is not None else None,
+            "fit1_min": _round6(e["fit1_min"]),
+            "fit2_min": _round6(e["fit2_min"]),
+            "hypervolume": _round6(e["hypervolume"]),
         }
         lines.append(json.dumps(rec, allow_nan=False))
     return "\n".join(lines) + "\n"
@@ -289,11 +284,11 @@ def _cmd_evaluate(args) -> int:
         if not np.isfinite(value):
             raise ConfigError(f"evaluate: {key} = {value} is not finite under this config")
     out = {
-        "fit1": _round6(float(ev.fit1)),
-        "fit2": _round6(float(ev.fit2)),
-        "violation": _round6(float(ev.violation)),
-        "feasible": bool(ev.feasible),
-        "diagnostics": _round6(dict(ev.diagnostics)),
+        "fit1": _round6(ev.fit1),
+        "fit2": _round6(ev.fit2),
+        "violation": _round6(ev.violation),
+        "feasible": ev.feasible,
+        "diagnostics": _round6(ev.diagnostics),
     }
     print(json.dumps(out, indent=2, allow_nan=False))
     return 0
@@ -333,12 +328,11 @@ def _cmd_stress_field(args) -> int:
         raise ValueError("non-positive radius at a stress sample")
     states = surrogate(tc, ru)[surrogate.index]
     margins = ww.criterion_values(states, problem.strength, problem.coeffs)
-    grid = sample_grid(problem.levels.h, problem.canyon, problem.n_depths, problem.n_arc)
 
     rows = [
         [_g6(px), _g6(pz), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]),
          _g6(margins[i, k])]
-        for i, (px, pz, face) in enumerate(zip(*grid))
+        for i, (px, pz, face) in enumerate(zip(*surrogate.grid))
         for k, lc in enumerate(problem.load_cases)
     ]
     _write_artifacts(outdir, digest, None, {"stress_field.csv": _csv(
@@ -353,6 +347,9 @@ def _cmd_ww_surface(args) -> int:
     outdir = args.out or output_directory(cfg)
     if args.sigma_max <= args.sigma_min:
         raise ConfigError("--sigma-max must exceed --sigma-min")
+    if args.steps < 2:
+        # one point per axis would ignore --sigma-max
+        raise ConfigError(f"--steps must be at least 2, got {args.steps}")
 
     axis = np.linspace(args.sigma_min, args.sigma_max, args.steps)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
@@ -502,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-max", type=float, default=5.0,
                    help="grid upper bound, MPa")
     p.add_argument("--steps", type=int, default=11,
-                   help="grid points per axis")
+                   help="grid points per axis, at least 2")
     p.set_defaults(func=_cmd_ww_surface)
 
     p = sub.add_parser("decide", help="rank an archive under scenarios")

@@ -104,11 +104,14 @@ def _validate(value, schema: dict, path: str = "$") -> None:
                 _validate(value[key], sub, f"{path}.{key}")
 
 
+# the scalar problem.* keys: the DamProblem fields with an int or float default
+_SCALARS = [f for f in fields(DamProblem) if isinstance(f.default, (int, float))]
+
+
 def default_config() -> dict:
     """Complete configuration with every key at its library default, read
     from the dataclasses that hold the defaults."""
-    problem = {f.name: f.default for f in fields(DamProblem)
-               if isinstance(f.default, (int, float))}
+    problem = {f.name: f.default for f in _SCALARS}
     problem["lower_bounds"] = LOWER_BOUNDS.tolist()
     problem["upper_bounds"] = UPPER_BOUNDS.tolist()
     return {
@@ -230,13 +233,7 @@ def make_problem(cfg: dict) -> DamProblem:
             canyon=canyon,
             strength=strength,
             load_cases=loads,
-            gamma_allow=prob["gamma_allow"],
-            quadrature_order=prob["quadrature_order"],
-            n_depths=prob["n_depths"],
-            n_arc=prob["n_arc"],
-            moment_share=prob["moment_share"],
-            penalty_fit1=prob["penalty_fit1"],
-            penalty_fit2=prob["penalty_fit2"],
+            **{f.name: prob[f.name] for f in _SCALARS},
             lower=np.asarray(prob["lower_bounds"], dtype=float),
             upper=np.asarray(prob["upper_bounds"], dtype=float),
         )

@@ -9,22 +9,19 @@ a design is feasible iff that sum is zero.
 
 Degenerate designs are not an error: the design is marked infeasible
 (violation + 1) and receives the configured penalty-ceiling objective
-values. There are three kinds: "radius" (an interpolated radius is
-non-positive), "thickness" (a non-positive thickness or radius at a
-stress depth) and "meridian" (a stress state whose compressive
-Willam-Warnke meridian comes out non-positive, possible only for thin
-sections outside the canonical bounds). The other designs of the batch
-keep their values.
+values. There are two kinds: "thickness" (a non-positive thickness or
+radius at a stress depth) and "meridian" (a stress state whose
+compressive Willam-Warnke meridian comes out non-positive, possible only
+for thin sections outside the canonical bounds). The other designs of
+the batch keep their values. DamProblem refuses, at construction,
+bounds that admit a non-positive ru or rd at any of the radius-check
+depths (over the canonical bounds the least value there is 21.29 m).
 
 Every depth at which a design is looked at is fixed by the problem: the
-radius-check depths, the constraint depths, the quadrature depths and
-the stress grid. DamProblem builds their interpolation terms once, so
-evaluate_batch is one numpy pass over all its designs, and evaluate is
-a batch of one. The radius check runs only where the bounds allow a
-non-positive radius: DamProblem works out from the bounds alone the
-least value the ru and rd interpolants can take at the radius-check
-depths, and over the canonical bounds that value is 21.29 m. Stresses
-are computed once per distinct (depth, face) row of the grid
+constraint depths, the quadrature depths and the stress grid. DamProblem
+builds their interpolation terms once, so evaluate_batch is one numpy
+pass over all its designs, and evaluate is a batch of one. Stresses are
+computed once per distinct (depth, face) row of the grid
 (stress_model.StressSurrogate): fit2 is the maximum over the rows, and
 the validity-warning count weights each row by the number of grid
 points it stands for.
@@ -78,8 +75,8 @@ class Evaluation:
 class _Batch(NamedTuple):
     F: np.ndarray  # (n, 2) objectives
     violation: np.ndarray  # (n,)
-    constraints: np.ndarray  # (n, 9), NaN on radius-degenerate rows
-    degenerate: np.ndarray  # (n,) None, "radius", "thickness" or "meridian"
+    constraints: np.ndarray  # (n, 9), finite for every row
+    degenerate: np.ndarray  # (n,) None, "thickness" or "meridian"
     validity_warnings: np.ndarray  # (n,) grid states outside the hydrostatic range
 
 
@@ -89,7 +86,8 @@ class DamProblem:
     constrained two-objective evaluation used by the optimizer.
 
     The geometry, grid and bounds fields are read once, at construction;
-    to change one, build a new problem (dataclasses.replace). The
+    to change one, build a new problem (dataclasses.replace). Bounds on
+    ru and rd that admit a non-positive radius raise ValueError. The
     fixed-depth helpers built from them are public, so that the CLI
     tabulates a design through them: constraint_depths, stress_depths
     and stress_surrogate."""
@@ -115,20 +113,19 @@ class DamProblem:
         if self.canyon is None:
             self.canyon = CanyonProfile.default(self.levels.h)
         self.coeffs = ww.solve_coefficients(self.strength)
-        # design-independent interpolation terms, one set per fixed depth set
-        self._radius_depths = DepthInterpolant(
-            self.levels, np.linspace(0.0, self.levels.h, RADIUS_CHECK_DEPTHS))
         # the least value an ru or rd interpolant takes at a radius-check
         # depth over every accepted design: sum_j min(l_j lo_j, l_j hi_j)
-        # over the level weights l_j. Where it is positive by a margin far
-        # above rounding error (relative 1e-9 against about 1e-15), no
-        # design can fail the radius check, so _evaluate skips it.
-        weights = self._radius_depths.values(np.eye(self.levels.n_levels))
+        # over the level weights l_j. It must be positive by a margin far
+        # above rounding error (relative 1e-9 against about 1e-15), so that
+        # no accepted design has a non-positive radius.
+        depths = np.linspace(0.0, self.levels.h, RADIUS_CHECK_DEPTHS)
+        weights = DepthInterpolant(self.levels, depths).values(np.eye(self.levels.n_levels))
         lo = (self.lower[8:] - BOUND_SLACK).reshape(2, -1, 1)
         hi = (self.upper[8:] + BOUND_SLACK).reshape(2, -1, 1)
         least = np.minimum(weights * lo, weights * hi).sum(axis=1)
         largest = (np.abs(weights) * np.maximum(np.abs(lo), np.abs(hi))).sum(axis=1)
-        self._radii_positive = bool(np.all(least > 1e-9 * largest))
+        if not np.all(least > 1e-9 * largest):
+            raise ValueError("the ru and rd bounds admit a non-positive radius")
         self._lowest = self.lower - BOUND_SLACK
         self._highest = self.upper + BOUND_SLACK
         self.constraint_depths = ConstraintDepths(self.levels, self.canyon)
@@ -177,15 +174,6 @@ class DamProblem:
         nodes = np.ascontiguousarray(X[:, 2:].reshape(n, 3, 6).transpose(1, 0, 2))
         degenerate = np.empty(n, dtype=object)  # object arrays start as None
 
-        # the rows with positive radii, None while that is every row
-        g = None
-        if not self._radii_positive:
-            radius_ok = (self._radius_depths.values(nodes[1:]).min(axis=2) > 0.0).all(axis=0)
-            if not radius_ok.all():
-                degenerate[~radius_ok] = "radius"
-                g = np.flatnonzero(radius_ok)
-                gamma, beta, nodes = gamma[g], beta[g], nodes[:, g]
-
         cons = self.constraint_depths(gamma, beta, nodes, self.gamma_allow)
         viol = np.maximum(cons, 0.0).sum(axis=1)
         fit1 = self._volume(nodes)
@@ -205,32 +193,24 @@ class DamProblem:
         warnings = invalid.sum(axis=2) @ self.stress_surrogate.multiplicity
         meridian_ok = ~np.isnan(fit2)
 
-        if g is None and all_thick and meridian_ok.all():
+        if all_thick and meridian_ok.all():
             F = np.empty((n, 2))
             F[:, 0] = fit1
             F[:, 1] = fit2
             return _Batch(F, viol, cons, degenerate, warnings)
 
         # some row is degenerate: penalty objectives, violation + 1
-        rows = np.arange(n) if g is None else g
-        ok_g = thick_ok.copy()
-        ok_g[thick_ok] = meridian_ok
-        ok = rows[ok_g]
+        ok = thick_ok.copy()
+        ok[thick_ok] = meridian_ok
         F = np.empty((n, 2))
         F[:] = (self.penalty_fit1, self.penalty_fit2)
-        F[ok, 0] = fit1[ok_g]
+        F[ok, 0] = fit1[ok]
         F[ok, 1] = fit2[meridian_ok]
-        degenerate[rows[~thick_ok]] = "thickness"
-        degenerate[rows[thick_ok][~meridian_ok]] = "meridian"
-        all_cons = np.full((n, 9), np.nan)
-        all_cons[rows] = cons
+        degenerate[~thick_ok] = "thickness"
+        degenerate[thick_ok & ~ok] = "meridian"
         all_warnings = np.zeros(n, dtype=int)
         all_warnings[ok] = warnings[meridian_ok]
-        # ordering constraints stay computable even for degenerate shapes,
-        # keeping a violation gradient among penalized designs
-        all_viol = np.maximum(X[:, 14:] / X[:, 8:14] - 1.0, 0.0).sum(axis=1) + 1.0
-        all_viol[rows] = np.where(ok_g, viol, viol + 1.0)
-        return _Batch(F, all_viol, all_cons, degenerate, all_warnings)
+        return _Batch(F, np.where(ok, viol, viol + 1.0), cons, degenerate, all_warnings)
 
     def evaluate(self, design) -> Evaluation:
         """One design of 20 values, as a batch of one."""

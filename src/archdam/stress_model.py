@@ -100,16 +100,18 @@ class StressSurrogate:
 
     Consecutive grid points that share depth and face form one row;
     sample_grid lays out each arc consecutively, so its rows are the
-    (depth, face) pairs. `index` maps every grid point to its row and
-    `multiplicity` counts the points per row. `depths` are the distinct
-    row depths, and `row_depth` indexes them per row. The load-case terms
-    that depend on no design, each of shape (n_rows, n_cases), are taken
-    at the first point of each row: -p (reservoir pressure plus the
-    Westergaard term), the self-weight, and the bending numerator
-    moment_share * rho_w * g * z_w^3, signed by face.
+    (depth, face) pairs. `grid` is the sample grid as given, `index` maps
+    every grid point to its row and `multiplicity` counts the points per
+    row. `depths` are the distinct row depths, and `row_depth` indexes
+    them per row. The load-case terms that depend on no design, each of
+    shape (n_rows, n_cases), are taken at the first point of each row:
+    -p (reservoir pressure plus the Westergaard term), the self-weight,
+    and the bending numerator moment_share * rho_w * g * z_w^3, signed by
+    face.
     """
 
     def __init__(self, grid, h: float, load_cases, moment_share: float):
+        self.grid = grid
         _, z, face = grid
         up = np.asarray(face) == "up"
         z = np.asarray(z, dtype=float)

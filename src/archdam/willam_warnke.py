@@ -18,7 +18,7 @@ fitted surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,8 +82,6 @@ class WWCoefficients:
     a: np.ndarray
     b: np.ndarray
     xi0: float
-    valid: bool = True
-    warnings: tuple = field(default_factory=tuple)
 
 
 def _solve3(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -127,17 +125,7 @@ def solve_coefficients(strength: StrengthParams) -> WWCoefficients:
     )
     rhs_b = np.array([_SQ2_15, _SQ2_15 * f2 / fc, 0.0])
     b = _solve3(Mb, rhs_b)
-
-    warnings = []
-    if not (a[0] > 0 and a[1] <= 0 and a[2] <= 0):
-        warnings.append("a-coefficient sign condition violated")
-    if not (b[0] > 0 and b[1] <= 0 and b[2] <= 0):
-        warnings.append("b-coefficient sign condition violated")
-    xs = np.linspace(-1.0, xi_t, 100)
-    ratio = (a[0] + a[1] * xs + a[2] * xs**2) / (b[0] + b[1] * xs + b[2] * xs**2)
-    if not np.all((ratio > 0.5) & (ratio < 1.25)):
-        warnings.append("convexity window r1/r2 violated in [-1, xi_t]")
-    return WWCoefficients(a=a, b=b, xi0=xi0, valid=not warnings, warnings=tuple(warnings))
+    return WWCoefficients(a=a, b=b, xi0=xi0)
 
 
 def hydrostatic_validity(sigma, strength: StrengthParams):

@@ -328,6 +328,13 @@ def test_ww_surface_artifact(tmp_path, capsys):
     assert main(["ww-surface", "--out", str(out), "--sigma-min", "5",
                  "--sigma-max", "-5"]) == 2
     capsys.readouterr()
+    # a grid needs both ends on every axis: fewer than 2 steps is a usage
+    # error naming --steps, and writes nothing
+    for steps in ("1", "0", "-1"):
+        few = tmp_path / f"ww_steps{steps}"
+        assert main(["ww-surface", "--out", str(few), "--steps", steps]) == 2
+        assert capsys.readouterr().err == f"error: --steps must be at least 2, got {steps}\n"
+        assert not few.exists()
     # a grid reaching past the calibrated range (mean stress below about
     # -3.06 f_c) is a usage error naming the range, not a runtime failure
     far = tmp_path / "ww_far"

@@ -52,23 +52,39 @@ def test_downstream_radius_excess_is_infeasible(dam_problem):
 
 def _permissive_problem():
     # in-bounds node values keep every interpolant positive, so the
-    # penalty branches only fire once the envelope is widened
+    # penalty branches only fire once the tc envelope is widened
     lo = LOWER_BOUNDS.copy()
     hi = UPPER_BOUNDS.copy()
-    lo[2:] = -50.0
-    hi[2:] = 200.0
+    lo[2:8] = -50.0
+    hi[2:8] = 200.0
     return DamProblem(lower=lo, upper=hi)
 
 
-def test_degenerate_radius_is_penalized():
-    p = _permissive_problem()
-    x = TABLE5.copy()
-    x[8:14] = [135.0, 39.0, 135.0, 39.0, 135.0, 39.0]  # dips negative between nodes
-    e = p.evaluate(x)
-    assert not e.feasible
-    assert e.fit1 == PENALTY_FIT1 and e.fit2 == PENALTY_FIT2
-    assert e.violation > 0.0
-    assert e.diagnostics["degenerate"] == "radius"
+def _permissive_radius_bounds():
+    # admit ru and rd nodes such as 135, 39, 135, ... m, which dip
+    # negative between levels
+    lo = LOWER_BOUNDS.copy()
+    hi = UPPER_BOUNDS.copy()
+    lo[8:] = -50.0
+    hi[8:] = 200.0
+    return lo, hi
+
+
+def _borderline_radius_bounds():
+    # radius bounds a few nm above zero: the least radius the bounds allow
+    # is about -0.5 nm with the 1e-9 slack a design may lie outside them,
+    # and positive if either bound went without it (the largest sum of
+    # negative level weights at a check depth is about 1.05)
+    lo = LOWER_BOUNDS.copy()
+    hi = UPPER_BOUNDS.copy()
+    lo[8:], hi[8:] = 2.7e-9, 2.8e-9
+    return lo, hi
+
+
+def test_bounds_admitting_non_positive_radius_raise():
+    for lo, hi in (_permissive_radius_bounds(), _borderline_radius_bounds()):
+        with pytest.raises(ValueError, match="ru and rd bounds admit a non-positive radius"):
+            DamProblem(lower=lo, upper=hi)
 
 
 def test_degenerate_thickness_is_penalized():
@@ -135,16 +151,19 @@ def test_batch_equals_rowwise_reference(dam_problem):
 
 def test_batch_equals_rowwise_reference_with_degenerate_rows():
     p = _permissive_problem()
-    radius = TABLE5.copy()
-    radius[8:14] = [135.0, 39.0, 135.0, 39.0, 135.0, 39.0]
     thickness = TABLE5.copy()
     thickness[5] = -1.0
+    thin_crest = TABLE5.copy()
+    thin_crest[2] = -20.0
     rng = np.random.default_rng(5)
     normal = LOWER_BOUNDS + rng.random((4, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
-    X = np.vstack([normal[:2], radius, TABLE5, thickness, normal[2:]])
-    F, viol = p.evaluate_batch(X)
+    X = np.vstack([normal[:2], thin_crest, TABLE5, thickness, normal[2:]])
+    b = p._evaluate(X)
+    F, viol = b.F, b.violation
     F_ref, viol_ref = evaluate_rowwise(p, X)
     assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    assert list(b.degenerate) == [None, None, "thickness", None, "thickness", None, None]
+    assert np.isfinite(b.constraints).all()
     assert np.array_equal(F[[2, 4]], [[PENALTY_FIT1, PENALTY_FIT2]] * 2)
     assert viol[2] >= 1.0 and viol[4] >= 1.0
     assert np.all(F[[0, 1, 3, 5, 6], 0] < PENALTY_FIT1)
@@ -228,17 +247,6 @@ def test_batch_equals_rowwise_reference_property(dam_problem, X):
     assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
 
 
-def _borderline_problem():
-    # radius bounds a few nm above zero: the least radius the bounds allow
-    # is about -0.5 nm with the 1e-9 slack a design may lie outside them,
-    # and positive if either bound went without it (the largest sum of
-    # negative level weights at a check depth is about 1.05)
-    lo = LOWER_BOUNDS.copy()
-    hi = UPPER_BOUNDS.copy()
-    lo[8:], hi[8:] = 2.7e-9, 2.8e-9
-    return DamProblem(lower=lo, upper=hi)
-
-
 def _narrowed_problem():
     cfg = default_config()
     span = UPPER_BOUNDS - LOWER_BOUNDS
@@ -261,22 +269,24 @@ def _worst_case_designs(p):
     return X
 
 
-@pytest.mark.parametrize("make", [DamProblem, _narrowed_problem, _permissive_problem,
-                                  _borderline_problem])
+@pytest.mark.parametrize("make", [DamProblem, _narrowed_problem])
 def test_radius_check_sound_at_worst_case_designs(make):
+    # evaluate_rowwise sweeps ru and rd over 101 depths itself, so it
+    # would penalize a worst case that the bounds let reach zero
     p = make()
     X = _worst_case_designs(p)
-    with np.errstate(all="ignore"):  # radii of a few nm overflow the stresses
-        b = p._evaluate(X)
-        F_ref, viol_ref = evaluate_rowwise(p, X)
+    b = p._evaluate(X)
+    F_ref, viol_ref = evaluate_rowwise(p, X)
     assert np.array_equal(b.F, F_ref) and np.array_equal(b.violation, viol_ref)
-    # where the sweep may be skipped, no worst case comes near zero
-    assert (b.degenerate == "radius").any() != p._radii_positive
+    assert list(b.degenerate) == [None] * len(X)
 
 
 def test_radius_certificate_from_bounds():
-    assert DamProblem()._radii_positive
-    assert make_problem(default_config())._radii_positive
-    assert _narrowed_problem()._radii_positive
-    assert not _permissive_problem()._radii_positive
-    assert not _borderline_problem()._radii_positive
+    # every config keeps its bounds inside the canonical box, over which
+    # the least radius is 21.29 m whatever the height
+    DamProblem()
+    _narrowed_problem()
+    for h in (15.0, 500.0):
+        cfg = default_config()
+        cfg["geometry"]["h"] = h
+        assert make_problem(cfg).levels.h == h

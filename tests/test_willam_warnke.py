@@ -16,14 +16,22 @@ from _oracles import (calibration_states, classify_domain, criterion_value,
                       evaluate_components_four_pass, meridian_r1, meridian_r2, sort_principal)
 
 
-def test_default_coefficients_frozen(default_coeffs):
+def test_default_coefficients_frozen(default_strength, default_coeffs):
     # regression freeze of the fitted meridian polynomials
     assert default_coeffs.a == pytest.approx(
         [0.029116, -0.6486519, -0.1716554], abs=5e-7)
     assert default_coeffs.b == pytest.approx(
         [0.0481284, -1.0690938, -0.3541019], abs=5e-7)
     assert default_coeffs.xi0 == pytest.approx(0.044366, abs=5e-7)
-    assert default_coeffs.valid and default_coeffs.warnings == ()
+    # the meridians' sign conditions, and the convexity window on their
+    # ratio over [-1, xi_t]
+    a, b = default_coeffs.a, default_coeffs.b
+    assert a[0] > 0 and a[1] <= 0 and a[2] <= 0
+    assert b[0] > 0 and b[1] <= 0 and b[2] <= 0
+    xi_t = default_strength.f_t / (3.0 * default_strength.f_c)
+    xs = np.linspace(-1.0, xi_t, 100)
+    ratio = meridian_r1(default_coeffs, xs) / meridian_r2(default_coeffs, xs)
+    assert np.all((ratio > 0.5) & (ratio < 1.25))
 
 
 def test_calibration_round_trip_defaults(default_strength, default_coeffs):

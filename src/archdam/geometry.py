@@ -148,12 +148,12 @@ class DepthInterpolant:
     derivative terms: squared offsets, and differentiation-matrix rows for
     the depths that hit a level.
 
-    The level axis leads in the stored terms, (n_levels, len(z)), and in
-    the products formed from them, so each sum over the levels is a few
-    whole-array adds instead of one short inner loop per output value.
-    numpy adds an axis of fewer than 8 entries strictly left to right,
-    whether it is the first or the last, so the sums are the same bit for
-    bit as with the level axis last.
+    The level sums are unoptimized np.einsum contractions: the products
+    of a broadcast (r * f).sum(), added in the same left-to-right order,
+    without its short inner loop per output value. The slope terms are
+    laid out (n_levels, designs, len(z)) and updated in place, so their
+    sum over the levels is a few whole-array adds. Either way the results
+    are the same bit for bit as the one-design sums.
     """
 
     def __init__(self, levels: ControlLevels, z, slopes: bool = False):
@@ -177,23 +177,15 @@ class DepthInterpolant:
         self._r[:, at] = 1.0
         self._rsum = self._r.sum(axis=0)
         if slopes:
-            self._dz2 = dz**2
+            self._wl = self._w[:, None, None]
+            self._dz2 = (dz**2)[:, None, :]
             D = (self._w[None, :] / self._w[:, None]) / d
             np.fill_diagonal(D, 0.0)
             np.fill_diagonal(D, -D.sum(axis=1))
             self._d_at = D[self._node]
 
-    @staticmethod
-    def _levels_first(a, f):
-        """a of shape (n_levels, k) and f of shape (..., n_levels) as
-        broadcastable (n_levels, ..., k) and (n_levels, ..., 1)."""
-        batch = f.ndim - 1
-        return (a.reshape(a.shape[:1] + (1,) * batch + a.shape[1:]),
-                np.ascontiguousarray(f.transpose(batch, *range(batch)))[..., None])
-
     def _sums(self, f):
-        r, f = self._levels_first(self._r, f)
-        return (r * f).sum(axis=0) / self._rsum
+        return np.einsum("...l,lk->...k", f, self._r) / self._rsum
 
     def values(self, f):
         if self._at_only:
@@ -207,9 +199,11 @@ class DepthInterpolant:
         """Slopes of the interpolant of f; values, when given, are
         self.values(f) already computed, which spares its sums."""
         p = self._sums(f) if values is None else values
-        dz2, fl = self._levels_first(self._dz2, f)
-        w = self._w.reshape(dz2.shape[:-1] + (1,))
-        out = (w * (p - fl) / dz2).sum(axis=0) / self._rsum
+        fl = np.ascontiguousarray(f.reshape(-1, f.shape[-1]).T)
+        t = p.reshape(-1, self.z.size) - fl[..., None]
+        t *= self._wl
+        t /= self._dz2
+        out = (t.sum(axis=0) / self._rsum).reshape(p.shape)
         if not self._off_only:
             # stacked matmul makes the same BLAS matrix-vector call for each
             # design as for a lone one; a summed product or one matrix product
@@ -222,9 +216,10 @@ class VolumeQuadrature:
     """Tensor-product Gauss-Legendre rule for the concrete volume: `order`
     depths, and at each depth `order` points across the canyon width.
 
-    The (n, order, order) integrand is built in one buffer, in place: at
-    n = 100 each temporary of that shape is 800 KB, and allocating three
-    of them cost more than the arithmetic."""
+    The (n, order, order) integrand is an np.einsum outer product of
+    1/rd - 1/ru with x^2/2, the same single products as a broadcast
+    multiply without its inner loop per depth, then tc is added and the
+    absolute value taken in place."""
 
     def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int):
         if order < 2:
@@ -242,10 +237,9 @@ class VolumeQuadrature:
     def __call__(self, nodes):
         """Volumes, shape (n,), for the node values of tc, ru and rd
         stacked as shape (3, n, n_levels)."""
-        v = self.depths.values(nodes)[..., None]
-        tc, ru, rd = v[0], v[1], v[2]
-        thick = np.multiply(self._half_x2, 1.0 / rd - 1.0 / ru)
-        thick += tc
+        tc, ru, rd = self.depths.values(nodes)
+        thick = np.einsum("ni,ij->nij", 1.0 / rd - 1.0 / ru, self._half_x2)
+        thick += tc[..., None]
         np.abs(thick, out=thick)
         return np.einsum("nij,ij,i->n", thick, self._wx, self._wz)
 

@@ -103,11 +103,12 @@ class StressSurrogate:
     (depth, face) pairs. `grid` is the sample grid as given, `index` maps
     every grid point to its row and `multiplicity` counts the points per
     row. `depths` are the distinct row depths, and `row_depth` indexes
-    them per row. The load-case terms that depend on no design, each of
-    shape (n_rows, n_cases), are taken at the first point of each row:
-    -p (reservoir pressure plus the Westergaard term), the self-weight,
-    and the bending numerator moment_share * rho_w * g * z_w^3, signed by
-    face.
+    them per row. The load-case terms that depend on no design are taken
+    at the first point of each row: -p (reservoir pressure plus the
+    Westergaard term), the self-weight, and the bending numerator
+    moment_share * rho_w * g * z_w^3, signed by face. They are kept
+    flattened to (n_rows * n_cases,), so that the states are built on one
+    contiguous axis rather than with an inner loop over the load cases.
     """
 
     def __init__(self, grid, h: float, load_cases, moment_share: float):
@@ -135,18 +136,20 @@ class StressSurrogate:
             num = moment_share * rho_w_g * z_w**3
             # tensile upstream, compressive downstream
             bend.append(np.where(up, num, -num))
+        self._state_shape = (len(self.row_depth), len(load_cases), 3)
+        self._take = np.repeat(self.row_depth, len(load_cases))
         self._neg_p, self._weight, self._bend = (
-            np.stack(t, axis=-1)[first] for t in (neg_p, weight, bend))
+            np.stack(t, axis=-1)[first].ravel() for t in (neg_p, weight, bend))
 
     def __call__(self, tc, ru):
         """Sorted principal states, shape (..., n_rows, n_cases, 3), from
         the crown thickness and upstream radius at `depths`, shape
         (..., n_depths), for one design or a batch."""
-        tc = tc.take(self.row_depth, axis=-1)[..., None]
-        ru = ru.take(self.row_depth, axis=-1)[..., None]
+        tc = tc.take(self._take, axis=-1)
+        ru = ru.take(self._take, axis=-1)
         hoop = self._neg_p * ru / tc / 1e6
         vertical = self._weight + self._bend / tc**2 / 1e6
-        return _sorted_states(hoop, vertical)
+        return _sorted_states(hoop, vertical).reshape(tc.shape[:-1] + self._state_shape)
 
 
 def _sorted_states(hoop, vertical):

@@ -131,8 +131,9 @@ def solve_coefficients(strength: StrengthParams) -> WWCoefficients:
 def hydrostatic_validity(sigma, strength: StrengthParams):
     """True where |mean stress| <= sqrt(3) f_c (boundary inclusive)."""
     s = np.asarray(sigma, dtype=float)
-    # sum / 3 is the arithmetic of np.mean, without its dispatch
-    return np.abs(s.sum(axis=-1) / 3.0) <= math.sqrt(3.0) * strength.f_c
+    # the sum's own left-to-right order, divided by 3 as np.mean does,
+    # without the reduction's short inner loop per state
+    return np.abs(((s[..., 0] + s[..., 1]) + s[..., 2]) / 3.0) <= math.sqrt(3.0) * strength.f_c
 
 
 def _meridian(r1, r2, cos_eta):
@@ -167,7 +168,8 @@ def _passes(states, strength: StrengthParams, coeffs: WWCoefficients, strict: bo
                (ft / fc) * (1.0 + np.minimum(s3, 0.0) / fc))
 
     comp = ~((s3 >= 0.0) | (s2 > 0.0))
-    c = s[comp]
+    # the boolean row select, without the set-up cost of fancy indexing
+    c = s.compress(comp, axis=0)
     a1, a2, a3 = c[:, 0], c[:, 1], c[:, 2]
     tcc = a1 > 0.0
     # s1 as it enters the meridian abscissa and F

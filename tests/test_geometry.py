@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,6 +88,20 @@ def test_interpolation_reproduces_quintics():
     assert np.max(np.abs(slopes - dpoly(zs / levels.h) / levels.h)) < 1e-9
 
 
+def _fused_level_sums(ref, z):
+    """The reference interpolant's values at off-level depths z, with each
+    product r_j f_j added to the running sum unrounded, as a fused
+    multiply-add does."""
+    r = ref.w / (z[:, None] - ref.x)
+    sums = []
+    for row in r:
+        acc = 0.0
+        for rj, fj in zip(row, ref.f):
+            acc = float(Fraction(rj) * Fraction(fj) + Fraction(acc))
+        sums.append(acc)
+    return np.array(sums) / r.sum(axis=1)
+
+
 @pytest.mark.parametrize("depths", ["level hits", "no level hits", "level hits, zero weight sum"])
 def test_depth_interpolant_equals_per_design_reference(depths):
     # the batched interpolant sums over the levels in the order of the
@@ -99,22 +114,29 @@ def test_depth_interpolant_equals_per_design_reference(depths):
         z = np.concatenate([np.linspace(0.0, levels.h, 101), rng.uniform(0.0, levels.h, 20)])
     else:
         z = 0.5 * levels.h * (1.0 + np.polynomial.legendre.leggauss(32)[0])
-    hits = np.isin(z, levels.z).sum()
-    assert hits == (0 if depths == "no level hits" else 6)
+    hits = np.isin(z, levels.z)
+    assert hits.sum() == (0 if depths == "no level hits" else 6)
     if "zero" in depths:
         assert sum(LagrangeInterpolant(levels.z, np.zeros(6)).w) == 0.0
+    # the first input's products r_j f_j, with f_j = (1 + 2**-30)**j, are
+    # inexact, so level sums built with fused multiply-adds (one rounding
+    # per term instead of two) land on other last bits at some depths
+    fma_prone = (1.0 + 2.0**-30) ** np.arange(1, 7)
+    ref = LagrangeInterpolant(levels.z, fma_prone)
+    assert not np.array_equal(_fused_level_sums(ref, z[~hits]), ref(z[~hits]))
     interp = DepthInterpolant(levels, z, slopes=True)
-    for shape in [(6,), (7, 6), (2, 7, 6)]:
-        f = rng.uniform(-50.0, 150.0, shape)
+    for f in [fma_prone] + [rng.uniform(-50.0, 150.0, shape) for shape in [(6,), (7, 6), (2, 7, 6)]]:
+        shape = f.shape
         rows = f.reshape(-1, 6)
         ref = [LagrangeInterpolant(levels.z, row) for row in rows]
         values = np.array([r(z) for r in ref]).reshape(shape[:-1] + z.shape)
         slopes = np.array([r.derivative(z) for r in ref]).reshape(shape[:-1] + z.shape)
+        cause = "; the level sums fuse multiply and add" if f is fma_prone else ""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(interp.values(f), values), shape
-            assert np.array_equal(interp.slopes(f), slopes), shape
-            assert np.array_equal(interp.slopes(f, interp.values(f)), slopes), shape
+            assert np.array_equal(interp.values(f), values), f"{shape}{cause}"
+            assert np.array_equal(interp.slopes(f), slopes), f"{shape}{cause}"
+            assert np.array_equal(interp.slopes(f, interp.values(f)), slopes), f"{shape}{cause}"
 
 
 def test_crown_profile_hand_values():

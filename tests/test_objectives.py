@@ -141,11 +141,16 @@ def test_non_finite_design_raises(dam_problem):
             dam_problem.evaluate_batch(X)
 
 
-def test_batch_equals_rowwise_reference(dam_problem):
+# order 31 puts a volume node at x = 0; 8 stress depths fall between the
+# levels, so the stress sections come from the level sums, not the lookup
+@pytest.mark.parametrize("setting", [{}, {"quadrature_order": 31}, {"n_depths": 8}],
+                         ids=["default", "quadrature_order=31", "n_depths=8"])
+def test_batch_equals_rowwise_reference(setting):
+    problem = DamProblem(**setting)
     rng = np.random.default_rng(2024)
     X = LOWER_BOUNDS + rng.random((200, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
-    F, viol = dam_problem.evaluate_batch(X)
-    F_ref, viol_ref = evaluate_rowwise(dam_problem, X)
+    F, viol = problem.evaluate_batch(X)
+    F_ref, viol_ref = evaluate_rowwise(problem, X)
     assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
 
 

@@ -24,6 +24,10 @@ BENCHMARK_NAMES = ("SCH", "ZDT1", "ZDT2")
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
+    """One of BENCHMARK_NAMES on its box [lower, upper] of `dimension`
+    variables, with the hypervolume reference corner used for the progress
+    log. It has no constraints: every violation is 0."""
+
     name: str
     dimension: int
     lower: np.ndarray

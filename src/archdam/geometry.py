@@ -212,6 +212,44 @@ class DepthInterpolant:
         return out
 
 
+def _legval(x, c):
+    """Legendre series with coefficients c (low degree first, at least
+    two) at x, by Clenshaw recursion."""
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], the same bytes as
+    numpy.polynomial.legendre.leggauss(order), which this follows step for
+    step without importing numpy.polynomial: eigenvalues of the symmetric
+    companion matrix of L_order, one Newton step, weights from
+    L'_order L_(order-1) scaled to avoid overflow, then symmetrized and
+    normalized to sum to 2. Needs order >= 2."""
+    n = order
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[: n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    # L_n' = sum of (2k + 1) L_k over k = n-1, n-3, ...: the small whole
+    # numbers legder computes
+    der = np.zeros(n)
+    der[n - 1 :: -2] = 2 * np.arange(n - 1, -1, -2) + 1
+    dy, df = _legval(x, c), _legval(x, der)
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 class VolumeQuadrature:
     """Tensor-product Gauss-Legendre rule for the concrete volume: `order`
     depths, and at each depth `order` points across the canyon width.
@@ -224,7 +262,7 @@ class VolumeQuadrature:
     def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int):
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
-        t, w = np.polynomial.legendre.leggauss(order)
+        t, w = _gauss_legendre(order)
         # the rule on [0, h] in depth, then on [-half_width, half_width]
         # across the valley at each depth: (order, order)
         half_h = 0.5 * levels.h

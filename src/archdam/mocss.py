@@ -75,12 +75,42 @@ class NonFiniteError(ValueError):
 
 @dataclass
 class MocssConfig:
+    """Settings of one MoCSS run.
+
+    n_cps charged particles (CPs) move for `iterations` steps; the charged
+    memory (CM) keeps at most archive_capacity non-dominated designs.
+    Coefficients, positions in normalized [0, 1] coordinates:
+      ka, kv: acceleration and velocity coefficients of the move
+        X + rand * ka * force + rand * kv * V. With schedule, ka rises
+        from ka/2 to ka and kv falls from kv/2 to 0 over the run;
+        without it both stay constant.
+      radius: the interaction radius a. A CP of charge q at distance r
+        pulls with q r / a^3 inside it and q / r^2 outside it.
+      alpha: weight of the first objective in the CM's crowding
+        distance; the second's follows from the ratio of their worst
+        values.
+      cmcr: probability that an out-of-bounds variable is copied from a
+        random CM member rather than redrawn uniformly.
+      par: probability that a copied variable then steps toward a
+        random rank-1 CP.
+      par_step0, par_step_min: that step's bandwidth falls linearly
+        from par_step0 + par_step_min to par_step_min; it also jitters
+        the reseeded CPs once a feasible design is known.
+      attraction_prob: probability that a rank-gated pull stays an
+        attraction; otherwise it becomes a repulsion.
+      replace_fraction: share of the worst-ranked CPs reseeded near CM
+        members each iteration, doubled while no feasible design is known.
+      infeasible_jitter: the reseeding jitter while no feasible design is
+        known.
+      seed: seed of the run's one random generator.
+    """
+
     n_cps: int = 100
     iterations: int = 200
     archive_capacity: int = 100
     ka: float = 2.0
     kv: float = 2.0
-    schedule: bool = True  # False uses ka/kv as plain constants
+    schedule: bool = True
     radius: float = 1.0
     alpha: float = 1.0
     cmcr: float = 0.98
@@ -109,7 +139,11 @@ class MocssConfig:
 
 @dataclass
 class MocssResult:
-    positions: np.ndarray  # archive member designs, physical units
+    """The final CM of a run: its designs in physical units, their
+    objectives and violations, one progress-log entry per iteration
+    (iteration 0 first) and the number of evaluations made."""
+
+    positions: np.ndarray
     objectives: np.ndarray
     violations: np.ndarray
     log: list

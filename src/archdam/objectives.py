@@ -65,6 +65,12 @@ RADIUS_CHECK_DEPTHS = 101
 
 @dataclass(frozen=True)
 class Evaluation:
+    """One design's result: the volume fit1 (m^3), the worst failure
+    margin fit2, the total constraint violation and whether it is 0.
+    diagnostics holds the nine constraint values and the count of grid
+    states outside the hydrostatic range, or, for a degenerate design
+    scored with the penalty objectives, its kind alone."""
+
     fit1: float
     fit2: float
     violation: float

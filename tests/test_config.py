@@ -375,3 +375,29 @@ def test_import_and_setup_skip_jsonschema_and_importlib_resources(tmp_path):
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
+    # a dam is built and evaluated without them; the decision maker and the
+    # benchmarks load on first use of one of their names
+    cfg = _write(tmp_path, {"mocss": {"n_cps": 12}, "geometry": {"h": 120.0}})
+    code = (
+        "import sys\n"
+        "import archdam\n"
+        f"cfg, _ = archdam.load_config({cfg!r})\n"
+        "archdam.make_problem(cfg)\n"
+        "archdam.make_mocss_config(cfg)\n"
+        "skipped = ('numpy.polynomial', 'archdam.mtdm', 'archdam.benchmarks', 'archdam.cli')\n"
+        "print(sorted(m for m in skipped if m in sys.modules))\n"
+        "got = archdam.Scenario, archdam.rank_R, archdam.get_benchmark, archdam.mtdm.rank_R\n"
+        "mtdm, bench = sys.modules['archdam.mtdm'], sys.modules['archdam.benchmarks']\n"
+        "want = mtdm.Scenario, mtdm.rank_R, bench.get_benchmark, mtdm.rank_R\n"
+        "print([a is b for a, b in zip(got, want)])\n"
+    )
+    # -S as above
+    path = os.pathsep.join([str(Path(archdam.__file__).parents[1]),
+                            str(Path(np.__file__).parents[1])])
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[True, True, True, True]\n"

@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,3 +21,14 @@ def test_export_list_resolves(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert all(n in namespace for n in exported)
+
+
+def test_package_dir_lists_every_export():
+    # a fresh interpreter: here `from archdam import *` above may already
+    # have loaded the decision maker and benchmark names that dir() must show
+    code = "import archdam; print(sorted(set(archdam.__all__) - set(dir(archdam))))"
+    env = {**os.environ, "PYTHONPATH": str(Path(archdam.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

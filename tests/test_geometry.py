@@ -19,6 +19,7 @@ from archdam.geometry import (
     DepthInterpolant,
     InvalidLevelsError,
     VolumeQuadrature,
+    _gauss_legendre,
     central_angle_deg,
     crown_slope,
 )
@@ -178,6 +179,15 @@ def test_volume_against_monte_carlo():
     v_mc = mc_volume(TABLE5, ControlLevels.evenly_spaced(), CanyonProfile.default(),
                      200_000, seed=5)
     assert _volume(TABLE5) == pytest.approx(v_mc, rel=0.02)
+
+
+def test_gauss_legendre_rule_is_numpys_bytes():
+    # the volume rule follows leggauss step for step, so every config's
+    # volumes stay the same bits without the package loading numpy.polynomial
+    for n in range(2, 257):
+        t, w = _gauss_legendre(n)
+        t_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        assert t.tobytes() == t_ref.tobytes() and w.tobytes() == w_ref.tobytes(), n
 
 
 def test_volume_order_convergence():

@@ -39,18 +39,21 @@ class BenchmarkProblem:
         return self.lower, self.upper
 
     def evaluate_batch(self, X: np.ndarray):
+        """Objectives, shape (n, 2), and violations, all 0, of the designs
+        in the rows of X."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        F = np.empty((len(X), 2))
         if self.name == "SCH":
             x = X[:, 0]
-            F = np.column_stack([x**2, (x - 2.0) ** 2])
+            F[:, 0], F[:, 1] = x**2, (x - 2.0) ** 2
         else:
-            f1 = X[:, 0]
-            g = 1.0 + 9.0 * X[:, 1:].mean(axis=1)
+            f1 = F[:, 0] = X[:, 0]
+            # the mean of the other variables, as X[:, 1:].mean(axis=1) sums it
+            g = 1.0 + 9.0 * (np.add.reduce(X[:, 1:], axis=1) / (X.shape[1] - 1))
             if self.name == "ZDT1":
-                f2 = g * (1.0 - np.sqrt(f1 / g))
+                F[:, 1] = g * (1.0 - np.sqrt(f1 / g))
             else:
-                f2 = g * (1.0 - (f1 / g) ** 2)
-            F = np.column_stack([f1, f2])
+                F[:, 1] = g * (1.0 - (f1 / g) ** 2)
         return F, np.zeros(len(X))
 
     def analytic_front(self, n: int = 1000) -> np.ndarray:
@@ -112,6 +115,19 @@ def _nd_filter(F: np.ndarray) -> np.ndarray:
     return F[f2 < before]
 
 
+def _slab_sum(pts: np.ndarray, ref) -> float:
+    """Area dominated by the rows of pts inside the corner ref, rows in
+    (f1, f2) order with f2 never rising: a slab per row from its f1 to the
+    next (a repeated row's is 0 wide) or the corner's, summed strictly left
+    to right by cumsum, independent of numpy's pairwise sum."""
+    pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
+    if len(pts) == 0:
+        return 0.0
+    right = np.append(pts[1:, 0], ref[0])
+    terms = (right - pts[:, 0]) * (ref[1] - pts[:, 1])
+    return float(np.cumsum(terms)[-1])
+
+
 def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
     """Dominated area between the front and the reference corner.
 
@@ -127,14 +143,4 @@ def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
         dominated = np.all(ref <= front, axis=1) & np.any(ref < front, axis=1)
         if np.any(dominated):
             raise ValueError("reference point lies inside the front region")
-    inside = (front[:, 0] < ref[0]) & (front[:, 1] < ref[1])
-    if not inside.any():
-        return 0.0
-    pts = _nd_filter(front[inside])
-    # one slab per point, from its f1 to the next point's f1 (all inside
-    # the corner) or to the corner's; every slab is positive. cumsum adds
-    # strictly left to right, so logged values do not depend on numpy's
-    # pairwise sum or on the float summation of Python's sum()
-    right = np.append(pts[1:, 0], ref[0])
-    terms = (right - pts[:, 0]) * (ref[1] - pts[:, 1])
-    return float(np.cumsum(terms)[-1])
+    return _slab_sum(_nd_filter(front), ref)

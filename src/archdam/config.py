@@ -220,6 +220,25 @@ def _built(key: str, make, **kwargs):
 
 
 def make_problem(cfg: dict) -> DamProblem:
+    """The DamProblem a loaded config describes. Its design-independent
+    terms are built with numpy's floating-point errors raised: arithmetic
+    that fails on values the schema accepts is a ConfigError naming the
+    section that fails when built alone on the defaults."""
+    try:
+        return _assemble(cfg)
+    except FloatingPointError as exc:
+        for section in ("geometry", "strength", "loads", "problem"):
+            try:
+                _assemble({**default_config(), section: cfg[section]})
+            except FloatingPointError:
+                raise ConfigError(f"{section} invalid: {exc}") from exc
+            except ValueError:
+                pass
+        raise ConfigError(f"config invalid: {exc}") from exc
+
+
+@np.errstate(all="raise")
+def _assemble(cfg: dict) -> DamProblem:
     geo = cfg["geometry"]
     levels = _built("geometry", ControlLevels.evenly_spaced, h=geo["h"])
     canyon = _built("geometry", CanyonProfile, **geo)

@@ -36,15 +36,14 @@ gives the same bits. pareto_rank handles exactly two objectives: it
 sorts the feasible rows into fronts in one sweep in (f1, f2) order, with
 a bisection over the fronts per row, O(n log n) in all (Jensen 2003).
 The CM update takes only the first front, a running minimum in that
-order, and compares designs only among its rows that share an objective
-row. The CM prune keeps each row's nearest neighbour along a linked list
-in weighted-objective order: on a mutually non-dominated set one
-vectorised pass over the gaps between adjacent rows finds it, and a walk
-settles rows with equal gaps. Deletions come off a heap, and each
-rescans only the rows whose neighbour it removed, found through reverse
-pointers. The force step takes its distances from the Gram matrix and
-its sums from one matrix product, and computes the inverse-square branch
-only when some pair lies outside the radius.
+order, compares designs only among its rows that share an objective row,
+and passes that order on. On the first front the weighted rows form a
+chain whose closest pairs are adjacent, so the prune deletes off one
+heap of adjacent gaps, each deletion pushing the one gap it opens. The
+log sums the hypervolume's slabs over the CM in the order the prune
+returns, without sorting it again. The force step takes its distances
+from the Gram matrix and its sums from one matrix product, and computes
+the inverse-square branch only when some pair lies outside the radius.
 
 Randomness: a single seeded numpy Generator, consumed in a fixed order
 each iteration - replacement member picks and their jitter, the
@@ -207,151 +206,127 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
     return ranks
 
 
-def _deletion_weights(F: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-objective weights for the crowding distance: u_1 = alpha and
-    u_k = u_{k-1} * fitworst_k / fitworst_{k-1} over the current union."""
-    worst = F.max(axis=0)
-    u = np.empty(F.shape[1])
-    u[0] = alpha
-    for k in range(1, len(u)):
-        u[k] = u[k - 1] * (worst[k] / worst[k - 1]) if worst[k - 1] != 0.0 else u[k - 1]
-    return u
-
-
-def _extremes(F, alive):
-    """First alive row index of each per-objective minimum."""
-    sub = np.flatnonzero(alive)
-    return {int(sub[F[sub, k].argmin()]) for k in range(F.shape[1])}
-
-
-def _prune_archive(X, F, viol, capacity, alpha):
+def _prune_archive(X, F, viol, capacity, alpha, order=None):
     """Drop closest pairs in weighted objective space (two objectives, as
     pareto_rank requires) until within capacity, never deleting a
-    per-objective extreme member.
+    per-objective extreme member (the first row of each minimum). Of the
+    closest pairs, the one whose lower row index is least, then the
+    higher, is broken: its higher row goes unless it is an extreme.
+    Returns the kept rows, then their objective rows in (f1, f2) order;
+    order, when given, is that order of the rows passed in.
 
-    Each row keeps its nearest alive neighbour (the lowest index on ties)
-    and that distance; the pair to break is the first row with the least
-    such distance and its neighbour. A search walks outward both ways
-    along the rows linked in (w0, w1) order. Where w1 is monotone in that
-    order (any mutually non-dominated set), distance only grows outward,
-    so it stops at the first farther row; elsewhere, once sqrt(dx * dx)
-    alone exceeds the best. On a monotone set the first search of each
-    row is one vectorised pass over the gaps between adjacent rows: the
-    nearer of its two adjacent rows, unless the row two out on a side is
-    no farther than the adjacent one, where the walk decides. Deletions
-    come off a heap keyed (distance, row), whose stale entries are
-    skipped; a deletion unlinks its row and rescans only the rows whose
-    neighbour it was.
+    In that order the first weighted coordinate is monotone. Where the
+    second is too (the first front), the rows form a chain along which
+    distance, even as rounded, only grows outward: a closest pair is
+    adjacent, or spans a run of adjacent gaps all equal to the least.
+    Deletions then come off one heap of adjacent gaps keyed (distance,
+    lower row, higher row); each pushes the gap it opens, and an entry
+    whose rows are no longer adjacent is stale. Only while another gap
+    equals the least does the popped row look further out for a partner
+    of lower index. Other sets take the least entry of the alive rows'
+    distance matrix, row-major.
     """
+    if order is None:
+        order = np.lexsort((F[:, 1], F[:, 0]))
     n = len(F)
     if n <= capacity:
-        return X, F, viol
-    import heapq  # here, so that runs whose CM stays within capacity never load it
-
-    W = F * _deletion_weights(F, alpha)
-    order = np.lexsort((W[:, 1], W[:, 0]))
+        return X, F, viol, F[order]
+    # the objectives weighted alpha and alpha * worst f2 / worst f1
+    worst1, worst2 = F.max(axis=0).tolist()
+    W = F * [alpha, alpha * (worst2 / worst1) if worst1 != 0.0 else alpha]
     Wo = W[order]
-    step = np.diff(Wo[:, 1])
-    monotone = bool((step <= 0.0).all() or (step >= 0.0).all())
-    w0, w1, row = W[:, 0].tolist(), W[:, 1].tolist(), order.tolist()
-    pos = np.argsort(order).tolist()
-    prev, succ = [n, *range(n - 1), n], [*range(1, n + 1), n]  # slot n: either end
+    step = Wo[1:] - Wo[:-1]
+    keep = np.ones(n, dtype=bool)
+    if (step[:, 1] <= 0.0).all() or (step[:, 1] >= 0.0).all():
+        import heapq  # here, so that runs whose CM stays within capacity never load it
 
-    def nearest(i):
-        best, near = math.inf, n
-        for link in (prev, succ):
-            p = link[pos[i]]
-            while p < n:
-                j = row[p]
-                dx, dy = w0[i] - w0[j], w1[i] - w1[j]
-                d = math.sqrt(dx * dx + dy * dy)
-                if d < best or (d == best and j < near):
-                    best, near = d, j
-                elif (d if monotone else math.sqrt(dx * dx)) > best:
-                    break
-                p = link[p]
-        return best, near
+        step *= step
+        gap = np.sqrt(step[:, 0] + step[:, 1]).tolist()
+        # each row's neighbours along the chain; row n stands for the far
+        # side of either end
+        nxt, prv = [n] * (n + 1), [n] * (n + 1)
+        heap = []
+        o = order.tolist()
+        for a, b, g in zip(o, o[1:], gap):
+            nxt[a], prv[b] = b, a
+            heap.append((g, a, b) if a < b else (g, b, a))
+        heapq.heapify(heap)
+        w0, w1 = W.T.tolist()
 
-    if monotone:
-        # the walk's distances from each position in (w0, w1) order to
-        # the rows one and two places on, with an infinite gap at each end
-        gap = np.full(n + 1, math.inf)
-        gap[1:n] = _distances(Wo[1:], Wo[:-1])
-        two = _distances(Wo[2:], Wo[:-2])
-        side = np.full(n + 2, n)
-        side[1:-1] = order
-        left, right, jl, jr = gap[:-1], gap[1:], side[:-2], side[2:]
-        take = (right < left) | ((right == left) & (jr < jl))
-        nd, nn = np.empty(n), np.empty(n, dtype=np.intp)
-        nd[order] = np.where(take, right, left)
-        nn[order] = np.where(take, jr, jl)
-        nd, nn = nd.tolist(), nn.tolist()
-        walk = np.zeros(n, dtype=bool)
-        walk[2:] = two == left[2:]
-        walk[:-2] |= two == right[:-2]
-        for i in order[walk].tolist():
-            nd[i], nn[i] = nearest(i)
+        def dist(a, b):
+            dx, dy = w0[a] - w0[b], w1[a] - w1[b]
+            return math.sqrt(dx * dx + dy * dy)
+
+        def pair():
+            d, i, j = heapq.heappop(heap)
+            while nxt[i] != j and nxt[j] != i:
+                d, i, j = heapq.heappop(heap)
+            if heap and heap[0][0] == d:  # another gap is d: i may have partners further out
+                top = d, i, j
+                for link in (nxt, prv):
+                    p = link[i]
+                    while p < n and dist(i, p) == d:
+                        j, p = min(j, p), link[p]
+                if j != top[2]:  # the popped pair stays
+                    heapq.heappush(heap, top)
+            return i, j
+
+        def drop(k):
+            p, s = prv[k], nxt[k]
+            nxt[p], prv[s], nxt[k], prv[k] = s, p, -1, -1
+            if p < n and s < n:
+                heapq.heappush(heap, (dist(p, s), min(p, s), max(p, s)))
     else:
-        nd, nn = map(list, zip(*map(nearest, range(n))))
+        D = W[:, None] - W[None]
+        D *= D
+        D = np.sqrt(D[..., 0] + D[..., 1])
+        np.fill_diagonal(D, math.inf)
 
-    # each alive row's current heap entry; an entry popped that is not its
-    # row's current one is stale
-    entry = list(zip(nd, range(n)))
-    heap = entry.copy()
-    heapq.heapify(heap)
-    watchers = [[] for _ in range(n + 1)]  # the rows whose nearest neighbour each row is
-    for s, j in enumerate(nn):
-        watchers[j].append(s)
-    alive = [True] * n
-    extremes = _extremes(F, alive)
+        def pair():
+            sub = np.flatnonzero(keep)
+            return sub[list(divmod(int(D[np.ix_(sub, sub)].argmin()), len(sub)))].tolist()
+
+        def drop(k):
+            pass
+
+    extremes = set(F.argmin(axis=0).tolist())
     for _ in range(n - capacity):
-        top = heapq.heappop(heap)
-        while top is not entry[top[1]]:
-            top = heapq.heappop(heap)
-        i = top[1]
-        j = nn[i]
+        i, j = pair()
         kill = j if j not in extremes else (i if i not in extremes else j)
-        alive[kill], entry[kill] = False, None
-        p = pos[kill]
-        succ[prev[p]], prev[succ[p]] = succ[p], prev[p]
-        for s in watchers[kill]:
-            if nn[s] == kill and alive[s]:
-                d, nn[s] = nearest(s)
-                watchers[nn[s]].append(s)
-                entry[s] = (d, s)
-                heapq.heappush(heap, entry[s])
+        keep[kill] = False
+        drop(kill)
         if kill in extremes:
-            extremes = _extremes(F, alive)
-    alive = np.array(alive)
-    return X[alive], F[alive], viol[alive]
-
-
-def _distances(A, B):
-    """Row-wise sqrt(dx * dx + dy * dy) of two (m, 2) arrays, rounded as
-    math.sqrt rounds it on Python floats."""
-    dx, dy = A[:, 0] - B[:, 0], A[:, 1] - B[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
+            sub = np.flatnonzero(keep)
+            extremes = set(sub[F[sub].argmin(axis=0)].tolist())
+    return X[keep], F[keep], viol[keep], F[order[keep[order]]]
 
 
 def _first_front(F, V):
-    """pareto_rank(F, V) == 1 alone: the rows of least violation if none is
-    feasible, else each feasible row whose f2 lies below every f2 before
-    it in (f1, f2) order, or whose identical predecessor is kept."""
+    """The rows with pareto_rank(F, V) == 1, as indices in (f1, f2) order:
+    the rows of least violation if none is feasible, else each feasible
+    row whose f2 lies below every f2 before it, or whose identical
+    predecessor is kept."""
     feas = V == 0.0
     if not feas.any():
-        return V == V.min()
-    idx = np.flatnonzero(feas)[np.lexsort((F[feas, 1], F[feas, 0]))]
-    f1, f2 = F[idx, 0], F[idx, 1]
-    before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
-    starts = np.concatenate(([True], (f1[1:] != f1[:-1]) | (f2[1:] != f2[:-1])))
-    keep = np.zeros(len(F), dtype=bool)
-    keep[idx] = (f2 < before)[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
-    return keep
+        idx = np.flatnonzero(V == V.min())
+        return idx[np.lexsort((F[idx, 1], F[idx, 0]))]
+    idx = np.flatnonzero(feas)
+    idx = idx[np.lexsort((F[idx, 1], F[idx, 0]))]
+    f1, f2 = F[idx].T
+    keep = np.empty(len(idx), dtype=bool)
+    keep[0] = True
+    np.less(f2[1:], np.minimum.accumulate(f2)[:-1], out=keep[1:])
+    same = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
+    if same.any():  # a repeated row takes the verdict of the first of its run
+        starts = np.concatenate(([True], ~same))
+        keep = keep[np.flatnonzero(starts)[np.cumsum(starts) - 1]]
+    return idx[keep]
 
 
 def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
     """The CM after adding the candidates: the first front of the union,
-    each repeated design once (its first occurrence), pruned to capacity.
+    each repeated design once (its first occurrence), pruned to capacity;
+    with its (f1, f2) order, as _prune_archive returns it.
 
     Exact duplicates add nothing and would flood the archive once the
     competition step starts cloning members back into the population.
@@ -361,24 +336,25 @@ def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
     with another kept row need their design compared. Those are keyed on
     their bytes (+ 0.0 makes -0.0 equal to 0.0).
     """
-    X = np.vstack([aX, cX])
-    F = np.vstack([aF, cF])
-    V = np.concatenate([aV, cV])
-    keep = _first_front(F, V)
-    X, F, V = X[keep], F[keep], V[keep]
-    order = np.lexsort((F[:, 1], F[:, 0]))
-    f1, f2 = F[order, 0], F[order, 1]
+    X = np.concatenate((aX, cX))
+    F = np.concatenate((aF, cF))
+    V = np.concatenate((aV, cV))
+    idx = _first_front(F, V)
+    keep = np.zeros(len(F), dtype=bool)
+    keep[idx] = True
+    f1, f2 = F[idx, 0], F[idx, 1]
     tie = (f1[1:] == f1[:-1]) & (f2[1:] == f2[:-1])
     if tie.any():
         tied = np.zeros(len(F), dtype=bool)
-        tied[order[1:][tie]] = tied[order[:-1][tie]] = True
+        tied[idx[1:][tie]] = tied[idx[:-1][tie]] = True
         rows = X[tied] + 0.0
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
         _, first = np.unique(keys, return_index=True)
-        keep = ~tied
+        keep &= ~tied
         keep[np.flatnonzero(tied)[first]] = True
-        X, F, V = X[keep], F[keep], V[keep]
-    return _prune_archive(X, F, V, capacity, alpha)
+        idx = idx[keep[idx]]
+    order = (np.cumsum(keep) - 1)[idx]
+    return _prune_archive(X[keep], F[keep], V[keep], capacity, alpha, order)
 
 
 def _forces(X, q, gate, radius):
@@ -438,7 +414,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
     with the archive state after every iteration. hv_reference overrides
     the problem's hypervolume corner for the progress log.
     """
-    from .benchmarks import hypervolume2d
+    from .benchmarks import _slab_sum
 
     lo, hi = problem.bounds
     lo = np.asarray(lo, dtype=float)
@@ -447,6 +423,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
     span = hi - lo
     if hv_reference is None:
         hv_reference = getattr(problem, "hv_reference", None)
+    ref = None if hv_reference is None else np.asarray(hv_reference, dtype=float)
 
     rng = np.random.default_rng(config.seed)
     n = config.n_cps
@@ -459,26 +436,18 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
     ranks = pareto_rank(F, viol)
 
     first = ranks == 1
-    aX, aF, aV = _prune_archive(
-        X[first].copy(), F[first].copy(), viol[first].copy(), cap, config.alpha
-    )
+    aX, aF, aV, aFo = _prune_archive(X[first], F[first], viol[first], cap, config.alpha)
 
     log = []
 
     def _record(it):
-        feas = aV == 0.0
-        entry = {"iter": it, "archive_size": int(len(aF))}
-        if feas.any():
-            entry["fit1_min"] = float(aF[feas, 0].min())
-            entry["fit2_min"] = float(aF[feas, 1].min())
-            if hv_reference is not None:
-                entry["hypervolume"] = hypervolume2d(aF[feas], hv_reference, strict=False)
-            else:
-                entry["hypervolume"] = None
+        entry = {"iter": it, "archive_size": len(aF)}
+        if aV[0] == 0.0:  # a first front: all of the CM is feasible or none is
+            entry["fit1_min"] = float(aF[:, 0].min())
+            entry["fit2_min"] = float(aF[:, 1].min())
+            entry["hypervolume"] = None if ref is None else _slab_sum(aFo, ref)
         else:
-            entry["fit1_min"] = None
-            entry["fit2_min"] = None
-            entry["hypervolume"] = None
+            entry["fit1_min"] = entry["fit2_min"] = entry["hypervolume"] = None
         log.append(entry)
         if hook is not None:
             hook(it, aF.copy(), aV.copy())
@@ -513,10 +482,9 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
 
         # charges: product of per-objective normalized qualities
         q = np.ones(n)
-        for k in range(F.shape[1]):
-            best, worst_v = F[:, k].min(), F[:, k].max()
+        for f, best, worst_v in zip(F.T, F.min(axis=0), F.max(axis=0)):
             if worst_v != best:
-                q *= (F[:, k] - worst_v) / (best - worst_v)
+                q *= (f - worst_v) / (best - worst_v)
 
         pos = rng.random((n, n)) < config.attraction_prob
         ties = rng.random((n, n)) < 0.5
@@ -537,7 +505,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
         ranks = pareto_rank(F, viol)
 
         first = ranks == 1
-        aX, aF, aV = _archive_update(
+        aX, aF, aV, aFo = _archive_update(
             aX, aF, aV, X[first], F[first], viol[first], cap, config.alpha
         )
         _record(it)

@@ -17,7 +17,6 @@ import math
 
 import numpy as np
 
-from archdam.mocss import _deletion_weights
 from archdam.mtdm import UndefinedSetError
 from archdam.stress_model import GRAVITY, sample_grid
 from archdam.willam_warnke import EvaluationError, criterion_values
@@ -61,8 +60,9 @@ def prune_reference(X, F, viol, capacity, alpha):
     row-major argmin."""
     if len(F) <= capacity:
         return X, F, viol
-    u = _deletion_weights(F, alpha)
-    W = F * u
+    # weights alpha and alpha * fitworst_2 / fitworst_1 (alpha if fitworst_1 is 0)
+    worst = F.max(axis=0)
+    W = F * np.array([alpha, alpha * (worst[1] / worst[0]) if worst[0] != 0.0 else alpha])
     D = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
     np.fill_diagonal(D, np.inf)
     alive = np.ones(len(F), dtype=bool)

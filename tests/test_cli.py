@@ -212,6 +212,27 @@ def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, paylo
     assert np.isfinite(json.loads(capsys.readouterr().out)["fit1"])
 
 
+
+@pytest.mark.parametrize("payload, section", [
+    ({"geometry": {"w_crest": 1e200, "w_base": 1.0}}, "geometry"),
+    ({"problem": {"moment_share": 1e300}}, "problem"),
+])
+def test_config_whose_terms_overflow_exits_2_naming_section(tmp_path, capsys, payload, section):
+    # the schema accepts these values; the problem's design-independent
+    # terms overflow, which is a config error, not a warning
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    for argv in (["evaluate", "--design", TABLE5_ARG],
+                 ["optimize", "--out", str(tmp_path / "run")]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+        assert not caught, [str(w.message) for w in caught]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {section} invalid: overflow"), captured.err
+    assert not (tmp_path / "run").exists()
+
 def test_optimize_at_penalty_ceilings_logs_finite_hypervolume(tmp_path, capsys):
     cfg, run = tmp_path / "cfg.json", tmp_path / "run"
     cfg.write_text(json.dumps({**PENALTY_CEILINGS, "mocss": {

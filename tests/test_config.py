@@ -367,14 +367,7 @@ def test_import_and_setup_skip_jsonschema_and_importlib_resources(tmp_path):
         "archdam.make_problem(cfg)\n"
         "print(sorted(m for m in ('jsonschema', 'importlib.resources') if m in sys.modules))\n"
     )
-    # -S skips site start-up, whose .pth hooks may import importlib.resources
-    # themselves; the path reaches archdam and numpy only
-    path = os.pathsep.join([str(Path(archdam.__file__).parents[1]),
-                            str(Path(np.__file__).parents[1])])
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
-                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert _run_bare(code) == "[]\n"
 
 
 def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
@@ -394,10 +387,30 @@ def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
         "want = mtdm.Scenario, mtdm.rank_R, bench.get_benchmark, mtdm.rank_R\n"
         "print([a is b for a, b in zip(got, want)])\n"
     )
-    # -S as above
+    assert _run_bare(code) == "[]\n[True, True, True, True]\n"
+
+
+def test_dam_run_within_capacity_never_loads_heapq(tmp_path):
+    # the prune imports heapq only when it deletes, and the dam's CM here
+    # stays within capacity
+    cfg = _write(tmp_path, {"mocss": {"n_cps": 12, "iterations": 5, "archive_capacity": 100}})
+    code = (
+        "import sys\n"
+        "import archdam\n"
+        f"cfg, _ = archdam.load_config({cfg!r})\n"
+        "res = archdam.run_mocss(archdam.make_problem(cfg), archdam.make_mocss_config(cfg))\n"
+        "print(max(e['archive_size'] for e in res.log) < 100, 'heapq' in sys.modules)\n"
+    )
+    assert _run_bare(code) == "True False\n"
+
+
+def _run_bare(code):
+    """The standard output of code run by a fresh interpreter started with
+    -S, which skips site start-up, whose .pth hooks may import modules
+    themselves; the path reaches archdam and numpy only."""
     path = os.pathsep.join([str(Path(archdam.__file__).parents[1]),
                             str(Path(np.__file__).parents[1])])
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[True, True, True, True]\n"
+    return proc.stdout

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import archdam
 from archdam import MocssConfig, get_benchmark, pareto_rank, run_mocss
+from archdam.benchmarks import hypervolume2d
 from archdam.mocss import NonFiniteError, _archive_update, _forces, _prune_archive, _repair
 
 from _oracles import (brute_force_rank, force_reference, forces_masked, prune_reference,
@@ -155,6 +157,57 @@ def test_prune_matches_reference():
     assert all(np.array_equal(g, w) for g, w in zip(got, prune_reference(X, F, viol, 4, 1.0)))
 
 
+
+def _prune_both(X, F, capacity, alpha, order=None):
+    """_prune_archive against prune_reference on the same rows, its fourth
+    output against the kept objective rows in (f1, f2) order."""
+    viol = np.zeros(len(F))
+    got = _prune_archive(X, F, viol, capacity, alpha, order)
+    want = prune_reference(X, F, viol, capacity, alpha)
+    kept = want[1]
+    return (all(np.array_equal(g, w) for g, w in zip(got, want))
+            and got[3].tobytes() == kept[np.lexsort((kept[:, 1], kept[:, 0]))].tobytes())
+
+
+def test_prune_chain_ties_match_reference():
+    rng = np.random.default_rng(59)
+    for trial in range(120):
+        n = int(rng.integers(8, 40))
+        f1 = np.sort(rng.random(n))
+        F = np.column_stack([f1, 1.0 - np.sqrt(f1)])
+        capacity = int(rng.integers(1, n))
+        if trial % 4 == 0:
+            # three identical rows, given in a chain order that puts the
+            # lowest-indexed two apart: the reference breaks that pair, which
+            # is not adjacent in the chain
+            a, b, c = np.sort(rng.choice(n, 3, replace=False))
+            F[[b, c]] = F[a]
+            order = np.lexsort((F[:, 1], F[:, 0]))
+            k = np.flatnonzero(np.isin(order, [a, b, c]))
+            order[k] = a, c, b
+            assert _prune_both(np.arange(n, dtype=float)[:, None], F, capacity, 1.0, order), trial
+        elif trial % 4 == 1:
+            # alpha 0: every weighted row is the same, so every pair is
+            # at distance 0 and the two lowest row indices go first
+            X = np.arange(n, dtype=float)[:, None]
+            perm = rng.permutation(n)
+            assert _prune_both(X, F[perm], capacity, 0.0), trial
+        elif trial % 4 == 2:
+            # a run of rows 1e-170 apart, whose squared gaps underflow, so
+            # rows that differ lie at distance 0, in shuffled row order
+            m = int(rng.integers(3, 8))
+            F[:m] = np.column_stack([np.arange(m) * 1e-170, np.ones(m)])
+            perm = rng.permutation(n)
+            assert _prune_both(np.arange(n, dtype=float)[:, None], F[perm], capacity, 1.0), trial
+        else:
+            # integer steps of 1 and 2 along an anti-diagonal whose worst
+            # values are equal, so the weights are exact: deleting a row
+            # between two gaps of 1 opens a gap equal to the gaps of 2
+            f1 = np.concatenate(([0.0], np.cumsum(rng.integers(1, 3, n - 1)))).astype(float)
+            F = np.column_stack([f1, f1[-1] - f1])[rng.permutation(n)]
+            alpha = (1.0, 0.5)[trial // 4 % 2]
+            assert _prune_both(np.arange(n, dtype=float)[:, None], F, capacity, alpha), trial
+
 def _small_config(**kw):
     base = dict(n_cps=16, iterations=20, archive_capacity=24, seed=5)
     base.update(kw)
@@ -255,6 +308,32 @@ def test_progress_log_fields():
     assert hv[-1] >= hv[0] - 1e-12
 
 
+
+@pytest.mark.parametrize("name, kw", [
+    ("ZDT1", dict(archive_capacity=8, iterations=15)),
+    ("SCH", dict(archive_capacity=6)),
+    ("dam", dict(n_cps=40, archive_capacity=8, seed=0)),
+])
+def test_logged_front_figures_equal_hypervolume2d(name, kw):
+    # the log reads the CM's (f1, f2) order from the update; the figures
+    # must equal those of the whole CM, every iteration, bit for bit
+    problem = archdam.make_problem(archdam.default_config()) if name == "dam" else get_benchmark(name)
+    seen = []
+
+    def hook(it, aF, aV):
+        feas = aV == 0.0
+        seen.append(None if not feas.any() else (
+            aF[feas, 0].min(), aF[feas, 1].min(),
+            hypervolume2d(aF[feas], problem.hv_reference, strict=False)))
+
+    res = run_mocss(problem, _small_config(**kw), hook=hook)
+    logged = [None if e["fit1_min"] is None else (e["fit1_min"], e["fit2_min"], e["hypervolume"])
+              for e in res.log]
+    assert logged == seen
+    assert None in seen if name == "dam" else None not in seen
+    if name != "dam":
+        assert max(e["archive_size"] for e in res.log) == kw["archive_capacity"]
+
 def test_evaluation_budget_accounting():
     problem = get_benchmark("SCH")
     cfg = _small_config(n_cps=12, iterations=10)
@@ -351,6 +430,32 @@ def test_archive_update_drops_repeated_rows_like_np_unique():
         for V in (np.zeros(len(X)), np.full(len(X), 0.5), np.where(off, 0.25, 0.5)):
             assert _archive_update_like_np_unique(X, F, V), rows
 
+
+
+def test_archive_update_equals_reference_composition():
+    # over capacity, with tied objective rows and repeated designs: the
+    # first front, then each design's first occurrence, then the prune
+    rng = np.random.default_rng(61)
+    for trial in range(150):
+        n = int(rng.integers(4, 70))
+        X = rng.integers(0, 4, (n, 2)).astype(float)  # many repeated designs
+        design = np.unique(X, axis=0, return_inverse=True)[1].ravel()
+        m = design.max() + 1
+        if trial % 3 == 0:
+            F = rng.integers(0, 5, (m, 2)).astype(float)  # shared objective rows
+        else:
+            f1 = rng.integers(0, 12, m).astype(float)  # a front with repeats
+            F = np.column_stack([f1, 12.0 - f1 + rng.integers(0, 2, m) * (trial % 3 == 2)])
+        V = np.where(rng.random(m) < 0.2, 0.5, 0.0) if trial % 5 else np.full(m, 0.5)
+        F, V = F[design], V[design]
+        capacity, alpha = int(rng.integers(1, n + 1)), (1.0, 0.5, 3.0)[trial % 3]
+        first = np.flatnonzero(brute_force_rank(F, V) == 1)
+        keep = np.sort(first[np.unique(X[first] + 0.0, axis=0, return_index=True)[1]])
+        want = prune_reference(X[keep], F[keep], V[keep], capacity, alpha)
+        k = n // 2
+        got = _archive_update(X[:k], F[:k], V[:k], X[k:], F[k:], V[k:], capacity, alpha)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), trial
+        assert got[3].tobytes() == want[1][np.lexsort(want[1].T[::-1])].tobytes(), trial
 
 def test_forces_match_pairwise_reference():
     rng = np.random.default_rng(59)

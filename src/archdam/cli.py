@@ -15,6 +15,7 @@ Set ARCHDAM_LOG=debug|info|warning|quiet to control stderr verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -33,7 +34,7 @@ from .config import (
     make_problem,
     output_directory,
 )
-from .geometry import VARIABLE_NAMES, central_angle_deg, crown_slope
+from .geometry import VARIABLE_NAMES
 from .mocss import NonFiniteError, run_mocss
 from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
 
@@ -93,15 +94,7 @@ def _csv(digest: str, header, rows) -> str:
 
 def _log_jsonl(digest: str, entries) -> str:
     lines = [json.dumps({"manifest": digest}, allow_nan=False)]
-    for e in entries:
-        rec = {
-            "iter": int(e["iter"]),
-            "archive_size": int(e["archive_size"]),
-            "fit1_min": _round6(e["fit1_min"]),
-            "fit2_min": _round6(e["fit2_min"]),
-            "hypervolume": _round6(e["hypervolume"]),
-        }
-        lines.append(json.dumps(rec, allow_nan=False))
+    lines.extend(json.dumps(_round6(e), allow_nan=False) for e in entries)
     return "\n".join(lines) + "\n"
 
 
@@ -245,11 +238,18 @@ def _archive_rows(X, F, viol, feas):
 # -- subcommands --------------------------------------------------------------
 
 
-def _cmd_optimize(args) -> int:
+def _setup(args, design=False):
+    """The config, its digest, the dam problem, the checked --design (when
+    asked for) and the output directory."""
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
+    x = _checked_design(args.design, problem) if design else None
+    return cfg, digest, problem, x, args.out or output_directory(cfg)
+
+
+def _cmd_optimize(args) -> int:
+    cfg, digest, problem, _, outdir = _setup(args)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
-    outdir = args.out or output_directory(cfg)
 
     log.info("optimize: %d CPs, %d iterations, seed %d",
              mocss_cfg.n_cps, mocss_cfg.iterations, mocss_cfg.seed)
@@ -272,9 +272,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    cfg, _ = load_config(args.config)
-    problem = make_problem(cfg)
-    ev = problem.evaluate(_checked_design(args.design, problem))
+    _, _, problem, x, _ = _setup(args, design=True)
+    ev = problem.evaluate(x)
     # a config value at the edge of the float range (a subnormal strength
     # or slope limit) can overflow a quotient; JSON has no inf or NaN
     values = {"fit1": ev.fit1, "fit2": ev.fit2, "violation": ev.violation}
@@ -283,30 +282,16 @@ def _cmd_evaluate(args) -> int:
     for key, value in values.items():
         if not np.isfinite(value):
             raise ConfigError(f"evaluate: {key} = {value} is not finite under this config")
-    out = {
-        "fit1": _round6(ev.fit1),
-        "fit2": _round6(ev.fit2),
-        "violation": _round6(ev.violation),
-        "feasible": ev.feasible,
-        "diagnostics": _round6(ev.diagnostics),
-    }
-    print(json.dumps(out, indent=2, allow_nan=False))
+    print(json.dumps(_round6(dataclasses.asdict(ev)), indent=2, allow_nan=False))
     return 0
 
 
 def _cmd_evaluate_geometry(args) -> int:
-    cfg, digest = load_config(args.config)
-    problem = make_problem(cfg)
-    x = _checked_design(args.design, problem)
-    outdir = args.out or output_directory(cfg)
-
+    _, digest, problem, x, outdir = _setup(args, design=True)
     cons = problem.constraint_depths
-    tc, ru, rd = cons.depths.values(x[2:].reshape(3, 6))
-    s_u = crown_slope(cons.z, x[0], x[1], cons.h)
-    s_d = s_u + cons.depths.slopes(x[2:8], tc)
-    phi = central_angle_deg(cons.half_width, ru)
+    v, s_u, s_d, phi = cons.sections(x[:1], x[1:2], x[2:].reshape(3, 1, 6))
     slope = np.maximum(np.abs(s_u), np.abs(s_d))
-    rows = [[_f6(v) for v in row] for row in zip(cons.z, tc, ru, rd, phi, slope)]
+    rows = [[_f6(c) for c in row] for row in zip(cons.z, *v[:, 0], phi[0], slope[0])]
     _write_artifacts(outdir, digest, None, {"geometry.csv": _csv(
         digest, ["z", "tc", "ru", "rd", "phi_deg", "overhang_slope"], rows)})
     print(f"geometry profile written to {outdir}/geometry.csv")
@@ -314,19 +299,13 @@ def _cmd_evaluate_geometry(args) -> int:
 
 
 def _cmd_stress_field(args) -> int:
-    cfg, digest = load_config(args.config)
-    problem = make_problem(cfg)
-    x = _checked_design(args.design, problem)
-    outdir = args.out or output_directory(cfg)
-
+    _, digest, problem, x, outdir = _setup(args, design=True)
     # the surrogate's rows, expanded to the points of the problem's grid
     surrogate = problem.stress_surrogate
-    tc, ru = problem.stress_depths.values(x[2:14].reshape(2, 6))
-    if np.min(tc) <= 0.0:
+    ok, states = problem.stress_states(x[2:14].reshape(2, 1, 6))
+    if not ok[0]:
         raise ValueError("non-positive thickness at a stress sample")
-    if np.min(ru) <= 0.0:
-        raise ValueError("non-positive radius at a stress sample")
-    states = surrogate(tc, ru)[surrogate.index]
+    states = states[0, surrogate.index]
     margins = ww.criterion_values(states, problem.strength, problem.coeffs)
 
     rows = [
@@ -342,9 +321,7 @@ def _cmd_stress_field(args) -> int:
 
 
 def _cmd_ww_surface(args) -> int:
-    cfg, digest = load_config(args.config)
-    problem = make_problem(cfg)
-    outdir = args.out or output_directory(cfg)
+    _, digest, problem, _, outdir = _setup(args)
     if args.sigma_max <= args.sigma_min:
         raise ConfigError("--sigma-max must exceed --sigma-min")
     if args.steps < 2:

@@ -196,8 +196,6 @@ def load_config(path: str | None = None):
 
     try:
         user = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicates)
-    except ConfigError:
-        raise
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
 

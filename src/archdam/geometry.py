@@ -17,8 +17,9 @@ Every quantity is taken at a depth set fixed in advance, for any batch
 of designs: DepthInterpolant holds the design-independent interpolation
 terms of one depth set, and VolumeQuadrature and ConstraintDepths build
 the volume and the geometric constraints on theirs. DamProblem builds
-each of them once, and the CLI tabulates a design's sections through
-the problem's ConstraintDepths.
+each of them once. ConstraintDepths.sections is the one pass that takes
+the sections, face slopes and central angle at the constraint depths:
+the constraints are its maxima, and the CLI tabulates it.
 """
 
 from __future__ import annotations
@@ -195,15 +196,13 @@ class DepthInterpolant:
             out[..., self._at] = f.take(self._node, axis=-1)
         return out
 
-    def slopes(self, f, values=None):
-        """Slopes of the interpolant of f; values, when given, are
-        self.values(f) already computed, which spares its sums."""
-        p = self._sums(f) if values is None else values
+    def slopes(self, f, values):
+        """Slopes of the interpolant of f, given values = self.values(f)."""
         fl = np.ascontiguousarray(f.reshape(-1, f.shape[-1]).T)
-        t = p.reshape(-1, self.z.size) - fl[..., None]
+        t = values.reshape(-1, self.z.size) - fl[..., None]
         t *= self._wl
         t /= self._dz2
-        out = (t.sum(axis=0) / self._rsum).reshape(p.shape)
+        out = (t.sum(axis=0) / self._rsum).reshape(values.shape)
         if not self._off_only:
             # stacked matmul makes the same BLAS matrix-vector call for each
             # design as for a lone one; a summed product or one matrix product
@@ -289,7 +288,7 @@ class ConstraintDepths:
     Layout per design: 6 radius-ordering values rd_i/ru_i - 1, one
     overhang-slope value per face (worst over the depths), one
     central-angle value (worst over the depths, normalized by the 130
-    degree ceiling). Feasible where <= 0.
+    degree ceiling), reduced from sections(). Feasible where <= 0.
     """
 
     def __init__(self, levels: ControlLevels, canyon: CanyonProfile):
@@ -298,17 +297,23 @@ class ConstraintDepths:
         self.half_width = canyon.half_width(self.z)
         self.depths = DepthInterpolant(levels, self.z, slopes=True)
 
+    def sections(self, gamma, beta, nodes):
+        """The node rows interpolated to the depths, the upstream and
+        downstream face slopes and the central angle in degrees, for gamma,
+        beta of shape (n,) and node values of tc, ru (and any further
+        rows) stacked as shape (k, n, n_levels)."""
+        v = self.depths.values(nodes)
+        s_u = crown_slope(self.z, gamma[:, None], beta[:, None], self.h)
+        s_d = s_u + self.depths.slopes(nodes[0], v[0])
+        return v, s_u, s_d, central_angle_deg(self.half_width, v[1])
+
     def __call__(self, gamma, beta, nodes, gamma_allow: float):
         """gamma, beta of shape (n,), node values of tc, ru and rd stacked
         as shape (3, n, n_levels) -> (n, 9)."""
         out = np.empty((len(gamma), 9))
         out[:, :6] = nodes[2] / nodes[1] - 1.0
-        v = self.depths.values(nodes[:2])
-        tc, ru = v[0], v[1]
-        s_u = crown_slope(self.z, gamma[:, None], beta[:, None], self.h)
-        s_d = s_u + self.depths.slopes(nodes[0], tc)
+        _, s_u, s_d, phi = self.sections(gamma, beta, nodes[:2])
         out[:, 6] = np.abs(s_u).max(axis=1) / gamma_allow - 1.0
         out[:, 7] = np.abs(s_d).max(axis=1) / gamma_allow - 1.0
-        phi = central_angle_deg(self.half_width, ru)
         out[:, 8] = np.maximum(90.0 - phi, phi - 130.0).max(axis=1) / 130.0
         return out

@@ -26,9 +26,9 @@ Loop structure per iteration:
      that never removes a per-objective extreme member.
 
 The CM is never empty, so steps 1 and 5 always have members to draw
-from: the initial front of n >= 2 CPs is non-empty, every update keeps
-the rank-1 rows of a non-empty union, and the prune stops at
-archive_capacity >= 1.
+from: the first CM is the update of an empty one by the n >= 2 initial
+CPs, every update keeps the rank-1 rows of a non-empty union, and the
+prune stops at archive_capacity >= 1.
 
 Bookkeeping: ranking, the CM update and the prune run every iteration,
 so each avoids quadratic rework, and per-row Python where an array pass
@@ -206,14 +206,14 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
     return ranks
 
 
-def _prune_archive(X, F, viol, capacity, alpha, order=None):
+def _prune_archive(X, F, viol, capacity, alpha, order):
     """Drop closest pairs in weighted objective space (two objectives, as
     pareto_rank requires) until within capacity, never deleting a
     per-objective extreme member (the first row of each minimum). Of the
     closest pairs, the one whose lower row index is least, then the
     higher, is broken: its higher row goes unless it is an extreme.
-    Returns the kept rows, then their objective rows in (f1, f2) order;
-    order, when given, is that order of the rows passed in.
+    order is the (f1, f2) order of the rows passed in (row indices);
+    returns the kept rows, then their objective rows in that order.
 
     In that order the first weighted coordinate is monotone. Where the
     second is too (the first front), the rows form a chain along which
@@ -226,8 +226,6 @@ def _prune_archive(X, F, viol, capacity, alpha, order=None):
     of lower index. Other sets take the least entry of the alive rows'
     distance matrix, row-major.
     """
-    if order is None:
-        order = np.lexsort((F[:, 1], F[:, 0]))
     n = len(F)
     if n <= capacity:
         return X, F, viol, F[order]
@@ -434,9 +432,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
     F, viol = problem.evaluate_batch(lo + X * span)
     n_evals = n
     ranks = pareto_rank(F, viol)
-
-    first = ranks == 1
-    aX, aF, aV, aFo = _prune_archive(X[first], F[first], viol[first], cap, config.alpha)
+    aX, aF, aV, aFo = _archive_update(X[:0], F[:0], viol[:0], X, F, viol, cap, config.alpha)
 
     log = []
 

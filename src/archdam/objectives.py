@@ -93,10 +93,10 @@ class DamProblem:
 
     The geometry, grid and bounds fields are read once, at construction;
     to change one, build a new problem (dataclasses.replace). Bounds on
-    ru and rd that admit a non-positive radius raise ValueError. The
-    fixed-depth helpers built from them are public, so that the CLI
-    tabulates a design through them: constraint_depths, stress_depths
-    and stress_surrogate."""
+    ru and rd that admit a non-positive radius raise ValueError. The CLI
+    tabulates a design through the same passes the evaluation makes:
+    constraint_depths.sections, whose maxima are the slope and angle
+    constraints, and stress_states, whose largest margin is fit2."""
 
     levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
     canyon: CanyonProfile | None = None
@@ -172,6 +172,17 @@ class DamProblem:
                              f"finite value within [{self.lower[j]}, {self.upper[j]}]")
         return X
 
+    def stress_states(self, nodes):
+        """For node values of tc and ru stacked as shape (2, n, n_levels):
+        the mask of the designs whose tc and ru are positive at every
+        stress depth, and the surrogate's states of those designs only,
+        shape (mask.sum(), n_rows, n_cases, 3)."""
+        sections = self.stress_depths.values(nodes)  # (2, n, n_depths)
+        ok = (sections.min(axis=2) > 0.0).all(axis=0)
+        if not ok.all():
+            sections = sections[:, ok]
+        return ok, self.stress_surrogate(sections[0], sections[1])
+
     def _evaluate(self, X) -> _Batch:
         X = self.check_designs(X)
         n = len(X)
@@ -184,13 +195,8 @@ class DamProblem:
         viol = np.maximum(cons, 0.0).sum(axis=1)
         fit1 = self._volume(nodes)
 
-        # tc and ru at the stress depths: (2, n, n_depths)
-        sections = self.stress_depths.values(nodes[:2])
-        thick_ok = (sections.min(axis=2) > 0.0).all(axis=0)
+        thick_ok, states = self.stress_states(nodes[:2])
         all_thick = thick_ok.all()
-        if not all_thick:
-            sections = sections[:, thick_ok]
-        states = self.stress_surrogate(sections[0], sections[1])
         margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         # NaN where a compressive meridian came out non-positive

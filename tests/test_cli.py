@@ -334,6 +334,35 @@ def test_stress_field_non_positive_thickness_exits_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["diagnostics"] == {"degenerate": "thickness"}
 
 
+@pytest.mark.parametrize("n_depths", [None, 8])
+def test_tables_take_the_evaluators_passes(tmp_path, capsys, n_depths):
+    # the sections' maxima are the slope and angle constraints, and the
+    # stress states' largest margin is fit2, bit for bit
+    problem = DamProblem() if n_depths is None else DamProblem(n_depths=n_depths)
+    lo, hi = problem.bounds
+    draws = np.random.default_rng(23).uniform(lo, hi, (40, 20))
+    for x in [TABLE5, *draws]:
+        ev = problem.evaluate(x)
+        nodes = x[2:].reshape(3, 1, 6)
+        _, s_u, s_d, phi = problem.constraint_depths.sections(x[:1], x[1:2], nodes)
+        ok, states = problem.stress_states(nodes[:2])
+        assert ok[0] and criterion_values(states, problem.strength, problem.coeffs).max() == ev.fit2
+        assert ev.diagnostics["constraints"][6:] == [
+            np.abs(s_u).max() / problem.gamma_allow - 1.0,
+            np.abs(s_d).max() / problem.gamma_allow - 1.0,
+            np.maximum(90.0 - phi, phi - 130.0).max() / 130.0]
+    # both tables, on a grid of the problem's depths by 11 arc stations
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"problem": {"n_depths": problem.n_depths, "n_arc": 11}}))
+    for command, name, rows in [("evaluate-geometry", "geometry.csv", 50),
+                                ("stress-field", "stress_field.csv", problem.n_depths * 11 * 2 * 2)]:
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg), "--design", TABLE5_ARG,
+                     "--out", str(out)]) == 0
+        assert len((out / name).read_text().splitlines()) == 2 + rows
+    capsys.readouterr()
+
+
 def test_ww_surface_artifact(tmp_path, capsys):
     out = tmp_path / "ww"
     assert main(["ww-surface", "--out", str(out), "--steps", "5",

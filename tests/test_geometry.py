@@ -85,7 +85,8 @@ def test_interpolation_reproduces_quintics():
     # derivative of the interpolant matches the quintic's as well
     dpoly = poly.deriv()
     zs = rng.uniform(0.0, levels.h, 50)
-    slopes = DepthInterpolant(levels, zs, slopes=True).slopes(f(levels.z))
+    interp = DepthInterpolant(levels, zs, slopes=True)
+    slopes = interp.slopes(f(levels.z), interp.values(f(levels.z)))
     assert np.max(np.abs(slopes - dpoly(zs / levels.h) / levels.h)) < 1e-9
 
 
@@ -136,7 +137,6 @@ def test_depth_interpolant_equals_per_design_reference(depths):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(interp.values(f), values), f"{shape}{cause}"
-            assert np.array_equal(interp.slopes(f), slopes), f"{shape}{cause}"
             assert np.array_equal(interp.slopes(f, interp.values(f)), slopes), f"{shape}{cause}"
 
 

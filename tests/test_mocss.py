@@ -98,7 +98,7 @@ def test_prune_matches_reference():
         viol = np.zeros(n)
         capacity = (1, 2, int(rng.integers(1, n + 1)))[trial // 3 % 3]
         alpha = (1.0, 0.5, 3.0)[trial % 3]
-        got = _prune_archive(X, F, viol, capacity, alpha)
+        got = _prune_archive(X, F, viol, capacity, alpha, np.lexsort((F[:, 1], F[:, 0])))
         want = prune_reference(X, F, viol, capacity, alpha)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
     for trial in range(140):
@@ -143,7 +143,7 @@ def test_prune_matches_reference():
         X = np.arange(n, dtype=float)[:, None]
         viol = np.zeros(n)
         alpha = (1.0, 0.5, 3.0)[trial % 3]
-        got = _prune_archive(X, F, viol, 100, alpha)
+        got = _prune_archive(X, F, viol, 100, alpha, np.lexsort((F[:, 1], F[:, 0])))
         want = prune_reference(X, F, viol, 100, alpha)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
     # dx * dx underflows to 0 here, so |dx| > 0 would end the walk from
@@ -152,7 +152,7 @@ def test_prune_matches_reference():
     a = 1e-170
     F = np.array([[0.0, 0.0], [a, 0.0], [0.0, -a], [a, -5 * a], [0.0, a]])
     X, viol = np.arange(5.0)[:, None], np.zeros(5)
-    got = _prune_archive(X, F, viol, 4, 1.0)
+    got = _prune_archive(X, F, viol, 4, 1.0, np.lexsort((F[:, 1], F[:, 0])))
     assert np.array_equal(got[0].ravel(), [0.0, 2.0, 3.0, 4.0])
     assert all(np.array_equal(g, w) for g, w in zip(got, prune_reference(X, F, viol, 4, 1.0)))
 
@@ -162,6 +162,8 @@ def _prune_both(X, F, capacity, alpha, order=None):
     """_prune_archive against prune_reference on the same rows, its fourth
     output against the kept objective rows in (f1, f2) order."""
     viol = np.zeros(len(F))
+    if order is None:
+        order = np.lexsort((F[:, 1], F[:, 0]))
     got = _prune_archive(X, F, viol, capacity, alpha, order)
     want = prune_reference(X, F, viol, capacity, alpha)
     kept = want[1]
@@ -389,8 +391,8 @@ def _archive_update_like_np_unique(X, F, V):
     n = len(X)
     _, first = np.unique(X, axis=0, return_index=True)
     keep = np.sort(first)
-    want = _prune_archive(*(a[keep][pareto_rank(F[keep], V[keep]) == 1] for a in (X, F, V)),
-                          n, 1.0)
+    Xf, Ff, Vf = (a[keep][pareto_rank(F[keep], V[keep]) == 1] for a in (X, F, V))
+    want = _prune_archive(Xf, Ff, Vf, n, 1.0, np.lexsort((Ff[:, 1], Ff[:, 0])))
     got = _archive_update(X[:n // 2], F[:n // 2], V[:n // 2],
                           X[n // 2:], F[n // 2:], V[n // 2:], n, 1.0)
     return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -10,7 +10,7 @@ tournament decision maker.
 __version__ = "0.1.0"
 
 from .config import ConfigError, default_config, load_config, make_mocss_config, make_problem
-from .geometry import CanyonProfile, ControlLevels, LOWER_BOUNDS, UPPER_BOUNDS, VARIABLE_NAMES
+from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS, VARIABLE_NAMES
 from .mocss import MocssConfig, MocssResult, pareto_rank, run_mocss
 from .objectives import DamProblem, Evaluation
 from .stress_model import LoadCase, sample_grid
@@ -20,7 +20,7 @@ __all__ = [
     "__version__",
     "BenchmarkProblem", "get_benchmark", "hypervolume2d", "igd",
     "ConfigError", "default_config", "load_config", "make_mocss_config", "make_problem",
-    "CanyonProfile", "ControlLevels", "LOWER_BOUNDS", "UPPER_BOUNDS", "VARIABLE_NAMES",
+    "CanyonProfile", "LOWER_BOUNDS", "UPPER_BOUNDS", "VARIABLE_NAMES",
     "MocssConfig", "MocssResult", "pareto_rank", "run_mocss",
     "RankingResult", "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R",
     "DamProblem", "Evaluation",

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mocss import _first_front, _slab_sum
+
 __all__ = [
     "BenchmarkProblem",
     "get_benchmark",
@@ -24,12 +26,11 @@ BENCHMARK_NAMES = ("SCH", "ZDT1", "ZDT2")
 
 @dataclass(frozen=True)
 class BenchmarkProblem:
-    """One of BENCHMARK_NAMES on its box [lower, upper] of `dimension`
-    variables, with the hypervolume reference corner used for the progress
-    log. It has no constraints: every violation is 0."""
+    """One of BENCHMARK_NAMES on its box [lower, upper], with the
+    hypervolume reference corner used for the progress log. It has no
+    constraints: every violation is 0."""
 
     name: str
-    dimension: int
     lower: np.ndarray
     upper: np.ndarray
     hv_reference: tuple
@@ -72,7 +73,6 @@ def get_benchmark(name: str) -> BenchmarkProblem:
     if name == "SCH":
         return BenchmarkProblem(
             name="SCH",
-            dimension=1,
             lower=np.array([-3.0]),
             upper=np.array([3.0]),
             hv_reference=(4.5, 4.5),
@@ -80,7 +80,6 @@ def get_benchmark(name: str) -> BenchmarkProblem:
     if name in ("ZDT1", "ZDT2"):
         return BenchmarkProblem(
             name=name,
-            dimension=30,
             lower=np.zeros(30),
             upper=np.ones(30),
             hv_reference=(1.1, 1.1),
@@ -106,28 +105,6 @@ def igd(front: np.ndarray, samples: np.ndarray, scale=None) -> float:
     return float(d.min(axis=1).mean())
 
 
-def _nd_filter(F: np.ndarray) -> np.ndarray:
-    """The rows no other row dominates, once each, in (f1, f2) order: each
-    kept row's f2 lies strictly below every f2 before it in that order."""
-    F = F[np.lexsort((F[:, 1], F[:, 0]))]
-    f2 = F[:, 1]
-    before = np.minimum.accumulate(np.concatenate(([np.inf], f2[:-1])))
-    return F[f2 < before]
-
-
-def _slab_sum(pts: np.ndarray, ref) -> float:
-    """Area dominated by the rows of pts inside the corner ref, rows in
-    (f1, f2) order with f2 never rising: a slab per row from its f1 to the
-    next (a repeated row's is 0 wide) or the corner's, summed strictly left
-    to right by cumsum, independent of numpy's pairwise sum."""
-    pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
-    if len(pts) == 0:
-        return 0.0
-    right = np.append(pts[1:, 0], ref[0])
-    terms = (right - pts[:, 0]) * (ref[1] - pts[:, 1])
-    return float(np.cumsum(terms)[-1])
-
-
 def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
     """Dominated area between the front and the reference corner.
 
@@ -143,4 +120,6 @@ def hypervolume2d(front: np.ndarray, reference, strict: bool = True) -> float:
         dominated = np.all(ref <= front, axis=1) & np.any(ref < front, axis=1)
         if np.any(dominated):
             raise ValueError("reference point lies inside the front region")
-    return _slab_sum(_nd_filter(front), ref)
+    pts = front[_first_front(front, np.zeros(len(front)))]
+    # each repeated row once: its zero-wide slab is NaN at an infinite edge
+    return _slab_sum(pts[np.append(True, (pts[1:] != pts[:-1]).any(axis=1))], ref)

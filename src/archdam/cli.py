@@ -27,13 +27,7 @@ import numpy as np
 from . import __version__
 from . import willam_warnke as ww
 from .benchmarks import BENCHMARK_NAMES, get_benchmark, hypervolume2d, igd
-from .config import (
-    ConfigError,
-    load_config,
-    make_mocss_config,
-    make_problem,
-    output_directory,
-)
+from .config import ConfigError, load_config, make_mocss_config, make_problem
 from .geometry import VARIABLE_NAMES
 from .mocss import NonFiniteError, run_mocss
 from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
@@ -244,7 +238,7 @@ def _setup(args, design=False):
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
     x = _checked_design(args.design, problem) if design else None
-    return cfg, digest, problem, x, args.out or output_directory(cfg)
+    return cfg, digest, problem, x, args.out or cfg["output"]["directory"]
 
 
 def _cmd_optimize(args) -> int:
@@ -272,8 +266,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    _, _, problem, x, _ = _setup(args, design=True)
-    ev = problem.evaluate(x)
+    problem = make_problem(load_config(args.config)[0])
+    ev = problem.evaluate(_checked_design(args.design, problem))
     # a config value at the edge of the float range (a subnormal strength
     # or slope limit) can overflow a quotient; JSON has no inf or NaN
     values = {"fit1": ev.fit1, "fit2": ev.fit2, "violation": ev.violation}
@@ -398,7 +392,7 @@ def _cmd_benchmark(args) -> int:
     cfg, digest = load_config(args.config)
     problem = get_benchmark(args.problem)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
-    outdir = args.out or output_directory(cfg)
+    outdir = args.out or cfg["output"]["directory"]
 
     log.info("benchmark %s: %d CPs, %d iterations, seed %d",
              problem.name, mocss_cfg.n_cps, mocss_cfg.iterations,
@@ -438,11 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         version=f"archdam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, design=False, seed=False):
+    def add_common(p, design=False, seed=False, out=True):
         p.add_argument("--config", default=None,
                        help="JSON run configuration (defaults apply if omitted)")
-        p.add_argument("--out", default=None,
-                       help="output directory (overrides [output] in config)")
+        if out:
+            p.add_argument("--out", default=None,
+                           help="output directory (overrides [output] in config)")
         if design:
             p.add_argument("--design", required=True,
                            help="20 comma-separated values or a JSON array file")
@@ -455,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("evaluate", help="evaluate one design vector")
-    add_common(p, design=True)
+    add_common(p, design=True, out=False)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("evaluate-geometry",

@@ -19,14 +19,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import CanyonProfile, ControlLevels, LOWER_BOUNDS, UPPER_BOUNDS
+from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS
 from .mocss import MocssConfig
 from .objectives import DamProblem
 from .stress_model import LoadCase
 from .willam_warnke import DegenerateStrengthError, StrengthParams
 
 __all__ = ["ConfigError", "load_config", "default_config", "make_problem",
-           "make_mocss_config", "output_directory"]
+           "make_mocss_config"]
 
 
 class ConfigError(ValueError):
@@ -237,16 +237,13 @@ def make_problem(cfg: dict) -> DamProblem:
 
 @np.errstate(all="raise")
 def _assemble(cfg: dict) -> DamProblem:
-    geo = cfg["geometry"]
-    levels = _built("geometry", ControlLevels.evenly_spaced, h=geo["h"])
-    canyon = _built("geometry", CanyonProfile, **geo)
+    canyon = _built("geometry", CanyonProfile, **cfg["geometry"])
     strength = _built("strength", StrengthParams, **cfg["strength"])
     loads = tuple(_built(f"loads[{k}]", LoadCase, **item)
                   for k, item in enumerate(cfg["loads"]))
     prob = cfg["problem"]
     try:
         return DamProblem(
-            levels=levels,
             canyon=canyon,
             strength=strength,
             load_cases=loads,
@@ -263,7 +260,3 @@ def make_mocss_config(cfg: dict, seed: int | None = None) -> MocssConfig:
     if seed is not None:
         params["seed"] = seed
     return _built("mocss configuration", MocssConfig, **params)
-
-
-def output_directory(cfg: dict) -> str:
-    return cfg["output"]["directory"]

@@ -2,9 +2,10 @@
 
 The dam is described by 20 shape variables: a crest overhang slope gamma,
 a profile ratio beta, and crown thickness / upstream radius / downstream
-radius at six control levels spaced evenly over the height. Thickness and
-radii are interpolated over depth with a degree-5 Lagrange polynomial;
-both faces are parabolic in the cross-valley coordinate:
+radius at the six control levels level_depths(h), spaced evenly over the
+dam height h that CanyonProfile holds. Thickness and radii are
+interpolated over depth with a degree-5 Lagrange polynomial; both faces
+are parabolic in the cross-valley coordinate:
 
     y_u = x^2 / (2 ru(z)) + g(z),   y_d = x^2 / (2 rd(z)) + g(z) + tc(z),
 
@@ -16,10 +17,11 @@ z = h base), x across the valley, y positive downstream.
 Every quantity is taken at a depth set fixed in advance, for any batch
 of designs: DepthInterpolant holds the design-independent interpolation
 terms of one depth set, and VolumeQuadrature and ConstraintDepths build
-the volume and the geometric constraints on theirs. DamProblem builds
-each of them once. ConstraintDepths.sections is the one pass that takes
-the sections, face slopes and central angle at the constraint depths:
-the constraints are its maxima, and the CLI tabulates it.
+the volume and the geometric constraints on theirs, each from the
+canyon alone. DamProblem builds each of them once.
+ConstraintDepths.sections is the one pass that takes the sections, face
+slopes and central angle at the constraint depths: the constraints are
+its maxima, and the CLI tabulates it.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "InvalidLevelsError",
-    "ControlLevels",
     "CanyonProfile",
     "DepthInterpolant",
     "VolumeQuadrature",
@@ -43,6 +43,7 @@ __all__ = [
     "VARIABLE_NAMES",
     "crown_slope",
     "central_angle_deg",
+    "level_depths",
 ]
 
 DEFAULT_HEIGHT = 142.65  # m, Morrow Point dam
@@ -71,44 +72,24 @@ UPPER_BOUNDS = np.array(
 )
 
 
-class InvalidLevelsError(ValueError):
-    """Control levels are not strictly increasing."""
-
-
-@dataclass(frozen=True)
-class ControlLevels:
-    """Depths of the interpolation control levels, crest first."""
-
-    h: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", z)
-        if z.ndim != 1 or len(z) < 2 or np.any(np.diff(z) <= 0):
-            raise InvalidLevelsError("control levels must be strictly increasing")
-        if self.h <= 0:
-            raise InvalidLevelsError("dam height must be positive")
-
-    @classmethod
-    def evenly_spaced(cls, h: float = DEFAULT_HEIGHT) -> "ControlLevels":
-        """The six levels of the design vector, crest to base."""
-        return cls(h=h, z=np.linspace(0.0, h, 6))
-
-    @property
-    def n_levels(self) -> int:
-        return len(self.z)
+def level_depths(h: float) -> np.ndarray:
+    """Depths of the six control levels of a dam of height h, crest first."""
+    return np.linspace(0.0, h, 6)
 
 
 @dataclass(frozen=True)
 class CanyonProfile:
-    """Symmetric trapezoidal valley: half-width linear in depth."""
+    """Symmetric trapezoidal valley of the dam's height h: half-width
+    linear in depth. h is the one dam height; the control levels are
+    level_depths(h)."""
 
     h: float
     w_crest: float
     w_base: float
 
     def __post_init__(self):
+        if self.h <= 0:
+            raise ValueError("dam height must be positive")
         if self.w_crest <= 0 or self.w_base <= 0:
             raise ValueError("canyon half-widths must be positive")
         if self.w_base > self.w_crest:
@@ -136,12 +117,13 @@ def central_angle_deg(half_width, ru):
 
 
 class DepthInterpolant:
-    """Level interpolation onto a fixed set of depths, for any batch of designs.
+    """Interpolation from the six control levels of a dam of height h onto
+    a fixed set of depths z, for any batch of designs.
 
     Barycentric second form, p(z) = sum_j r_j f_j / sum_j r_j with
     r_j = w_j / (z - x_j). The terms r and their row sums depend only on
     the depths, so they are computed once here; values() and slopes() then
-    map node values of shape (..., n_levels) to (..., len(z)) in one
+    map node values of shape (..., 6) to (..., len(z)) in one
     pass. A depth within 1e-12 (relative to the dam height) of a level
     takes that level's value exactly; when every depth lies on a level,
     as the default stress depths do, values() is that lookup alone, and
@@ -152,19 +134,19 @@ class DepthInterpolant:
     The level sums are unoptimized np.einsum contractions: the products
     of a broadcast (r * f).sum(), added in the same left-to-right order,
     without its short inner loop per output value. The slope terms are
-    laid out (n_levels, designs, len(z)) and updated in place, so their
+    laid out (6, designs, len(z)) and updated in place, so their
     sum over the levels is a few whole-array adds. Either way the results
     are the same bit for bit as the one-design sums.
     """
 
-    def __init__(self, levels: ControlLevels, z, slopes: bool = False):
-        x = levels.z
+    def __init__(self, h: float, z, slopes: bool = False):
+        x = level_depths(h)
         self.z = np.asarray(z, dtype=float)
         d = x[:, None] - x[None, :]
         np.fill_diagonal(d, 1.0)
         self._w = 1.0 / d.prod(axis=1)
         dz = self.z[None, :] - x[:, None]
-        hit = np.abs(dz) <= 1e-12 * max(float(x[-1] - x[0]), 1.0)
+        hit = np.abs(dz) <= 1e-12 * max(float(h), 1.0)
         at = hit.any(axis=0)
         self._at = np.flatnonzero(at)
         self._node = hit[:, at].argmax(axis=0)
@@ -258,22 +240,22 @@ class VolumeQuadrature:
     multiply without its inner loop per depth, then tc is added and the
     absolute value taken in place."""
 
-    def __init__(self, levels: ControlLevels, canyon: CanyonProfile, order: int):
+    def __init__(self, canyon: CanyonProfile, order: int):
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
         t, w = _gauss_legendre(order)
         # the rule on [0, h] in depth, then on [-half_width, half_width]
         # across the valley at each depth: (order, order)
-        half_h = 0.5 * levels.h
+        half_h = 0.5 * canyon.h
         zq, self._wz = half_h + half_h * t, half_h * w
         half_width = canyon.half_width(zq)[:, None]
         self._half_x2 = (half_width * t) ** 2 / 2.0
         self._wx = half_width * w
-        self.depths = DepthInterpolant(levels, zq)
+        self.depths = DepthInterpolant(canyon.h, zq)
 
     def __call__(self, nodes):
         """Volumes, shape (n,), for the node values of tc, ru and rd
-        stacked as shape (3, n, n_levels)."""
+        stacked as shape (3, n, 6)."""
         tc, ru, rd = self.depths.values(nodes)
         thick = np.einsum("ni,ij->nij", 1.0 / rd - 1.0 / ru, self._half_x2)
         thick += tc[..., None]
@@ -291,17 +273,17 @@ class ConstraintDepths:
     degree ceiling), reduced from sections(). Feasible where <= 0.
     """
 
-    def __init__(self, levels: ControlLevels, canyon: CanyonProfile):
-        self.h = levels.h
-        self.z = np.linspace(0.0, levels.h, CONSTRAINT_DEPTHS)
+    def __init__(self, canyon: CanyonProfile):
+        self.h = canyon.h
+        self.z = np.linspace(0.0, canyon.h, CONSTRAINT_DEPTHS)
         self.half_width = canyon.half_width(self.z)
-        self.depths = DepthInterpolant(levels, self.z, slopes=True)
+        self.depths = DepthInterpolant(canyon.h, self.z, slopes=True)
 
     def sections(self, gamma, beta, nodes):
         """The node rows interpolated to the depths, the upstream and
         downstream face slopes and the central angle in degrees, for gamma,
         beta of shape (n,) and node values of tc, ru (and any further
-        rows) stacked as shape (k, n, n_levels)."""
+        rows) stacked as shape (k, n, 6)."""
         v = self.depths.values(nodes)
         s_u = crown_slope(self.z, gamma[:, None], beta[:, None], self.h)
         s_d = s_u + self.depths.slopes(nodes[0], v[0])
@@ -309,7 +291,7 @@ class ConstraintDepths:
 
     def __call__(self, gamma, beta, nodes, gamma_allow: float):
         """gamma, beta of shape (n,), node values of tc, ru and rd stacked
-        as shape (3, n, n_levels) -> (n, 9)."""
+        as shape (3, n, 6) -> (n, 9)."""
         out = np.empty((len(gamma), 9))
         out[:, :6] = nodes[2] / nodes[1] - 1.0
         _, s_u, s_d, phi = self.sections(gamma, beta, nodes[:2])

@@ -299,6 +299,19 @@ def _prune_archive(X, F, viol, capacity, alpha, order):
     return X[keep], F[keep], viol[keep], F[order[keep[order]]]
 
 
+def _slab_sum(pts: np.ndarray, ref) -> float:
+    """Area dominated by the rows of pts inside the corner ref, rows in
+    (f1, f2) order with f2 never rising: a slab per row from its f1 to the
+    next (a repeated row's is 0 wide) or the corner's, summed strictly left
+    to right by cumsum, independent of numpy's pairwise sum."""
+    pts = pts[(pts[:, 0] < ref[0]) & (pts[:, 1] < ref[1])]
+    if len(pts) == 0:
+        return 0.0
+    right = np.append(pts[1:, 0], ref[0])
+    terms = (right - pts[:, 0]) * (ref[1] - pts[:, 1])
+    return float(np.cumsum(terms)[-1])
+
+
 def _first_front(F, V):
     """The rows with pareto_rank(F, V) == 1, as indices in (f1, f2) order:
     the rows of least violation if none is feasible, else each feasible
@@ -412,8 +425,6 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
     with the archive state after every iteration. hv_reference overrides
     the problem's hypervolume corner for the progress log.
     """
-    from .benchmarks import _slab_sum
-
     lo, hi = problem.bounds
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)

@@ -38,7 +38,6 @@ from . import willam_warnke as ww
 from .geometry import (
     CanyonProfile,
     ConstraintDepths,
-    ControlLevels,
     DepthInterpolant,
     GAMMA_ALLOW,
     LOWER_BOUNDS,
@@ -91,15 +90,16 @@ class DamProblem:
     """Bundles geometry, stress surrogate, and failure criterion into the
     constrained two-objective evaluation used by the optimizer.
 
-    The geometry, grid and bounds fields are read once, at construction;
-    to change one, build a new problem (dataclasses.replace). Bounds on
-    ru and rd that admit a non-positive radius raise ValueError. The CLI
-    tabulates a design through the same passes the evaluation makes:
-    constraint_depths.sections, whose maxima are the slope and angle
-    constraints, and stress_states, whose largest margin is fit2."""
+    canyon.h is the one dam height: the six control levels and every
+    depth set are built from it. The geometry, grid and bounds fields are
+    read once, at construction; to change one, build a new problem
+    (dataclasses.replace). Bounds on ru and rd that admit a non-positive
+    radius raise ValueError. The CLI tabulates a design through the same
+    passes the evaluation makes: constraint_depths.sections, whose maxima
+    are the slope and angle constraints, and stress_states, whose largest
+    margin is fit2."""
 
-    levels: ControlLevels = field(default_factory=ControlLevels.evenly_spaced)
-    canyon: CanyonProfile | None = None
+    canyon: CanyonProfile = field(default_factory=CanyonProfile.default)
     strength: ww.StrengthParams = field(default_factory=ww.StrengthParams)
     load_cases: tuple = (
         LoadCase(kind="hydrostatic"),
@@ -116,16 +116,14 @@ class DamProblem:
     upper: np.ndarray = field(default_factory=lambda: UPPER_BOUNDS.copy())
 
     def __post_init__(self):
-        if self.canyon is None:
-            self.canyon = CanyonProfile.default(self.levels.h)
         self.coeffs = ww.solve_coefficients(self.strength)
         # the least value an ru or rd interpolant takes at a radius-check
         # depth over every accepted design: sum_j min(l_j lo_j, l_j hi_j)
         # over the level weights l_j. It must be positive by a margin far
         # above rounding error (relative 1e-9 against about 1e-15), so that
         # no accepted design has a non-positive radius.
-        depths = np.linspace(0.0, self.levels.h, RADIUS_CHECK_DEPTHS)
-        weights = DepthInterpolant(self.levels, depths).values(np.eye(self.levels.n_levels))
+        h = self.canyon.h
+        weights = DepthInterpolant(h, np.linspace(0.0, h, RADIUS_CHECK_DEPTHS)).values(np.eye(6))
         lo = (self.lower[8:] - BOUND_SLACK).reshape(2, -1, 1)
         hi = (self.upper[8:] + BOUND_SLACK).reshape(2, -1, 1)
         least = np.minimum(weights * lo, weights * hi).sum(axis=1)
@@ -134,16 +132,12 @@ class DamProblem:
             raise ValueError("the ru and rd bounds admit a non-positive radius")
         self._lowest = self.lower - BOUND_SLACK
         self._highest = self.upper + BOUND_SLACK
-        self.constraint_depths = ConstraintDepths(self.levels, self.canyon)
-        self._volume = VolumeQuadrature(self.levels, self.canyon, self.quadrature_order)
+        self.constraint_depths = ConstraintDepths(self.canyon)
+        self._volume = VolumeQuadrature(self.canyon, self.quadrature_order)
         self.stress_surrogate = StressSurrogate(
-            sample_grid(self.levels.h, self.canyon, self.n_depths, self.n_arc),
-            self.levels.h, self.load_cases, self.moment_share)
-        self.stress_depths = DepthInterpolant(self.levels, self.stress_surrogate.depths)
-
-    @property
-    def dimension(self) -> int:
-        return 20
+            sample_grid(self.canyon, self.n_depths, self.n_arc),
+            h, self.load_cases, self.moment_share)
+        self.stress_depths = DepthInterpolant(h, self.stress_surrogate.depths)
 
     @property
     def bounds(self):
@@ -173,7 +167,7 @@ class DamProblem:
         return X
 
     def stress_states(self, nodes):
-        """For node values of tc and ru stacked as shape (2, n, n_levels):
+        """For node values of tc and ru stacked as shape (2, n, 6):
         the mask of the designs whose tc and ru are positive at every
         stress depth, and the surrogate's states of those designs only,
         shape (mask.sum(), n_rows, n_cases, 3)."""

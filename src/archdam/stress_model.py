@@ -73,10 +73,11 @@ class LoadCase:
             raise ValueError("seismic coefficient must be non-negative")
 
 
-def sample_grid(h: float, canyon: CanyonProfile, n_depths: int = GRID_DEPTHS,
+def sample_grid(canyon: CanyonProfile, n_depths: int = GRID_DEPTHS,
                 n_arc: int = ARC_STATIONS):
     """Deterministic sample points (x, z, face) over both faces of a dam
-    of height h; they depend on no design.
+    in the canyon, n_depths evenly spaced from the crest to the canyon's
+    height h; they depend on no design.
 
     n_arc must be odd so the crown x = 0 is sampled; the outermost arc
     stations sit on the abutments at +-halfWidth(z).
@@ -85,7 +86,7 @@ def sample_grid(h: float, canyon: CanyonProfile, n_depths: int = GRID_DEPTHS,
         raise ValueError("need at least 6 depth stations")
     if n_arc < 9 or n_arc % 2 == 0:
         raise ValueError("need at least 9 arc stations, odd count")
-    zs = np.linspace(0.0, h, n_depths)
+    zs = np.linspace(0.0, canyon.h, n_depths)
     frac = np.linspace(-1.0, 1.0, n_arc)
     x = (canyon.half_width(zs)[:, None] * frac[None, :]).ravel()
     z = np.repeat(zs, n_arc)

@@ -147,15 +147,15 @@ def grid_hypervolume(front, reference, resolution=1e-3):
     return covered.sum() * resolution * resolution
 
 
-def mc_volume(design, levels, canyon, n_samples, seed=0, chunk=100_000):
+def mc_volume(design, canyon, n_samples, seed=0, chunk=100_000):
     """Monte Carlo estimate of the concrete volume over the clipped canyon
     for one design of 20 values, with the faces of the parabolic arch
     (y_u = x^2 / 2ru + g, y_d = x^2 / 2rd + g + tc) taken from the
     per-design interpolant."""
     gamma, beta = design[0], design[1]
-    tc, ru, rd = (LagrangeInterpolant(levels.z, design[k:k + 6]) for k in (2, 8, 14))
-    rng = np.random.default_rng(seed)
     h = canyon.h
+    tc, ru, rd = (LagrangeInterpolant(np.linspace(0.0, h, 6), design[k:k + 6]) for k in (2, 8, 14))
+    rng = np.random.default_rng(seed)
     wc = canyon.w_crest
     total = 0.0
     done = 0
@@ -166,7 +166,7 @@ def mc_volume(design, levels, canyon, n_samples, seed=0, chunk=100_000):
         inside = np.abs(x) <= canyon.half_width(z)
         if inside.any():
             x, z = x[inside], z[inside]
-            g = gamma * z**2 / (2.0 * beta * levels.h) - gamma * z
+            g = gamma * z**2 / (2.0 * beta * h) - gamma * z
             y_u = x**2 / (2.0 * ru(z)) + g
             y_d = x**2 / (2.0 * rd(z)) + g + tc(z)
             total += float(np.abs(y_d - y_u).sum())
@@ -217,10 +217,9 @@ def random_population(rng, max_points=30, n_objectives=2):
     return F, viol
 
 
-def lagrange_basis(z, i, levels):
-    """i-th Lagrange basis polynomial (1-based level index) at depth z, in
-    product form."""
-    nodes = levels.z
+def lagrange_basis(z, i, nodes):
+    """i-th Lagrange basis polynomial (1-based level index) over the level
+    depths nodes at depth z, in product form."""
     n = len(nodes)
     if not 1 <= i <= n:
         raise IndexError(f"level index {i} outside 1..{n}")
@@ -288,16 +287,17 @@ def evaluate_rowwise(problem, X):
     or with a non-positive compressive meridian, gets the penalty
     objectives and violation + 1. Returns (F, violation)."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(-1, 20)
-    levels, canyon, h = problem.levels, problem.canyon, problem.levels.h
+    canyon, h = problem.canyon, problem.canyon.h
+    levels = np.linspace(0.0, h, 6)  # the six evenly spaced control levels
     F = np.empty((len(X), 2))
     viol = np.empty(len(X))
     for i, x in enumerate(X):
         if np.any(x < problem.lower - 1e-9) or np.any(x > problem.upper + 1e-9):
             raise ValueError("design outside variable bounds")
         gamma, beta = x[0], x[1]
-        tc = LagrangeInterpolant(levels.z, x[2:8])
-        ru = LagrangeInterpolant(levels.z, x[8:14])
-        rd = LagrangeInterpolant(levels.z, x[14:20])
+        tc = LagrangeInterpolant(levels, x[2:8])
+        ru = LagrangeInterpolant(levels, x[8:14])
+        rd = LagrangeInterpolant(levels, x[14:20])
         F[i] = problem.penalty_fit1, problem.penalty_fit2
 
         order_cons = x[14:20] / x[8:14] - 1.0
@@ -325,7 +325,7 @@ def evaluate_rowwise(problem, X):
                        * (1.0 / rd(zq)[:, None] - 1.0 / ru(zq)[:, None]))
         fit1 = float(np.einsum("ij,ij,i->", thick, wx, wz))
 
-        _, z, face = sample_grid(h, canyon, problem.n_depths, problem.n_arc)
+        _, z, face = sample_grid(canyon, problem.n_depths, problem.n_arc)
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
             viol[i] = violation + 1.0

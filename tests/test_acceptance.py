@@ -9,7 +9,7 @@ plane genuinely disagree, see test_criterion_02 for the analysis.
 
 import json
 import statistics
-from importlib import resources
+from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -29,7 +29,7 @@ from archdam import (
     solve_coefficients,
 )
 from archdam.cli import main
-from archdam.geometry import ControlLevels
+from archdam.geometry import DEFAULT_HEIGHT, level_depths
 from archdam.benchmarks import igd
 from archdam.mtdm import acceptable_mask
 
@@ -151,7 +151,7 @@ def test_criterion_03_volume_oracle(capsys):
     problem = DamProblem()
     vol32 = problem.evaluate(TABLE5).fit1
     vol64 = DamProblem(quadrature_order=64).evaluate(TABLE5).fit1
-    mc = mc_volume(TABLE5, problem.levels, problem.canyon, 10_000_000, seed=7)
+    mc = mc_volume(TABLE5, problem.canyon, 10_000_000, seed=7)
     dt = perf_counter() - t0
 
     mc_rel = abs(vol32 - mc) / mc
@@ -167,10 +167,10 @@ def test_criterion_03_volume_oracle(capsys):
 
 
 def test_criterion_04_interpolation(capsys):
-    levels = ControlLevels.evenly_spaced()
-    nodes = levels.z
+    h = DEFAULT_HEIGHT
+    nodes = level_depths(h)
     card = max(
-        abs(lagrange_basis(nodes[j], i, levels) - (1.0 if i - 1 == j else 0.0))
+        abs(lagrange_basis(nodes[j], i, nodes) - (1.0 if i - 1 == j else 0.0))
         for i in range(1, 7) for j in range(6))
 
     rng = np.random.default_rng(404)
@@ -178,10 +178,10 @@ def test_criterion_04_interpolation(capsys):
     for _ in range(20):
         coef = rng.uniform(-1.0, 1.0, 6)
         poly = np.polynomial.Polynomial(coef)
-        vals = poly(nodes / levels.h)
-        zq = rng.uniform(0.0, levels.h, 100)
-        interp = sum(vals[i - 1] * lagrange_basis(zq, i, levels) for i in range(1, 7))
-        worst = max(worst, float(np.max(np.abs(interp - poly(zq / levels.h)))))
+        vals = poly(nodes / h)
+        zq = rng.uniform(0.0, h, 100)
+        interp = sum(vals[i - 1] * lagrange_basis(zq, i, nodes) for i in range(1, 7))
+        worst = max(worst, float(np.max(np.abs(interp - poly(zq / h)))))
 
     ok = card < 1e-12 and worst < 1e-9
     _emit(capsys, "AC-04", ok,
@@ -193,8 +193,7 @@ def test_criterion_04_interpolation(capsys):
 
 
 def test_criterion_05_benchmark_convergence(capsys):
-    thresholds = json.loads(
-        resources.files("archdam.data.golden").joinpath("thresholds.json").read_text())
+    thresholds = json.loads((Path(__file__).parent / "thresholds.json").read_text())
     limits = {"SCH": thresholds["sch_igd_median"], "ZDT1": thresholds["zdt1_igd_median"]}
     medians = {}
     tmax = 0.0

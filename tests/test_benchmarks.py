@@ -123,7 +123,7 @@ def test_igd_scaling():
 
 def test_sch_evaluations_and_front():
     bp = get_benchmark("SCH")
-    assert bp.dimension == 1 and bp.hv_reference == (4.5, 4.5)
+    assert len(bp.lower) == 1 and bp.hv_reference == (4.5, 4.5)
     F, viol = bp.evaluate_batch(np.array([[0.0], [2.0], [1.0]]))
     assert np.allclose(F, [[0.0, 4.0], [4.0, 0.0], [1.0, 1.0]])
     assert np.all(viol == 0.0)
@@ -135,7 +135,7 @@ def test_sch_evaluations_and_front():
 def test_zdt_evaluations_and_fronts():
     z1 = get_benchmark("ZDT1")
     z2 = get_benchmark("zdt2")  # case-insensitive lookup
-    assert z1.dimension == 30 and z1.hv_reference == (1.1, 1.1)
+    assert len(z1.lower) == 30 and z1.hv_reference == (1.1, 1.1)
     x = np.zeros((1, 30))
     x[0, 0] = 0.25
     F1, _ = z1.evaluate_batch(x)

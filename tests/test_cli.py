@@ -11,7 +11,7 @@ import archdam
 from archdam import DamProblem
 from archdam.benchmarks import hypervolume2d
 from archdam.cli import _f6, _g6, main
-from archdam.geometry import CanyonProfile, ControlLevels
+from archdam.geometry import DEFAULT_HEIGHT, CanyonProfile, level_depths
 from archdam.stress_model import LoadCase, MOMENT_SHARE, sample_grid
 from archdam.willam_warnke import StrengthParams, criterion_values, solve_coefficients
 
@@ -62,16 +62,21 @@ def test_evaluate_rejects_bad_designs(tmp_path, capsys):
     capsys.readouterr()
     nan = "nan,0.7,5,8,11,14,17,20,120,105,90,75,60,45,118,103,88,73,58,43"
     for command in ("evaluate", "evaluate-geometry", "stress-field"):
-        assert main([command, "--design", nan, "--out", str(tmp_path)]) == 2
+        out = [] if command == "evaluate" else ["--out", str(tmp_path)]
+        assert main([command, "--design", nan] + out) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "gamma = nan is not finite" in captured.err
     assert main(["evaluate", "--design", nan.replace("nan", "0.1").replace("43", "inf")]) == 2
     assert "rd6 = inf is not finite" in capsys.readouterr().err
+    # evaluate prints its result and writes no file, so it takes no --out
+    assert main(["evaluate", "--design", TABLE5_ARG, "--out", str(tmp_path / "x")]) == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_config_n_arc_must_be_odd_and_at_least_nine(tmp_path, capsys):
-    for n_arc in (7, 10):
+    for n_arc in (7, 10, 202):
         cfg = tmp_path / f"arc{n_arc}.json"
         cfg.write_text(json.dumps({"problem": {"n_arc": n_arc}}))
         assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 2
@@ -183,6 +188,13 @@ PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
     ({"loads": [{"kind": "hydrostatic", "concrete_density": 1e300}]},
      "$.loads[0].concrete_density",
      {"loads": [{"kind": "hydrostatic", "concrete_density": 6000}]}),
+    # the size keys: at the maxima the largest array of a 100-design batch,
+    # or of one MoCSS iteration, stays under about 64 MB
+    ({"problem": {"quadrature_order": 257}}, "$.problem.quadrature_order",
+     {"problem": {"quadrature_order": 256}}),
+    ({"problem": {"n_depths": 201}}, "$.problem.n_depths", {"problem": {"n_depths": 200}}),
+    ({"problem": {"n_arc": 203}}, "$.problem.n_arc", {"problem": {"n_arc": 201}}),
+    ({"mocss": {"n_cps": 2001}}, "$.mocss.n_cps", {"mocss": {"n_cps": 2000}}),
 ])
 def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
                                                          ceiling):
@@ -271,8 +283,8 @@ def test_config_non_finite_or_float_integer_exits_2_with_path(tmp_path, capsys, 
 
 
 def _table5_interpolants():
-    levels = ControlLevels.evenly_spaced()
-    return levels.h, (LagrangeInterpolant(levels.z, TABLE5[k:k + 6]) for k in (2, 8, 14))
+    h = DEFAULT_HEIGHT
+    return h, (LagrangeInterpolant(level_depths(h), TABLE5[k:k + 6]) for k in (2, 8, 14))
 
 
 def test_evaluate_geometry_artifact(tmp_path, capsys):
@@ -304,7 +316,7 @@ def test_stress_field_artifact(tmp_path, capsys):
     assert lines[1] == "x,z,face,load_case,s1,s2,s3,ww_margin"
     # every value, from the per-point surrogate on the per-design interpolant
     h, (tc, ru, _) = _table5_interpolants()
-    x, z, face = sample_grid(h, CanyonProfile.default())
+    x, z, face = sample_grid(CanyonProfile.default())
     cases = [LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic")]
     states = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
     strength = StrengthParams()

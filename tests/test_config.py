@@ -18,7 +18,6 @@ from archdam.config import (
     load_config,
     make_mocss_config,
     make_problem,
-    output_directory,
 )
 from archdam import CanyonProfile, DamProblem
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
@@ -117,7 +116,7 @@ def test_defaults_load_without_file():
     assert cfg == default_config()
     assert len(digest) == 64
     problem = make_problem(cfg)
-    assert problem.dimension == 20
+    assert len(problem.lower) == 20
     assert np.array_equal(problem.lower, LOWER_BOUNDS)
     mc = make_mocss_config(cfg)
     assert mc.n_cps == 100 and mc.iterations == 200 and mc.seed == 0
@@ -229,10 +228,10 @@ def test_geometry_and_strength_flow_through(tmp_path):
 
 def test_output_directory(tmp_path):
     cfg, _ = load_config()
-    assert output_directory(cfg) == cfg["output"]["directory"]
+    assert cfg["output"]["directory"] == "."
     path = _write(tmp_path, {"output": {"directory": "runs/exp1"}})
     cfg, _ = load_config(path)
-    assert output_directory(cfg) == "runs/exp1"
+    assert cfg["output"]["directory"] == "runs/exp1"
 
 
 def test_default_canyon_defined_once():
@@ -392,16 +391,17 @@ def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
 
 def test_dam_run_within_capacity_never_loads_heapq(tmp_path):
     # the prune imports heapq only when it deletes, and the dam's CM here
-    # stays within capacity
+    # stays within capacity; the run's hypervolume log needs no benchmarks
     cfg = _write(tmp_path, {"mocss": {"n_cps": 12, "iterations": 5, "archive_capacity": 100}})
     code = (
         "import sys\n"
         "import archdam\n"
         f"cfg, _ = archdam.load_config({cfg!r})\n"
         "res = archdam.run_mocss(archdam.make_problem(cfg), archdam.make_mocss_config(cfg))\n"
-        "print(max(e['archive_size'] for e in res.log) < 100, 'heapq' in sys.modules)\n"
+        "print(max(e['archive_size'] for e in res.log) < 100,\n"
+        "      'heapq' in sys.modules, 'archdam.benchmarks' in sys.modules)\n"
     )
-    assert _run_bare(code) == "True False\n"
+    assert _run_bare(code) == "True False False\n"
 
 
 def _run_bare(code):

@@ -6,7 +6,6 @@ import pytest
 
 from archdam import (
     CanyonProfile,
-    ControlLevels,
     LOWER_BOUNDS,
     UPPER_BOUNDS,
     VARIABLE_NAMES,
@@ -17,11 +16,11 @@ from archdam.geometry import (
     QUADRATURE_ORDER,
     ConstraintDepths,
     DepthInterpolant,
-    InvalidLevelsError,
     VolumeQuadrature,
     _gauss_legendre,
     central_angle_deg,
     crown_slope,
+    level_depths,
 )
 
 from _oracles import LagrangeInterpolant, lagrange_basis, mc_volume
@@ -30,14 +29,13 @@ from conftest import TABLE5
 
 def _volume(x, canyon=None, order=QUADRATURE_ORDER):
     """The quadrature volume of one design of 20 values."""
-    quad = VolumeQuadrature(ControlLevels.evenly_spaced(), canyon or CanyonProfile.default(),
-                            order)
+    quad = VolumeQuadrature(canyon or CanyonProfile.default(), order)
     return float(quad(x[2:].reshape(3, 1, 6))[0])
 
 
 def _constraints(x, canyon=None):
     """The 9 geometric constraint values of one design of 20 values."""
-    cons = ConstraintDepths(ControlLevels.evenly_spaced(), canyon or CanyonProfile.default())
+    cons = ConstraintDepths(canyon or CanyonProfile.default())
     return cons(x[:1], x[1:2], x[2:].reshape(3, 1, 6), GAMMA_ALLOW)[0]
 
 
@@ -50,17 +48,18 @@ def test_variable_layout():
     assert np.all(LOWER_BOUNDS < UPPER_BOUNDS)
 
 
-def test_control_levels_validation():
-    with pytest.raises(InvalidLevelsError):
-        ControlLevels(h=100.0, z=np.array([0.0, 50.0, 40.0, 60.0, 80.0, 100.0]))
-    with pytest.raises(InvalidLevelsError):
-        ControlLevels(h=-5.0, z=np.linspace(0, 100, 6))
+def test_canyon_height_validation():
+    with pytest.raises(ValueError, match="^dam height must be positive$"):
+        CanyonProfile(h=-5.0, w_crest=50.0, w_base=40.0)
+    # the height is checked first, so a config's message names it alone
+    with pytest.raises(ValueError, match="^dam height must be positive$"):
+        CanyonProfile(h=0.0, w_crest=-1.0, w_base=40.0)
 
 
 def test_lagrange_cardinality():
-    levels = ControlLevels.evenly_spaced()
+    levels = level_depths(DEFAULT_HEIGHT)
     for i in range(1, 7):
-        vals = lagrange_basis(levels.z, i, levels)
+        vals = lagrange_basis(levels, i, levels)
         expect = np.zeros(6)
         expect[i - 1] = 1.0
         assert np.allclose(vals, expect, atol=1e-12)
@@ -72,22 +71,22 @@ def test_interpolation_reproduces_quintics():
     # quintic in the normalized depth, so values stay O(1) and the 1e-9
     # absolute tolerance is meaningful
     rng = np.random.default_rng(11)
-    levels = ControlLevels.evenly_spaced()
+    h, levels = DEFAULT_HEIGHT, level_depths(DEFAULT_HEIGHT)
     coeffs = rng.uniform(-2, 2, 6)
     poly = np.polynomial.Polynomial(coeffs)
 
     def f(z):
-        return poly(z / levels.h) + 20.0
+        return poly(z / h) + 20.0
 
-    zq = rng.uniform(0.0, levels.h, 100)
-    values = DepthInterpolant(levels, zq).values(f(levels.z))
+    zq = rng.uniform(0.0, h, 100)
+    values = DepthInterpolant(h, zq).values(f(levels))
     assert np.max(np.abs(values - f(zq))) < 1e-9
     # derivative of the interpolant matches the quintic's as well
     dpoly = poly.deriv()
-    zs = rng.uniform(0.0, levels.h, 50)
-    interp = DepthInterpolant(levels, zs, slopes=True)
-    slopes = interp.slopes(f(levels.z), interp.values(f(levels.z)))
-    assert np.max(np.abs(slopes - dpoly(zs / levels.h) / levels.h)) < 1e-9
+    zs = rng.uniform(0.0, h, 50)
+    interp = DepthInterpolant(h, zs, slopes=True)
+    slopes = interp.slopes(f(levels), interp.values(f(levels)))
+    assert np.max(np.abs(slopes - dpoly(zs / h) / h)) < 1e-9
 
 
 def _fused_level_sums(ref, z):
@@ -110,27 +109,28 @@ def test_depth_interpolant_equals_per_design_reference(depths):
     # one-design reference, so the two agree bit for bit at any batch shape.
     # At h = 18.3465 the barycentric weights sum to exactly 0, which must
     # not reach a division at the depths that hit a level
-    levels = ControlLevels.evenly_spaced(18.3465 if "zero" in depths else DEFAULT_HEIGHT)
+    h = 18.3465 if "zero" in depths else DEFAULT_HEIGHT
+    levels = level_depths(h)
     rng = np.random.default_rng(29)
     if depths.startswith("level hits"):
-        z = np.concatenate([np.linspace(0.0, levels.h, 101), rng.uniform(0.0, levels.h, 20)])
+        z = np.concatenate([np.linspace(0.0, h, 101), rng.uniform(0.0, h, 20)])
     else:
-        z = 0.5 * levels.h * (1.0 + np.polynomial.legendre.leggauss(32)[0])
-    hits = np.isin(z, levels.z)
+        z = 0.5 * h * (1.0 + np.polynomial.legendre.leggauss(32)[0])
+    hits = np.isin(z, levels)
     assert hits.sum() == (0 if depths == "no level hits" else 6)
     if "zero" in depths:
-        assert sum(LagrangeInterpolant(levels.z, np.zeros(6)).w) == 0.0
+        assert sum(LagrangeInterpolant(levels, np.zeros(6)).w) == 0.0
     # the first input's products r_j f_j, with f_j = (1 + 2**-30)**j, are
     # inexact, so level sums built with fused multiply-adds (one rounding
     # per term instead of two) land on other last bits at some depths
     fma_prone = (1.0 + 2.0**-30) ** np.arange(1, 7)
-    ref = LagrangeInterpolant(levels.z, fma_prone)
+    ref = LagrangeInterpolant(levels, fma_prone)
     assert not np.array_equal(_fused_level_sums(ref, z[~hits]), ref(z[~hits]))
-    interp = DepthInterpolant(levels, z, slopes=True)
+    interp = DepthInterpolant(h, z, slopes=True)
     for f in [fma_prone] + [rng.uniform(-50.0, 150.0, shape) for shape in [(6,), (7, 6), (2, 7, 6)]]:
         shape = f.shape
         rows = f.reshape(-1, 6)
-        ref = [LagrangeInterpolant(levels.z, row) for row in rows]
+        ref = [LagrangeInterpolant(levels, row) for row in rows]
         values = np.array([r(z) for r in ref]).reshape(shape[:-1] + z.shape)
         slopes = np.array([r.derivative(z) for r in ref]).reshape(shape[:-1] + z.shape)
         cause = "; the level sums fuse multiply and add" if f is fma_prone else ""
@@ -176,8 +176,7 @@ def test_constant_thickness_slab_volume():
 
 
 def test_volume_against_monte_carlo():
-    v_mc = mc_volume(TABLE5, ControlLevels.evenly_spaced(), CanyonProfile.default(),
-                     200_000, seed=5)
+    v_mc = mc_volume(TABLE5, CanyonProfile.default(), 200_000, seed=5)
     assert _volume(TABLE5) == pytest.approx(v_mc, rel=0.02)
 
 
@@ -206,9 +205,8 @@ def test_radius_ordering_constraint_value():
 
 def test_table5_feasible_under_defaults():
     assert np.all(_constraints(TABLE5) <= 0.0)
-    levels = ControlLevels.evenly_spaced()
-    zs = np.linspace(0.0, levels.h, 50)
-    ru = DepthInterpolant(levels, zs).values(TABLE5[8:14])
+    zs = np.linspace(0.0, DEFAULT_HEIGHT, 50)
+    ru = DepthInterpolant(DEFAULT_HEIGHT, zs).values(TABLE5[8:14])
     phi = central_angle_deg(CanyonProfile.default().half_width(zs), ru)
     assert phi.min() >= 90.0 and phi.max() <= 130.0
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from archdam import DamProblem, default_config, make_problem
+from archdam import CanyonProfile, DamProblem, default_config, make_problem
+from archdam.geometry import level_depths
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
@@ -186,7 +187,7 @@ def test_bounds_property():
     p = DamProblem()
     lo, hi = p.bounds
     assert np.array_equal(lo, LOWER_BOUNDS) and np.array_equal(hi, UPPER_BOUNDS)
-    assert p.dimension == 20
+    assert len(p.lower) == 20
     assert np.all(lo < hi)
 
 
@@ -265,8 +266,9 @@ def _worst_case_designs(p):
     bound widened by 1e-9: the lower one where the level's weight at that
     depth is non-negative, the upper one where it is negative. Both
     radii then take the least value the bounds allow at that depth."""
-    z = np.linspace(0.0, p.levels.h, 101)
-    weights = np.column_stack([lagrange_basis(z, i, p.levels) for i in range(1, 7)])
+    z = np.linspace(0.0, p.canyon.h, 101)
+    weights = np.column_stack([lagrange_basis(z, i, level_depths(p.canyon.h))
+                               for i in range(1, 7)])
     X = np.tile((p.lower + p.upper) / 2.0, (len(z), 1))
     for k in (8, 14):
         X[:, k:k + 6] = np.where(weights < 0.0, p.upper[k:k + 6] + 1e-9,
@@ -294,4 +296,19 @@ def test_radius_certificate_from_bounds():
     for h in (15.0, 500.0):
         cfg = default_config()
         cfg["geometry"]["h"] = h
-        assert make_problem(cfg).levels.h == h
+        assert make_problem(cfg).canyon.h == h
+
+
+def test_canyon_height_sets_the_levels():
+    # the canyon's height is the one dam height: a problem built on a
+    # canyon alone places its levels as the config with that geometry does
+    geometry = {"h": 100.0, "w_crest": 90.0, "w_base": 30.0}
+    cfg = default_config()
+    cfg["geometry"] = geometry
+    rng = np.random.default_rng(24)
+    X = LOWER_BOUNDS + rng.random((100, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    got = DamProblem(canyon=CanyonProfile(**geometry))._evaluate(X)
+    want = make_problem(cfg)._evaluate(X)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        assert a.tolist() == b.tolist() if a.dtype == object else a.tobytes() == b.tobytes()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from archdam import CanyonProfile, ControlLevels, DamProblem, LoadCase
-from archdam.geometry import DEFAULT_HEIGHT, DepthInterpolant
+from archdam import CanyonProfile, DamProblem, LoadCase
+from archdam.geometry import DEFAULT_HEIGHT, DepthInterpolant, level_depths
 from archdam.stress_model import (GRAVITY, MOMENT_SHARE, StressSurrogate, _sorted_states,
                                   sample_grid)
 
@@ -92,7 +92,7 @@ def test_states_sorted_descending():
 
 def test_default_grid_layout():
     canyon = _canyon()
-    x, z, face = sample_grid(DEFAULT_HEIGHT, canyon)
+    x, z, face = sample_grid(canyon)
     assert len(x) == len(z) == len(face) == 108
     assert set(face) == {"up", "down"}
     # crown column sampled at every depth, abutments at the canyon wall
@@ -102,11 +102,11 @@ def test_default_grid_layout():
     assert np.all(xs[:, 4] == 0.0)
     assert np.allclose(np.abs(xs[:, 0]), canyon.half_width(zs[:, 0]))
     with pytest.raises(ValueError):
-        sample_grid(DEFAULT_HEIGHT, canyon, n_depths=5)
+        sample_grid(canyon, n_depths=5)
     with pytest.raises(ValueError):
-        sample_grid(DEFAULT_HEIGHT, canyon, n_arc=8)
+        sample_grid(canyon, n_arc=8)
     with pytest.raises(ValueError):
-        sample_grid(DEFAULT_HEIGHT, canyon, n_arc=7)
+        sample_grid(canyon, n_arc=7)
 
 
 def test_mirror_symmetry():
@@ -149,14 +149,14 @@ def test_closed_form_order_matches_np_sort():
 
 
 def test_distinct_rows_of_the_default_grid():
-    levels = ControlLevels.evenly_spaced()
-    grid = sample_grid(levels.h, _canyon())
+    h = DEFAULT_HEIGHT
+    grid = sample_grid(_canyon())
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
-    surrogate = StressSurrogate(grid, levels.h, cases, MOMENT_SHARE)
+    surrogate = StressSurrogate(grid, h, cases, MOMENT_SHARE)
     assert len(surrogate.multiplicity) == 12 and np.all(surrogate.multiplicity == 9)
     assert np.array_equal(surrogate.depths, np.unique(grid[1]))
     assert np.array_equal(surrogate.index, np.repeat(np.arange(12), 9))
-    tc, ru = DepthInterpolant(levels, surrogate.depths).values(TABLE5[2:14].reshape(2, 6))
+    tc, ru = DepthInterpolant(h, surrogate.depths).values(TABLE5[2:14].reshape(2, 6))
     assert surrogate(tc, ru).shape == (12, 3, 3)
 
 
@@ -164,16 +164,16 @@ def test_states_equal_per_point_reference():
     # bit for bit, signed zeros included, on the default grid and on a
     # grid whose points interleave faces and depths; the reference takes
     # tc and ru at every point from the per-design interpolant
-    levels = ControlLevels.evenly_spaced()
+    h = DEFAULT_HEIGHT
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
-    tc, ru = (LagrangeInterpolant(levels.z, TABLE5[k:k + 6]) for k in (2, 8))
-    x, z, face = sample_grid(levels.h, _canyon())
+    tc, ru = (LagrangeInterpolant(level_depths(h), TABLE5[k:k + 6]) for k in (2, 8))
+    x, z, face = sample_grid(_canyon())
     order = np.random.default_rng(1).permutation(len(z))
     for grid in ((x, z, face), (x[order], z[order], face[order])):
-        surrogate = StressSurrogate(grid, levels.h, cases, MOMENT_SHARE)
-        rows = surrogate(*DepthInterpolant(levels, surrogate.depths).values(
+        surrogate = StressSurrogate(grid, h, cases, MOMENT_SHARE)
+        rows = surrogate(*DepthInterpolant(h, surrogate.depths).values(
             TABLE5[2:14].reshape(2, 6)))
         _, zg, fg = grid
-        ref = surrogate_states(tc(zg), ru(zg), zg, fg, levels.h, cases, MOMENT_SHARE)
+        ref = surrogate_states(tc(zg), ru(zg), zg, fg, h, cases, MOMENT_SHARE)
         assert np.array_equal(rows[surrogate.index].view(np.int64), ref.view(np.int64))

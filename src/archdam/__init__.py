@@ -13,7 +13,7 @@ from .config import ConfigError, default_config, load_config, make_mocss_config,
 from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS, VARIABLE_NAMES
 from .mocss import MocssConfig, MocssResult, pareto_rank, run_mocss
 from .objectives import DamProblem, Evaluation
-from .stress_model import LoadCase, sample_grid
+from .stress_model import LoadCase
 from .willam_warnke import StrengthParams, WWCoefficients, criterion_values, solve_coefficients
 
 __all__ = [
@@ -24,7 +24,7 @@ __all__ = [
     "MocssConfig", "MocssResult", "pareto_rank", "run_mocss",
     "RankingResult", "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R",
     "DamProblem", "Evaluation",
-    "LoadCase", "sample_grid",
+    "LoadCase",
     "StrengthParams", "WWCoefficients", "criterion_values", "solve_coefficients",
 ]
 

@@ -8,8 +8,6 @@ config and seed produce byte-identical artifacts (manifests carry no
 wall-clock timestamps for exactly this reason). A command renders all
 its artifacts before it makes its output directory, so a run that fails
 leaves nothing behind.
-
-Set ARCHDAM_LOG=debug|info|warning|quiet to control stderr verbosity.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import logging
 import os
 import sys
 
@@ -30,25 +27,6 @@ from .benchmarks import BENCHMARK_NAMES, get_benchmark, hypervolume2d, igd
 from .config import ConfigError, load_config, make_mocss_config, make_problem
 from .geometry import VARIABLE_NAMES
 from .mocss import NonFiniteError, run_mocss
-from .mtdm import Scenario, UndefinedSetError, acceptable_mask, rank_R
-
-log = logging.getLogger("archdam")
-
-_LOG_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "quiet": logging.ERROR,
-}
-
-
-def _setup_logging():
-    level = _LOG_LEVELS.get(os.environ.get("ARCHDAM_LOG", "warning").lower())
-    logging.basicConfig(
-        level=level if level is not None else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
 
 
 # -- formatting ---------------------------------------------------------------
@@ -150,6 +128,10 @@ def _checked_design(raw: str, problem) -> np.ndarray:
     return x
 
 
+# the largest ww-surface --steps: its table holds steps^3 rows, and each
+# costs about 0.9 KB of memory while it is built
+WW_SURFACE_MAX_STEPS = 51
+
 ARCHIVE_COLUMNS = list(VARIABLE_NAMES) + ["fit1", "fit2", "violation", "feasible"]
 
 
@@ -199,6 +181,8 @@ def _read_archive(path: str):
 
 
 def _load_scenarios(path: str):
+    from .mtdm import Scenario
+
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -244,9 +228,6 @@ def _setup(args, design=False):
 def _cmd_optimize(args) -> int:
     cfg, digest, problem, _, outdir = _setup(args)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
-
-    log.info("optimize: %d CPs, %d iterations, seed %d",
-             mocss_cfg.n_cps, mocss_cfg.iterations, mocss_cfg.seed)
     try:
         res = run_mocss(problem, mocss_cfg)
     except NonFiniteError as exc:
@@ -294,18 +275,18 @@ def _cmd_evaluate_geometry(args) -> int:
 
 def _cmd_stress_field(args) -> int:
     _, digest, problem, x, outdir = _setup(args, design=True)
-    # the surrogate's rows, expanded to the points of the problem's grid
+    # the surrogate's rows, each expanded to the n_arc points of its arc
     surrogate = problem.stress_surrogate
     ok, states = problem.stress_states(x[2:14].reshape(2, 1, 6))
     if not ok[0]:
         raise ValueError("non-positive thickness at a stress sample")
-    states = states[0, surrogate.index]
+    states = states[0].repeat(surrogate.n_arc, axis=0)
     margins = ww.criterion_values(states, problem.strength, problem.coeffs)
 
     rows = [
         [_g6(px), _g6(pz), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]),
          _g6(margins[i, k])]
-        for i, (px, pz, face) in enumerate(zip(*surrogate.grid))
+        for i, (px, pz, face) in enumerate(zip(*surrogate.grid()))
         for k, lc in enumerate(problem.load_cases)
     ]
     _write_artifacts(outdir, digest, None, {"stress_field.csv": _csv(
@@ -316,22 +297,29 @@ def _cmd_stress_field(args) -> int:
 
 def _cmd_ww_surface(args) -> int:
     _, digest, problem, _, outdir = _setup(args)
-    if args.sigma_max <= args.sigma_min:
-        raise ConfigError("--sigma-max must exceed --sigma-min")
+    grid = f"[{args.sigma_min:g}, {args.sigma_max:g}] MPa"
+    # NaN, an infinite bound or a span past the float range fails this too
+    if not 0.0 < args.sigma_max - args.sigma_min < np.inf:
+        raise ConfigError(f"--sigma-min/--sigma-max: the grid {grid} needs finite bounds "
+                          "with --sigma-max above --sigma-min")
     if args.steps < 2:
         # one point per axis would ignore --sigma-max
         raise ConfigError(f"--steps must be at least 2, got {args.steps}")
+    if args.steps > WW_SURFACE_MAX_STEPS:
+        raise ConfigError(f"--steps must be at most {WW_SURFACE_MAX_STEPS}, got {args.steps}")
 
     axis = np.linspace(args.sigma_min, args.sigma_max, args.steps)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     states = np.sort(pts.reshape(-1, 3), axis=1)[:, ::-1]
     try:
-        margin, f_over, s_term, dom = ww.evaluate_components(
-            states, problem.strength, problem.coeffs
-        )
-    except ww.EvaluationError as exc:
+        # an overflow is a state outside the range; an underflow to zero is not
+        with np.errstate(all="raise", under="ignore"):
+            margin, f_over, s_term, dom = ww.evaluate_components(
+                states, problem.strength, problem.coeffs
+            )
+    except (ww.EvaluationError, FloatingPointError) as exc:
         raise ConfigError(
-            f"--sigma-min/--sigma-max: the grid [{args.sigma_min:g}, {args.sigma_max:g}] MPa "
+            f"--sigma-min/--sigma-max: the grid {grid} "
             f"reaches states outside the criterion's calibrated range ({exc})"
         ) from exc
 
@@ -347,6 +335,9 @@ def _cmd_ww_surface(args) -> int:
 
 
 def _cmd_decide(args) -> int:
+    # the decision maker serves this command alone, so it loads here
+    from .mtdm import acceptable_mask, rank_R
+
     X, fit1, fit2, viol, feas = _read_archive(args.archive)
     scenarios = _load_scenarios(args.scenarios)
     with open(args.scenarios, "rb") as fh:
@@ -393,10 +384,6 @@ def _cmd_benchmark(args) -> int:
     problem = get_benchmark(args.problem)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
     outdir = args.out or cfg["output"]["directory"]
-
-    log.info("benchmark %s: %d CPs, %d iterations, seed %d",
-             problem.name, mocss_cfg.n_cps, mocss_cfg.iterations,
-             mocss_cfg.seed)
     res = run_mocss(problem, mocss_cfg)
 
     samples = problem.analytic_front(1000)
@@ -471,7 +458,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-max", type=float, default=5.0,
                    help="grid upper bound, MPa")
     p.add_argument("--steps", type=int, default=11,
-                   help="grid points per axis, at least 2")
+                   help=f"grid points per axis, 2 to {WW_SURFACE_MAX_STEPS}")
     p.set_defaults(func=_cmd_ww_surface)
 
     p = sub.add_parser("decide", help="rank an archive under scenarios")
@@ -491,7 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -503,11 +489,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except UndefinedSetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - subcommand runtime failures
-        log.debug("unhandled failure", exc_info=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,10 +21,10 @@ Every depth at which a design is looked at is fixed by the problem: the
 constraint depths, the quadrature depths and the stress grid. DamProblem
 builds their interpolation terms once, so evaluate_batch is one numpy
 pass over all its designs, and evaluate is a batch of one. Stresses are
-computed once per distinct (depth, face) row of the grid
+computed once per (face, depth) row of the grid
 (stress_model.StressSurrogate): fit2 is the maximum over the rows, and
-the validity-warning count weights each row by the number of grid
-points it stands for.
+the validity-warning count counts each row n_arc times, once per grid
+point it stands for.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .geometry import (
     VARIABLE_NAMES,
     VolumeQuadrature,
 )
-from .stress_model import (ARC_STATIONS, GRID_DEPTHS, MOMENT_SHARE, LoadCase,
-                           StressSurrogate, sample_grid)
+from .stress_model import ARC_STATIONS, GRID_DEPTHS, MOMENT_SHARE, LoadCase, StressSurrogate
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 
@@ -94,10 +93,11 @@ class DamProblem:
     depth set are built from it. The geometry, grid and bounds fields are
     read once, at construction; to change one, build a new problem
     (dataclasses.replace). Bounds on ru and rd that admit a non-positive
-    radius raise ValueError. The CLI tabulates a design through the same
-    passes the evaluation makes: constraint_depths.sections, whose maxima
-    are the slope and angle constraints, and stress_states, whose largest
-    margin is fit2."""
+    radius raise ValueError. stress_surrogate is built from n_depths and
+    n_arc and holds the stress grid. The CLI tabulates a design through
+    the same passes the evaluation makes: constraint_depths.sections,
+    whose maxima are the slope and angle constraints, and stress_states,
+    whose largest margin is fit2."""
 
     canyon: CanyonProfile = field(default_factory=CanyonProfile.default)
     strength: ww.StrengthParams = field(default_factory=ww.StrengthParams)
@@ -134,9 +134,8 @@ class DamProblem:
         self._highest = self.upper + BOUND_SLACK
         self.constraint_depths = ConstraintDepths(self.canyon)
         self._volume = VolumeQuadrature(self.canyon, self.quadrature_order)
-        self.stress_surrogate = StressSurrogate(
-            sample_grid(self.canyon, self.n_depths, self.n_arc),
-            h, self.load_cases, self.moment_share)
+        self.stress_surrogate = StressSurrogate(self.canyon, self.n_depths, self.n_arc,
+                                                self.load_cases, self.moment_share)
         self.stress_depths = DepthInterpolant(h, self.stress_surrogate.depths)
 
     @property
@@ -195,8 +194,8 @@ class DamProblem:
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         # NaN where a compressive meridian came out non-positive
         fit2 = margins.max(axis=(1, 2))
-        # each row stands for `multiplicity` grid points
-        warnings = invalid.sum(axis=2) @ self.stress_surrogate.multiplicity
+        # each row stands for the n_arc points of its arc
+        warnings = invalid.sum(axis=(1, 2)) * self.n_arc
         meridian_ok = ~np.isnan(fit2)
 
         if all_thick and meridian_ok.all():

@@ -17,13 +17,11 @@ Per sample point the surrogate composes three components:
     the upstream face and compressive downstream;
   * zero third principal component (free faces).
 
-None of these terms depends on the arc position x, so a grid point's
-state is fixed by its depth and face. StressSurrogate therefore computes
-each distinct (depth, face) row once and keeps the index that expands the
-rows back to the grid points: the default grid of 6 depths x 9 arc
-stations x 2 faces holds 12 rows. The terms that depend on no design are
-built with it. An x-dependent backend would keep the same contract and
-only change the index.
+None of these terms depends on the arc position x, so a sample point's
+state is fixed by its depth and face. StressSurrogate therefore works on
+the (face, depth) rows of its grid, each standing for the n_arc points of
+one arc: the default grid of 6 depths x 9 arc stations x 2 faces holds 12
+rows. The terms that depend on no design are built with it.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ import numpy as np
 
 from .geometry import CanyonProfile
 
-__all__ = ["LoadCase", "StressSurrogate", "sample_grid", "GRAVITY", "GRID_DEPTHS",
-           "ARC_STATIONS", "MOMENT_SHARE"]
+__all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "GRID_DEPTHS", "ARC_STATIONS",
+           "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
 # the default sample grid: depth stations crest to base, arc stations
@@ -73,55 +71,32 @@ class LoadCase:
             raise ValueError("seismic coefficient must be non-negative")
 
 
-def sample_grid(canyon: CanyonProfile, n_depths: int = GRID_DEPTHS,
-                n_arc: int = ARC_STATIONS):
-    """Deterministic sample points (x, z, face) over both faces of a dam
-    in the canyon, n_depths evenly spaced from the crest to the canyon's
-    height h; they depend on no design.
-
-    n_arc must be odd so the crown x = 0 is sampled; the outermost arc
-    stations sit on the abutments at +-halfWidth(z).
-    """
-    if n_depths < 6:
-        raise ValueError("need at least 6 depth stations")
-    if n_arc < 9 or n_arc % 2 == 0:
-        raise ValueError("need at least 9 arc stations, odd count")
-    zs = np.linspace(0.0, canyon.h, n_depths)
-    frac = np.linspace(-1.0, 1.0, n_arc)
-    x = (canyon.half_width(zs)[:, None] * frac[None, :]).ravel()
-    z = np.repeat(zs, n_arc)
-    xx = np.concatenate([x, x])
-    zz = np.concatenate([z, z])
-    face = np.array(["up"] * len(x) + ["down"] * len(x))
-    return xx, zz, face
-
-
 class StressSurrogate:
-    """The surrogate on the distinct (depth, face) rows of a sample grid.
+    """The surrogate on the (face, depth) rows of a sample grid over both
+    faces of a dam in the canyon: n_depths evenly spaced from the crest to
+    the canyon's height h (`depths`), and an arc of n_arc stations at each
+    depth (`grid()`). The rows are the upstream ones at `depths`, then the
+    downstream ones.
 
-    Consecutive grid points that share depth and face form one row;
-    sample_grid lays out each arc consecutively, so its rows are the
-    (depth, face) pairs. `grid` is the sample grid as given, `index` maps
-    every grid point to its row and `multiplicity` counts the points per
-    row. `depths` are the distinct row depths, and `row_depth` indexes
-    them per row. The load-case terms that depend on no design are taken
-    at the first point of each row: -p (reservoir pressure plus the
-    Westergaard term), the self-weight, and the bending numerator
-    moment_share * rho_w * g * z_w^3, signed by face. They are kept
-    flattened to (n_rows * n_cases,), so that the states are built on one
-    contiguous axis rather than with an inner loop over the load cases.
+    The load-case terms that depend on no design are built per row: -p
+    (reservoir pressure plus the Westergaard term), the self-weight, and
+    the bending numerator moment_share * rho_w * g * z_w^3, signed by
+    face. They are kept flattened to (n_rows * n_cases,), so that the
+    states are built on one contiguous axis rather than with an inner
+    loop over the load cases.
     """
 
-    def __init__(self, grid, h: float, load_cases, moment_share: float):
-        self.grid = grid
-        _, z, face = grid
-        up = np.asarray(face) == "up"
-        z = np.asarray(z, dtype=float)
-        first = np.ones(len(z), dtype=bool)
-        first[1:] = (z[1:] != z[:-1]) | (up[1:] != up[:-1])
-        self.index = np.cumsum(first) - 1
-        self.multiplicity = np.bincount(self.index)
-        self.depths, self.row_depth = np.unique(z[first], return_inverse=True)
+    def __init__(self, canyon: CanyonProfile, n_depths: int, n_arc: int, load_cases,
+                 moment_share: float):
+        if n_depths < 6:
+            raise ValueError("need at least 6 depth stations")
+        if n_arc < 9 or n_arc % 2 == 0:
+            raise ValueError("need at least 9 arc stations, odd count")
+        self._canyon = canyon
+        self.n_arc = n_arc
+        self.depths = np.linspace(0.0, canyon.h, n_depths)
+        z = np.concatenate([self.depths, self.depths])
+        up = np.arange(len(z)) < n_depths
 
         neg_p, weight, bend = [], [], []
         for lc in load_cases:
@@ -130,17 +105,27 @@ class StressSurrogate:
             z_w = np.maximum(0.0, z - lc.water_level) if water else np.zeros_like(z)
             p = rho_w_g * z_w
             if lc.kind == "pseudo_seismic":
-                h_w = max(0.0, h - lc.water_level)
+                h_w = max(0.0, canyon.h - lc.water_level)
                 p = p + 0.875 * lc.seismic_coefficient * rho_w_g * np.sqrt(h_w * z_w)
             neg_p.append(-p)
             weight.append(-lc.concrete_density * GRAVITY * z / 1e6)
             num = moment_share * rho_w_g * z_w**3
             # tensile upstream, compressive downstream
             bend.append(np.where(up, num, -num))
-        self._state_shape = (len(self.row_depth), len(load_cases), 3)
-        self._take = np.repeat(self.row_depth, len(load_cases))
+        self._state_shape = (len(z), len(load_cases), 3)
+        self._take = np.repeat(np.tile(np.arange(n_depths), 2), len(load_cases))
         self._neg_p, self._weight, self._bend = (
-            np.stack(t, axis=-1)[first].ravel() for t in (neg_p, weight, bend))
+            np.stack(t, axis=-1).ravel() for t in (neg_p, weight, bend))
+
+    def grid(self):
+        """The sample points (x, z, face) in row order, n_arc consecutive
+        points per row. An arc runs from abutment to abutment at
+        +-half_width(z); n_arc is odd, so its middle point is the crown
+        x = 0."""
+        frac = np.linspace(-1.0, 1.0, self.n_arc)
+        x = (self._canyon.half_width(self.depths)[:, None] * frac[None, :]).ravel()
+        z = np.repeat(self.depths, self.n_arc)
+        return np.concatenate([x, x]), np.concatenate([z, z]), np.repeat(["up", "down"], len(x))
 
     def __call__(self, tc, ru):
         """Sorted principal states, shape (..., n_rows, n_cases, 3), from

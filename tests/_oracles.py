@@ -6,11 +6,11 @@ the pairwise force sum over explicit difference vectors and the force
 step with one masked pass per branch, grid-sum and loop hypervolume,
 Monte Carlo volume, the closed-form calibration stress states for the
 failure criterion, the Lagrange basis in product form and the
-barycentric interpolant for one design, the dam evaluator one design at
-a time, the four-pass criterion (one masked pass per stress domain) with
-its meridian polynomials, and the scalar forms of the criterion
-(sorting, domain, margin) and of the tournament (one duel, one win
-ratio).
+barycentric interpolant for one design, the stress grid's points one
+at a time, the dam evaluator one design at a time, the four-pass
+criterion (one masked pass per stress domain) with its meridian
+polynomials, and the scalar forms of the criterion (sorting, domain,
+margin) and of the tournament (one duel, one win ratio).
 """
 
 import math
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from archdam.mtdm import UndefinedSetError
-from archdam.stress_model import GRAVITY, sample_grid
+from archdam.stress_model import GRAVITY
 from archdam.willam_warnke import EvaluationError, criterion_values
 
 
@@ -279,6 +279,21 @@ class LagrangeInterpolant:
         return out
 
 
+def sample_points(canyon, n_depths=6, n_arc=9):
+    """The stress grid's points (x, z, face), one at a time: the upstream
+    face, then the downstream one; on each, n_depths evenly spaced depths
+    from the crest to the canyon's height h, and at each depth n_arc
+    evenly spaced arc stations from abutment to abutment."""
+    frac = np.linspace(-1.0, 1.0, n_arc)
+    points = []
+    for face in ("up", "down"):
+        for z in np.linspace(0.0, canyon.h, n_depths):
+            half = canyon.half_width(z)
+            points.extend((half * f, z, face) for f in frac)
+    x, z, face = zip(*points)
+    return np.array(x), np.array(z), np.array(face)
+
+
 def evaluate_rowwise(problem, X):
     """The dam evaluation one design at a time, as it was before batching:
     one interpolant per section property and design, fresh quadrature
@@ -325,7 +340,7 @@ def evaluate_rowwise(problem, X):
                        * (1.0 / rd(zq)[:, None] - 1.0 / ru(zq)[:, None]))
         fit1 = float(np.einsum("ij,ij,i->", thick, wx, wz))
 
-        _, z, face = sample_grid(canyon, problem.n_depths, problem.n_arc)
+        _, z, face = sample_points(canyon, problem.n_depths, problem.n_arc)
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
             viol[i] = violation + 1.0

@@ -22,7 +22,8 @@ def grid_states(problem, x):
     every point of the problem's grid, through the problem's stress
     helpers as `archdam stress-field` takes them."""
     surrogate = problem.stress_surrogate
-    return surrogate(*problem.stress_depths.values(x[2:14].reshape(2, 6)))[surrogate.index]
+    rows = surrogate(*problem.stress_depths.values(x[2:14].reshape(2, 6)))
+    return rows.repeat(surrogate.n_arc, axis=0)
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,10 @@ from archdam import DamProblem
 from archdam.benchmarks import hypervolume2d
 from archdam.cli import _f6, _g6, main
 from archdam.geometry import DEFAULT_HEIGHT, CanyonProfile, level_depths
-from archdam.stress_model import LoadCase, MOMENT_SHARE, sample_grid
+from archdam.stress_model import LoadCase, MOMENT_SHARE
 from archdam.willam_warnke import StrengthParams, criterion_values, solve_coefficients
 
-from _oracles import LagrangeInterpolant, surrogate_states
+from _oracles import LagrangeInterpolant, sample_points, surrogate_states
 from conftest import TABLE5
 
 TABLE5_ARG = ",".join(f"{v}" for v in TABLE5)
@@ -316,7 +316,7 @@ def test_stress_field_artifact(tmp_path, capsys):
     assert lines[1] == "x,z,face,load_case,s1,s2,s3,ww_margin"
     # every value, from the per-point surrogate on the per-design interpolant
     h, (tc, ru, _) = _table5_interpolants()
-    x, z, face = sample_grid(CanyonProfile.default())
+    x, z, face = sample_points(CanyonProfile.default())
     cases = [LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic")]
     states = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
     strength = StrengthParams()
@@ -406,6 +406,30 @@ def test_ww_surface_artifact(tmp_path, capsys):
     assert err.startswith("error: --sigma-min/--sigma-max: the grid [-400, 20] MPa ")
     assert err.count("\n") == 1
     assert not far.exists()
+    # squares that underflow to zero still give a finite table
+    tiny = tmp_path / "ww_tiny"
+    assert main(["ww-surface", f"--out={tiny}", "--steps=2", "--sigma-min=-1e-150",
+                 "--sigma-max=1e-150"]) == 0
+    assert capsys.readouterr().err == ""
+    assert "nan" not in (tiny / "ww_surface.csv").read_text()
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["--sigma-min=nan"], "--sigma-min/--sigma-max"),
+    (["--sigma-max=inf"], "--sigma-min/--sigma-max"),
+    # a finite grid whose squares overflow inside the criterion
+    (["--steps=3", "--sigma-min=-1e200", "--sigma-max=5"], "--sigma-min/--sigma-max"),
+    # a span past the float range
+    (["--sigma-min=-1e308", "--sigma-max=1e308"], "--sigma-min/--sigma-max"),
+    (["--steps=52"], "--steps"),
+])
+def test_ww_surface_grid_without_a_finite_table_exits_2(tmp_path, capsys, argv, option):
+    out = tmp_path / "ww"
+    assert main(["ww-surface", f"--out={out}", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}") and err.count("\n") == 1
+    assert "Warning" not in err
+    assert not out.exists()
 
 
 def test_optimize_decide_round_trip(tmp_path, capsys):

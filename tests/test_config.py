@@ -404,6 +404,13 @@ def test_dam_run_within_capacity_never_loads_heapq(tmp_path):
     assert _run_bare(code) == "True False False\n"
 
 
+def test_cli_import_skips_decision_maker_and_logging():
+    # the decision maker loads for `decide` alone, and nothing logs
+    code = ("import sys, archdam.cli\n"
+            "print(sorted(m for m in ('archdam.mtdm', 'logging') if m in sys.modules))\n")
+    assert _run_bare(code) == "[]\n"
+
+
 def _run_bare(code):
     """The standard output of code run by a fresh interpreter started with
     -S, which skips site start-up, whose .pth hooks may import modules

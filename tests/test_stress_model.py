@@ -3,10 +3,10 @@ import pytest
 
 from archdam import CanyonProfile, DamProblem, LoadCase
 from archdam.geometry import DEFAULT_HEIGHT, DepthInterpolant, level_depths
-from archdam.stress_model import (GRAVITY, MOMENT_SHARE, StressSurrogate, _sorted_states,
-                                  sample_grid)
+from archdam.stress_model import (ARC_STATIONS, GRAVITY, GRID_DEPTHS, MOMENT_SHARE,
+                                  StressSurrogate, _sorted_states)
 
-from _oracles import LagrangeInterpolant, surrogate_states
+from _oracles import LagrangeInterpolant, sample_points, surrogate_states
 from conftest import TABLE5, grid_states
 
 
@@ -19,10 +19,11 @@ def _canyon(h=DEFAULT_HEIGHT):
 
 
 def _point_states(cases, z, face="up"):
-    """Sorted states (n_cases, 3) at one point of CONSTANT_DESIGN."""
-    grid = np.array([0.0]), np.array([float(z)]), np.array([face])
-    surrogate = StressSurrogate(grid, DEFAULT_HEIGHT, cases, MOMENT_SHARE)
-    return surrogate(np.array([12.5]), np.array([100.0]))[0]
+    """Sorted states (n_cases, 3) of CONSTANT_DESIGN at depth z, 0 or 100 m:
+    a row of the default grid of a dam 100 m high."""
+    surrogate = StressSurrogate(_canyon(100.0), 6, 9, cases, MOMENT_SHARE)
+    row = list(surrogate.depths).index(z) + (6 if face == "down" else 0)
+    return surrogate(np.full(6, 12.5), np.full(6, 100.0))[row]
 
 
 def _grid_states(x, cases):
@@ -90,10 +91,17 @@ def test_states_sorted_descending():
     assert np.all(np.diff(states, axis=-1) <= 0.0)
 
 
+def _surrogate(canyon, n_depths=GRID_DEPTHS, n_arc=ARC_STATIONS):
+    cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
+    return StressSurrogate(canyon, n_depths, n_arc, cases, MOMENT_SHARE)
+
+
 def test_default_grid_layout():
     canyon = _canyon()
-    x, z, face = sample_grid(canyon)
+    x, z, face = _surrogate(canyon).grid()
     assert len(x) == len(z) == len(face) == 108
+    for got, want in zip((x, z, face), sample_points(canyon)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
     assert set(face) == {"up", "down"}
     # crown column sampled at every depth, abutments at the canyon wall
     up = face == "up"
@@ -101,12 +109,12 @@ def test_default_grid_layout():
     zs = z[up].reshape(6, 9)
     assert np.all(xs[:, 4] == 0.0)
     assert np.allclose(np.abs(xs[:, 0]), canyon.half_width(zs[:, 0]))
-    with pytest.raises(ValueError):
-        sample_grid(canyon, n_depths=5)
-    with pytest.raises(ValueError):
-        sample_grid(canyon, n_arc=8)
-    with pytest.raises(ValueError):
-        sample_grid(canyon, n_arc=7)
+    with pytest.raises(ValueError, match="at least 6 depth stations"):
+        _surrogate(canyon, n_depths=5)
+    with pytest.raises(ValueError, match="at least 9 arc stations, odd count"):
+        _surrogate(canyon, n_arc=8)
+    with pytest.raises(ValueError, match="at least 9 arc stations, odd count"):
+        _surrogate(canyon, n_arc=7)
 
 
 def test_mirror_symmetry():
@@ -149,31 +157,30 @@ def test_closed_form_order_matches_np_sort():
 
 
 def test_distinct_rows_of_the_default_grid():
+    # 12 (face, depth) rows, upstream first, each standing for the 9
+    # consecutive points of its arc
     h = DEFAULT_HEIGHT
-    grid = sample_grid(_canyon())
-    cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
-    surrogate = StressSurrogate(grid, h, cases, MOMENT_SHARE)
-    assert len(surrogate.multiplicity) == 12 and np.all(surrogate.multiplicity == 9)
-    assert np.array_equal(surrogate.depths, np.unique(grid[1]))
-    assert np.array_equal(surrogate.index, np.repeat(np.arange(12), 9))
+    surrogate = _surrogate(_canyon())
+    _, z, face = surrogate.grid()
+    assert np.array_equal(surrogate.depths, np.unique(z))
+    assert np.array_equal(z, np.tile(surrogate.depths, 2).repeat(9))
+    assert np.array_equal(face, np.repeat(["up", "down"], 54))
     tc, ru = DepthInterpolant(h, surrogate.depths).values(TABLE5[2:14].reshape(2, 6))
     assert surrogate(tc, ru).shape == (12, 3, 3)
 
 
 def test_states_equal_per_point_reference():
-    # bit for bit, signed zeros included, on the default grid and on a
-    # grid whose points interleave faces and depths; the reference takes
-    # tc and ru at every point from the per-design interpolant
+    # bit for bit, signed zeros included, on the default grid and on one of
+    # 8 depths x 11 arc stations; the reference takes tc and ru at every
+    # point from the per-design interpolant
     h = DEFAULT_HEIGHT
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
     tc, ru = (LagrangeInterpolant(level_depths(h), TABLE5[k:k + 6]) for k in (2, 8))
-    x, z, face = sample_grid(_canyon())
-    order = np.random.default_rng(1).permutation(len(z))
-    for grid in ((x, z, face), (x[order], z[order], face[order])):
-        surrogate = StressSurrogate(grid, h, cases, MOMENT_SHARE)
+    for n_depths, n_arc in ((6, 9), (8, 11)):
+        surrogate = StressSurrogate(_canyon(), n_depths, n_arc, cases, MOMENT_SHARE)
         rows = surrogate(*DepthInterpolant(h, surrogate.depths).values(
             TABLE5[2:14].reshape(2, 6)))
-        _, zg, fg = grid
-        ref = surrogate_states(tc(zg), ru(zg), zg, fg, h, cases, MOMENT_SHARE)
-        assert np.array_equal(rows[surrogate.index].view(np.int64), ref.view(np.int64))
+        _, z, face = sample_points(_canyon(), n_depths, n_arc)
+        ref = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
+        assert np.array_equal(rows.repeat(n_arc, axis=0).view(np.int64), ref.view(np.int64))

@@ -8,6 +8,8 @@ tournament decision maker.
 
 # the one version string: the CLI and pyproject.toml read it from here
 __version__ = "0.1.0"
+# the benchmark names: the CLI's --problem choices, without loading archdam.benchmarks
+BENCHMARK_NAMES = ("SCH", "ZDT1", "ZDT2")
 
 from .config import ConfigError, default_config, load_config, make_mocss_config, make_problem
 from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS, VARIABLE_NAMES

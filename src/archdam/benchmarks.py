@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import BENCHMARK_NAMES
 from .mocss import _first_front, _slab_sum
 
 __all__ = [
@@ -20,8 +21,6 @@ __all__ = [
     "igd",
     "hypervolume2d",
 ]
-
-BENCHMARK_NAMES = ("SCH", "ZDT1", "ZDT2")
 
 
 @dataclass(frozen=True)

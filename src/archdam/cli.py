@@ -21,9 +21,8 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import BENCHMARK_NAMES, __version__
 from . import willam_warnke as ww
-from .benchmarks import BENCHMARK_NAMES, get_benchmark, hypervolume2d, igd
 from .config import ConfigError, load_config, make_mocss_config, make_problem
 from .geometry import VARIABLE_NAMES
 from .mocss import NonFiniteError, run_mocss
@@ -380,6 +379,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_benchmark(args) -> int:
+    from .benchmarks import get_benchmark, hypervolume2d, igd
+
     cfg, digest = load_config(args.config)
     problem = get_benchmark(args.problem)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)

@@ -14,14 +14,13 @@ with the upstream crown curve g(z) = gamma z^2 / (2 beta h) - gamma z.
 Coordinate frame: z measured downward from the crest (z = 0 crest,
 z = h base), x across the valley, y positive downstream.
 
-Every quantity is taken at a depth set fixed in advance, for any batch
-of designs: DepthInterpolant holds the design-independent interpolation
-terms of one depth set, and VolumeQuadrature and ConstraintDepths build
-the volume and the geometric constraints on theirs, each from the
-canyon alone. DamProblem builds each of them once.
-ConstraintDepths.sections is the one pass that takes the sections, face
-slopes and central angle at the constraint depths: the constraints are
-its maxima, and the CLI tabulates it.
+Every quantity is taken at a depth set fixed in advance and built once
+from the canyon alone. DepthInterpolant holds one set's design-independent
+interpolation terms; VolumeQuadrature sums the area between the faces,
+in closed form across the valley, over Gauss-Legendre depths;
+ConstraintDepths.sections takes the sections, face slopes and central
+angle at the constraint depths, whose maxima are the constraints and
+which the CLI tabulates.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ __all__ = [
 
 DEFAULT_HEIGHT = 142.65  # m, Morrow Point dam
 GAMMA_ALLOW = 0.65  # largest admissible overhang slope |dy/dz| of either face
-QUADRATURE_ORDER = 32  # Gauss-Legendre points per axis of the volume rule
+QUADRATURE_ORDER = 32  # Gauss-Legendre depths of the volume rule
 
 # evenly spaced depths at which the overhang-slope and central-angle
 # constraints are taken
@@ -232,35 +231,41 @@ def _gauss_legendre(order: int):
 
 
 class VolumeQuadrature:
-    """Tensor-product Gauss-Legendre rule for the concrete volume: `order`
-    depths, and at each depth `order` points across the canyon width.
-
-    The (n, order, order) integrand is an np.einsum outer product of
-    1/rd - 1/ru with x^2/2, the same single products as a broadcast
-    multiply without its inner loop per depth, then tc is added and the
-    absolute value taken in place."""
+    """The concrete volume: a Gauss-Legendre rule over `order` depths of the
+    area between the faces, in closed form across the valley. At half-width
+    w the thickness tc + a x^2 / 2, a = 1/rd - 1/ru, has the integral
+    G(x) = tc x + a x^3 / 6, and the area is |2 G(w)|; where tc and edge =
+    tc + a w^2 / 2 have strictly opposite signs, the faces cross at x0 and
+    the area is 2 (|G(x0)| + |G(w) - G(x0)|): the crossed part counts as
+    concrete. The depth sum is an unoptimized np.einsum, the same bits for a
+    batch and for each of its rows."""
 
     def __init__(self, canyon: CanyonProfile, order: int):
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
         t, w = _gauss_legendre(order)
-        # the rule on [0, h] in depth, then on [-half_width, half_width]
-        # across the valley at each depth: (order, order)
         half_h = 0.5 * canyon.h
-        zq, self._wz = half_h + half_h * t, half_h * w
-        half_width = canyon.half_width(zq)[:, None]
-        self._half_x2 = (half_width * t) ** 2 / 2.0
-        self._wx = half_width * w
+        zq = half_h + half_h * t
+        half_width = canyon.half_width(zq)
+        self._w2_6, self._w2_2 = half_width**2 / 6.0, half_width**2 / 2.0
+        self._weights = 2.0 * half_width * (half_h * w)
         self.depths = DepthInterpolant(canyon.h, zq)
 
     def __call__(self, nodes):
         """Volumes, shape (n,), for the node values of tc, ru and rd
         stacked as shape (3, n, 6)."""
         tc, ru, rd = self.depths.values(nodes)
-        thick = np.einsum("ni,ij->nij", 1.0 / rd - 1.0 / ru, self._half_x2)
-        thick += tc[..., None]
-        np.abs(thick, out=thick)
-        return np.einsum("nij,ij,i->n", thick, self._wx, self._wz)
+        a = 1.0 / rd - 1.0 / ru
+        # areas over the 2 w the weights carry: mean = G(w) / w, and where the
+        # faces cross, x0 / w = sqrt(tc / (tc - edge)) and G(x0) = 2 tc x0 / 3
+        mean, edge = a * self._w2_6 + tc, a * self._w2_2 + tc
+        cross = np.flatnonzero(tc * edge < 0.0)
+        if cross.size:
+            t, m = tc.take(cross), mean.take(cross)
+            g0 = np.sqrt(t / (t - edge.take(cross))) * (t * (2.0 / 3.0))
+            mean.put(cross, np.abs(m - g0) + np.abs(g0))
+        np.abs(mean, out=mean)
+        return np.einsum("ni,i->n", mean, self._weights)
 
 
 class ConstraintDepths:

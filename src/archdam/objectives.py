@@ -17,14 +17,12 @@ the batch keep their values. DamProblem refuses, at construction,
 bounds that admit a non-positive ru or rd at any of the radius-check
 depths (over the canonical bounds the least value there is 21.29 m).
 
-Every depth at which a design is looked at is fixed by the problem: the
-constraint depths, the quadrature depths and the stress grid. DamProblem
-builds their interpolation terms once, so evaluate_batch is one numpy
-pass over all its designs, and evaluate is a batch of one. Stresses are
-computed once per (face, depth) row of the grid
-(stress_model.StressSurrogate): fit2 is the maximum over the rows, and
-the validity-warning count counts each row n_arc times, once per grid
-point it stands for.
+Every depth set (constraints, volume, stress grid) is built once with
+the problem, so evaluate_batch is one numpy pass over all its designs
+and evaluate is a batch of one. Stresses are computed once per (face,
+depth) row of the grid (stress_model.StressSurrogate): fit2 is the
+maximum over the rows, and the validity-warning count counts each row
+n_arc times, once per grid point it stands for.
 """
 
 from __future__ import annotations
@@ -224,21 +222,12 @@ class DamProblem:
             raise ValueError("design vector must have exactly 20 entries")
         b = self._evaluate(x[None, :])
         kind = b.degenerate[0]
-        if kind is None:
-            diagnostics = {
-                "constraints": b.constraints[0].tolist(),
-                "validity_warnings": int(b.validity_warnings[0]),
-            }
-        else:
-            diagnostics = {"degenerate": kind}
+        diagnostics = {"degenerate": kind} if kind is not None else {
+            "constraints": b.constraints[0].tolist(),
+            "validity_warnings": int(b.validity_warnings[0])}
         violation = float(b.violation[0])
-        return Evaluation(
-            fit1=float(b.F[0, 0]),
-            fit2=float(b.F[0, 1]),
-            violation=violation,
-            feasible=violation == 0.0,
-            diagnostics=diagnostics,
-        )
+        return Evaluation(fit1=float(b.F[0, 0]), fit2=float(b.F[0, 1]), violation=violation,
+                          feasible=violation == 0.0, diagnostics=diagnostics)
 
     def evaluate_batch(self, X: np.ndarray):
         """(n, 20) designs -> objective array (n, 2) and violation array (n,)."""

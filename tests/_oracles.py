@@ -4,8 +4,9 @@ Everything here is deliberately slow and literal: brute-force dominance
 ranks, the archive prune that rescans every alive pair per deletion,
 the pairwise force sum over explicit difference vectors and the force
 step with one masked pass per branch, grid-sum and loop hypervolume,
-Monte Carlo volume, the closed-form calibration stress states for the
-failure criterion, the Lagrange basis in product form and the
+Monte Carlo volume, the tensor-product Gauss-Legendre volume rule and
+the volume by Simpson's rule across the valley, the closed-form
+calibration stress states for the failure criterion, the Lagrange basis in product form and the
 barycentric interpolant for one design, the stress grid's points one
 at a time, the dam evaluator one design at a time, the four-pass
 criterion (one masked pass per stress domain) with its meridian
@@ -147,6 +148,19 @@ def grid_hypervolume(front, reference, resolution=1e-3):
     return covered.sum() * resolution * resolution
 
 
+def section_interpolants(design, h):
+    """The per-design interpolants of tc, ru and rd of one design of 20
+    values, over the six levels of a dam of height h."""
+    levels = np.linspace(0.0, h, 6)
+    return tuple(LagrangeInterpolant(levels, design[k:k + 6]) for k in (2, 8, 14))
+
+
+def depth_rule(h, order):
+    """The Gauss-Legendre depths and weights of `order` points on [0, h]."""
+    t, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * h + 0.5 * h * t, 0.5 * h * w
+
+
 def mc_volume(design, canyon, n_samples, seed=0, chunk=100_000):
     """Monte Carlo estimate of the concrete volume over the clipped canyon
     for one design of 20 values, with the faces of the parabolic arch
@@ -154,7 +168,7 @@ def mc_volume(design, canyon, n_samples, seed=0, chunk=100_000):
     per-design interpolant."""
     gamma, beta = design[0], design[1]
     h = canyon.h
-    tc, ru, rd = (LagrangeInterpolant(np.linspace(0.0, h, 6), design[k:k + 6]) for k in (2, 8, 14))
+    tc, ru, rd = section_interpolants(design, h)
     rng = np.random.default_rng(seed)
     wc = canyon.w_crest
     total = 0.0
@@ -173,6 +187,87 @@ def mc_volume(design, canyon, n_samples, seed=0, chunk=100_000):
         done += m
     area = 2.0 * wc * h
     return area * total / n_samples
+
+
+def gauss_legendre_volume(canyon, order, design):
+    """The volume of one design of 20 values by the tensor-product
+    Gauss-Legendre rule of `order` points in depth and `order` across the
+    valley at each depth, on the point values |thickness|: the rule the
+    evaluator used before it integrated across the valley in closed form.
+    Exact to rounding where the thickness keeps its sign over a section;
+    off by up to a few 1e-4 where the faces cross, as its integrand has a
+    kink there."""
+    h = canyon.h
+    tc, ru, rd = section_interpolants(design, h)
+    zq, wz = depth_rule(h, order)
+    t, w = np.polynomial.legendre.leggauss(order)
+    half = canyon.half_width(zq)[:, None]
+    xq, wx = half * t, half * w
+    thick = np.abs(tc(zq)[:, None] + xq**2 / 2.0
+                   * (1.0 / rd(zq)[:, None] - 1.0 / ru(zq)[:, None]))
+    return float(np.einsum("ij,ij,i->", thick, wx, wz))
+
+
+def closed_form_volume(canyon, order, tc, ru, rd):
+    """The volume of one design from its tc, ru and rd interpolants: the
+    Gauss-Legendre depths and weights of `order` points over the height,
+    and at each depth the section area |2 G(w)|, G(x) = tc x + a x^3 / 6
+    with a = 1/rd - 1/ru, split at the crossing x0 where tc and the
+    abutment thickness have opposite signs, G(x0) = 2 tc x0 / 3. One
+    depth at a time, in the operation order of
+    archdam.geometry.VolumeQuadrature, whose every bit it must match."""
+    h = canyon.h
+    zq, wz = depth_rule(h, order)
+    half = canyon.half_width(zq)
+    w2_6, w2_2 = half**2 / 6.0, half**2 / 2.0
+    a = 1.0 / rd(zq) - 1.0 / ru(zq)
+    tcq = tc(zq)
+    # section areas over 2 w
+    mean = np.empty(order)
+    for i in range(order):
+        mean[i] = a[i] * w2_6[i] + tcq[i]
+        edge = a[i] * w2_2[i] + tcq[i]
+        if tcq[i] * edge < 0.0:
+            g0 = np.sqrt(tcq[i] / (tcq[i] - edge)) * (tcq[i] * (2.0 / 3.0))
+            mean[i] = abs(mean[i] - g0) + abs(g0)
+        else:
+            mean[i] = abs(mean[i])
+    return float(np.einsum("i,i->", mean, 2.0 * half * wz))
+
+
+def faces_cross(canyon, order, design):
+    """True where the faces of one design of 20 values cross at one of the
+    `order` Gauss-Legendre depths: the thickness tc + a x^2 / 2 is
+    extreme at the crown and at the abutments, so it changes sign across
+    the valley where those two have strictly opposite signs."""
+    h = canyon.h
+    tc, ru, rd = section_interpolants(design, h)
+    zq, _ = depth_rule(h, order)
+    crown = tc(zq)
+    abutment = crown + canyon.half_width(zq) ** 2 / 2.0 * (1.0 / rd(zq) - 1.0 / ru(zq))
+    return bool(np.any(((crown > 0.0) & (abutment < 0.0)) | ((crown < 0.0) & (abutment > 0.0))))
+
+
+def dense_volume(canyon, order, design, n=20_000):
+    """The volume of one design of 20 values with the Gauss-Legendre
+    depths and weights of `order` points, and at each depth composite
+    Simpson on n intervals of |y_d - y_u| across the valley, the faces
+    y_u = x^2 / 2ru + g and y_d = x^2 / 2rd + g + tc taken from the
+    per-design interpolants."""
+    if n % 2:
+        raise ValueError("Simpson's rule needs an even interval count")
+    gamma, beta, h = design[0], design[1], canyon.h
+    tc, ru, rd = section_interpolants(design, h)
+    zq, wz = depth_rule(h, order)
+    simpson = np.ones(n + 1)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    total = 0.0
+    for z, weight, half, tz, uz, dz in zip(zq, wz, canyon.half_width(zq), tc(zq), ru(zq), rd(zq)):
+        x = np.linspace(-half, half, n + 1)
+        g = gamma * z**2 / (2.0 * beta * h) - gamma * z
+        gap = np.abs((x**2 / (2.0 * dz) + g + tz) - (x**2 / (2.0 * uz) + g))
+        total += weight * (2.0 * half / n) / 3.0 * float((simpson * gap).sum())
+    return total
 
 
 def calibration_states(strength):
@@ -297,22 +392,19 @@ def sample_points(canyon, n_depths=6, n_arc=9):
 def evaluate_rowwise(problem, X):
     """The dam evaluation one design at a time, as it was before batching:
     one interpolant per section property and design, fresh quadrature
-    nodes per volume, stresses at every grid point, a Python loop over the
-    rows. A design with a non-positive thickness or radius at a grid point,
+    depths per volume (closed_form_volume), stresses at every grid point,
+    a Python loop over the rows. A design with a non-positive thickness or radius at a grid point,
     or with a non-positive compressive meridian, gets the penalty
     objectives and violation + 1. Returns (F, violation)."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(-1, 20)
     canyon, h = problem.canyon, problem.canyon.h
-    levels = np.linspace(0.0, h, 6)  # the six evenly spaced control levels
     F = np.empty((len(X), 2))
     viol = np.empty(len(X))
     for i, x in enumerate(X):
         if np.any(x < problem.lower - 1e-9) or np.any(x > problem.upper + 1e-9):
             raise ValueError("design outside variable bounds")
         gamma, beta = x[0], x[1]
-        tc = LagrangeInterpolant(levels, x[2:8])
-        ru = LagrangeInterpolant(levels, x[8:14])
-        rd = LagrangeInterpolant(levels, x[14:20])
+        tc, ru, rd = section_interpolants(x, h)
         F[i] = problem.penalty_fit1, problem.penalty_fit2
 
         order_cons = x[14:20] / x[8:14] - 1.0
@@ -332,13 +424,7 @@ def evaluate_rowwise(problem, X):
         cons[8] = np.max(np.maximum(90.0 - phi, phi - 130.0)) / 130.0
         violation = float(np.maximum(cons, 0.0).sum())
 
-        t, w = np.polynomial.legendre.leggauss(problem.quadrature_order)
-        zq, wz = 0.5 * h + 0.5 * h * t, 0.5 * h * w
-        half = canyon.half_width(zq)[:, None]
-        xq, wx = 0.0 + half * t, half * w
-        thick = np.abs(tc(zq)[:, None] + xq**2 / 2.0
-                       * (1.0 / rd(zq)[:, None] - 1.0 / ru(zq)[:, None]))
-        fit1 = float(np.einsum("ij,ij,i->", thick, wx, wz))
+        fit1 = closed_form_volume(canyon, problem.quadrature_order, tc, ru, rd)
 
         _, z, face = sample_points(canyon, problem.n_depths, problem.n_arc)
         tz, rz = tc(z), ru(z)

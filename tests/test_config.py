@@ -411,6 +411,25 @@ def test_cli_import_skips_decision_maker_and_logging():
     assert _run_bare(code) == "[]\n"
 
 
+def test_cli_loads_benchmarks_for_benchmark_command_alone():
+    # --problem's choices come from the package, so a refused name gets
+    # argparse's usage and exit 2 without loading the benchmark problems
+    code = ("import contextlib, io, os, sys\n"
+            "os.environ['COLUMNS'] = '80'\n"
+            "import archdam.cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            "    code = archdam.cli.main(['benchmark', '--problem', 'nope'])\n"
+            "print(code, 'archdam.benchmarks' in sys.modules)\n"
+            "print(err.getvalue(), end='')\n")
+    assert _run_bare(code) == (
+        "2 False\n"
+        "usage: archdam benchmark [-h] [--config CONFIG] [--out OUT] [--seed SEED]\n"
+        "                         --problem {sch,zdt1,zdt2}\n"
+        "archdam benchmark: error: argument --problem: invalid choice: 'nope' "
+        "(choose from 'sch', 'zdt1', 'zdt2')\n")
+
+
 def _run_bare(code):
     """The standard output of code run by a fresh interpreter started with
     -S, which skips site start-up, whose .pth hooks may import modules

@@ -23,7 +23,14 @@ from archdam.geometry import (
     level_depths,
 )
 
-from _oracles import LagrangeInterpolant, lagrange_basis, mc_volume
+from _oracles import (
+    LagrangeInterpolant,
+    dense_volume,
+    faces_cross,
+    gauss_legendre_volume,
+    lagrange_basis,
+    mc_volume,
+)
 from conftest import TABLE5
 
 
@@ -178,6 +185,41 @@ def test_constant_thickness_slab_volume():
 def test_volume_against_monte_carlo():
     v_mc = mc_volume(TABLE5, CanyonProfile.default(), 200_000, seed=5)
     assert _volume(TABLE5) == pytest.approx(v_mc, rel=0.02)
+
+
+def _draws(n, seed, order=QUADRATURE_ORDER):
+    """n uniform designs in the canonical box, split into those whose faces
+    keep apart at every depth of the order's rule and those whose faces
+    cross."""
+    canyon = CanyonProfile.default()
+    X = LOWER_BOUNDS + np.random.default_rng(seed).random((n, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    cross = np.array([faces_cross(canyon, order, x) for x in X])
+    return X[~cross], X[cross]
+
+
+@pytest.mark.parametrize("order", [QUADRATURE_ORDER, 31])
+def test_closed_form_matches_gauss_legendre_rule_where_faces_keep_apart(order):
+    # the tensor-product rule integrates the parabolic thickness exactly,
+    # up to rounding, where it keeps its sign across the valley
+    canyon = CanyonProfile.default()
+    apart, _ = _draws(400, 26, order)
+    assert len(apart) > 100
+    for x in apart:
+        ref = gauss_legendre_volume(canyon, order, x)
+        assert abs(_volume(x, order=order) - ref) <= 1e-13 * ref
+
+
+def test_crossing_faces_volume_matches_dense_integral():
+    # where the faces cross, the crossed part is charged as concrete: the
+    # area of each section is the integral of |y_d - y_u| across the valley
+    canyon = CanyonProfile.default()
+    _, crossing = _draws(40, 27)
+    assert len(crossing) >= 10
+    for x in crossing[:10]:
+        ref = dense_volume(canyon, QUADRATURE_ORDER, x)
+        assert abs(_volume(x) - ref) <= 1e-9 * ref
+        # the rule on the kinked integrand is off by more than that
+        assert abs(gauss_legendre_volume(canyon, QUADRATURE_ORDER, x) - ref) > 1e-9 * ref
 
 
 def test_gauss_legendre_rule_is_numpys_bytes():

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from archdam.geometry import level_depths
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
-from _oracles import evaluate_rowwise, lagrange_basis
+from _oracles import evaluate_rowwise, faces_cross, lagrange_basis
 from conftest import TABLE5, grid_states
 
 
@@ -129,6 +130,28 @@ def test_batch_matches_scalar_loop(dam_problem):
     for i, row in enumerate(X):
         e = dam_problem.evaluate(row)
         assert F[i, 0] == e.fit1 and F[i, 1] == e.fit2 and viol[i] == e.violation
+    # a batch of one whose faces cross takes the volume's split branch alone
+    crossing = [i for i, x in enumerate(X)
+                if faces_cross(dam_problem.canyon, dam_problem.quadrature_order, x)]
+    assert 0 < len(crossing) < len(X)
+    for i in crossing:
+        F1, viol1 = dam_problem.evaluate_batch(X[i:i + 1])
+        assert np.array_equal(F1[0], F[i]) and viol1[0] == viol[i]
+
+
+def test_batch_memory_at_largest_quadrature_order():
+    # the largest volume array is (n, order): 200 designs at the schema's
+    # largest order need a few MB, where an (n, order, order) integrand
+    # took 105 MB
+    p = DamProblem(quadrature_order=256)
+    X = LOWER_BOUNDS + np.random.default_rng(8).random((200, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    tracemalloc.start()
+    try:
+        p.evaluate_batch(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_non_finite_design_raises(dam_problem):
@@ -142,8 +165,10 @@ def test_non_finite_design_raises(dam_problem):
             dam_problem.evaluate_batch(X)
 
 
-# order 31 puts a volume node at x = 0; 8 stress depths fall between the
-# levels, so the stress sections come from the level sums, not the lookup
+# order 31 is an odd rule, with a volume depth at half the height, so the
+# volume sums a second depth set with its own weights; 8 stress depths
+# fall between the levels, so the stress sections come from the level
+# sums, not the lookup
 @pytest.mark.parametrize("setting", [{}, {"quadrature_order": 31}, {"n_depths": 8}],
                          ids=["default", "quadrature_order=31", "n_depths=8"])
 def test_batch_equals_rowwise_reference(setting):

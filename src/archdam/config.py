@@ -160,19 +160,19 @@ def _check_bounds(problem: dict) -> None:
     if np.any(lo < LOWER_BOUNDS - 1e-12):
         i = int(np.argmax(lo < LOWER_BOUNDS - 1e-12))
         raise ConfigError(
-            f"problem.lower_bounds[{i}] = {lo[i]} below the canonical floor "
+            f"$.problem.lower_bounds[{i}] = {lo[i]} below the canonical floor "
             f"{LOWER_BOUNDS[i]}"
         )
     if np.any(hi > UPPER_BOUNDS + 1e-12):
         i = int(np.argmax(hi > UPPER_BOUNDS + 1e-12))
         raise ConfigError(
-            f"problem.upper_bounds[{i}] = {hi[i]} above the canonical ceiling "
+            f"$.problem.upper_bounds[{i}] = {hi[i]} above the canonical ceiling "
             f"{UPPER_BOUNDS[i]}"
         )
     if np.any(lo >= hi):
         i = int(np.argmax(lo >= hi))
-        raise ConfigError(f"problem bounds empty at variable {i}: "
-                          f"lower {lo[i]} >= upper {hi[i]}")
+        raise ConfigError(f"$.problem.lower_bounds[{i}] = {lo[i]} is not below "
+                          f"$.problem.upper_bounds[{i}] = {hi[i]}")
 
 
 def load_config(path: str | None = None):
@@ -204,7 +204,7 @@ def load_config(path: str | None = None):
     cfg = _merge(default_config(), user)
     _check_bounds(cfg["problem"])
     if cfg["geometry"]["w_base"] > cfg["geometry"]["w_crest"]:
-        raise ConfigError("geometry.w_base exceeds geometry.w_crest")
+        raise ConfigError("$.geometry.w_base exceeds $.geometry.w_crest")
     return cfg, digest
 
 
@@ -214,25 +214,28 @@ def _built(key: str, make, **kwargs):
     try:
         return make(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{key} invalid: {exc}") from exc
+        raise ConfigError(f"$.{key} invalid: {exc}") from exc
 
 
 def make_problem(cfg: dict) -> DamProblem:
     """The DamProblem a loaded config describes. Its design-independent
     terms are built with numpy's floating-point errors raised: arithmetic
     that fails on values the schema accepts is a ConfigError naming the
-    section that fails when built alone on the defaults."""
+    section that fails when built alone on the defaults, or else the
+    sections that differ from the defaults."""
     try:
         return _assemble(cfg)
     except FloatingPointError as exc:
-        for section in ("geometry", "strength", "loads", "problem"):
+        sections = ("geometry", "strength", "loads", "problem")
+        for section in sections:
             try:
                 _assemble({**default_config(), section: cfg[section]})
             except FloatingPointError:
-                raise ConfigError(f"{section} invalid: {exc}") from exc
+                raise ConfigError(f"$.{section} invalid: {exc}") from exc
             except ValueError:
                 pass
-        raise ConfigError(f"config invalid: {exc}") from exc
+        changed = [f"$.{s}" for s in sections if cfg[s] != default_config()[s]]
+        raise ConfigError(f"{', '.join(changed)} invalid together: {exc}") from exc
 
 
 @np.errstate(all="raise")
@@ -252,11 +255,11 @@ def _assemble(cfg: dict) -> DamProblem:
             upper=np.asarray(prob["upper_bounds"], dtype=float),
         )
     except DegenerateStrengthError as exc:  # raised by the calibration
-        raise ConfigError(f"strength invalid: {exc}") from exc
+        raise ConfigError(f"$.strength invalid: {exc}") from exc
 
 
 def make_mocss_config(cfg: dict, seed: int | None = None) -> MocssConfig:
     params = dict(cfg["mocss"])
     if seed is not None:
         params["seed"] = seed
-    return _built("mocss configuration", MocssConfig, **params)
+    return _built("mocss", MocssConfig, **params)

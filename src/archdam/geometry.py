@@ -15,9 +15,10 @@ Coordinate frame: z measured downward from the crest (z = 0 crest,
 z = h base), x across the valley, y positive downstream.
 
 Every quantity is taken at a depth set fixed in advance and built once
-from the canyon alone. DepthInterpolant holds one set's design-independent
-interpolation terms; VolumeQuadrature sums the area between the faces,
-in closed form across the valley, over Gauss-Legendre depths;
+from the canyon alone. DepthInterpolant holds one set's Lagrange basis
+and its derivative, two (6, len(z)) matrices; VolumeQuadrature sums the
+area between the faces, in closed form across the valley, over
+Gauss-Legendre depths;
 ConstraintDepths.sections takes the sections, face slopes and central
 angle at the constraint depths, whose maxima are the constraints and
 which the CLI tabulates.
@@ -115,81 +116,45 @@ def central_angle_deg(half_width, ru):
     return np.degrees(2.0 * np.arctan(np.asarray(half_width, dtype=float) / np.asarray(ru, dtype=float)))
 
 
+# _OTHERS[j]: the five levels other than level j; _PAIRS[j, i]: those
+# without _OTHERS[j, i] as well. The factors of the Lagrange products and
+# of the products their derivatives sum
+_OTHERS = np.array([[k for k in range(6) if k != j] for j in range(6)])
+_PAIRS = np.array([[[k for k in row if k != i] for i in row] for row in _OTHERS.tolist()])
+
+
 class DepthInterpolant:
     """Interpolation from the six control levels of a dam of height h onto
     a fixed set of depths z, for any batch of designs.
 
-    Barycentric second form, p(z) = sum_j r_j f_j / sum_j r_j with
-    r_j = w_j / (z - x_j). The terms r and their row sums depend only on
-    the depths, so they are computed once here; values() and slopes() then
-    map node values of shape (..., 6) to (..., len(z)) in one
-    pass. A depth within 1e-12 (relative to the dam height) of a level
-    takes that level's value exactly; when every depth lies on a level,
-    as the default stress depths do, values() is that lookup alone, and
-    when none does, the off-level sums alone. slopes=True also stores the
-    derivative terms: squared offsets, and differentiation-matrix rows for
-    the depths that hit a level.
+    The interpolant of node values f is sum_j f_j l_j(z), with the
+    Lagrange basis in product form, l_j(z) = prod_{k != j} (z - x_k) /
+    prod_{k != j} (x_j - x_k), and its slope sum_j f_j l_j'(z), where
+    l_j'(z) sums the products that leave out x_j and one more level.
+    Both depend only on the depths, so they are built once here as (6,
+    len(z)) matrices, `basis` and `slope_basis`; values() and slopes()
+    then map node values of shape (..., 6) to (..., len(z)). At a depth
+    on a level the numerator and denominator of l_j are the same product,
+    so that column of `basis` is a column of the identity and the values
+    there are the node values exactly.
 
-    The level sums are unoptimized np.einsum contractions: the products
-    of a broadcast (r * f).sum(), added in the same left-to-right order,
-    without its short inner loop per output value. The slope terms are
-    laid out (6, designs, len(z)) and updated in place, so their
-    sum over the levels is a few whole-array adds. Either way the results
-    are the same bit for bit as the one-design sums.
+    The maps are unoptimized np.einsum contractions, which add each
+    output's six products in one fixed order: a batch and each of its
+    rows give the same bits.
     """
 
-    def __init__(self, h: float, z, slopes: bool = False):
+    def __init__(self, h: float, z):
         x = level_depths(h)
-        self.z = np.asarray(z, dtype=float)
-        d = x[:, None] - x[None, :]
-        np.fill_diagonal(d, 1.0)
-        self._w = 1.0 / d.prod(axis=1)
-        dz = self.z[None, :] - x[:, None]
-        hit = np.abs(dz) <= 1e-12 * max(float(h), 1.0)
-        at = hit.any(axis=0)
-        self._at = np.flatnonzero(at)
-        self._node = hit[:, at].argmax(axis=0)
-        self._at_only, self._off_only = bool(at.all()), not at.any()
-        # the sums run over every depth. A depth on a level gets stand-in
-        # terms, offsets and weights of 1, whose sum stays far from zero
-        # (the weights w sum to about 1e-25); the value computed there is
-        # then overwritten with the level's
-        dz[:, at] = 1.0
-        self._r = self._w[:, None] / dz
-        self._r[:, at] = 1.0
-        self._rsum = self._r.sum(axis=0)
-        if slopes:
-            self._wl = self._w[:, None, None]
-            self._dz2 = (dz**2)[:, None, :]
-            D = (self._w[None, :] / self._w[:, None]) / d
-            np.fill_diagonal(D, 0.0)
-            np.fill_diagonal(D, -D.sum(axis=1))
-            self._d_at = D[self._node]
-
-    def _sums(self, f):
-        return np.einsum("...l,lk->...k", f, self._r) / self._rsum
+        dz = np.asarray(z, dtype=float)[None, :] - x[:, None]
+        den = np.prod(x[:, None] - x[_OTHERS], axis=1)[:, None]
+        self.basis = dz[_OTHERS].prod(axis=1) / den
+        self.slope_basis = dz[_PAIRS].prod(axis=2).sum(axis=1) / den
 
     def values(self, f):
-        if self._at_only:
-            return f.take(self._node, axis=-1)
-        out = self._sums(f)
-        if not self._off_only:
-            out[..., self._at] = f.take(self._node, axis=-1)
-        return out
+        return np.einsum("...l,lk->...k", f, self.basis)
 
-    def slopes(self, f, values):
-        """Slopes of the interpolant of f, given values = self.values(f)."""
-        fl = np.ascontiguousarray(f.reshape(-1, f.shape[-1]).T)
-        t = values.reshape(-1, self.z.size) - fl[..., None]
-        t *= self._wl
-        t /= self._dz2
-        out = (t.sum(axis=0) / self._rsum).reshape(values.shape)
-        if not self._off_only:
-            # stacked matmul makes the same BLAS matrix-vector call for each
-            # design as for a lone one; a summed product or one matrix product
-            # for the whole batch rounds differently in the last bit
-            out[..., self._at] = np.matmul(self._d_at, f[..., None])[..., 0]
-        return out
+    def slopes(self, f):
+        return np.einsum("...l,lk->...k", f, self.slope_basis)
 
 
 def _legval(x, c):
@@ -282,7 +247,7 @@ class ConstraintDepths:
         self.h = canyon.h
         self.z = np.linspace(0.0, canyon.h, CONSTRAINT_DEPTHS)
         self.half_width = canyon.half_width(self.z)
-        self.depths = DepthInterpolant(canyon.h, self.z, slopes=True)
+        self.depths = DepthInterpolant(canyon.h, self.z)
 
     def sections(self, gamma, beta, nodes):
         """The node rows interpolated to the depths, the upstream and
@@ -291,7 +256,7 @@ class ConstraintDepths:
         rows) stacked as shape (k, n, 6)."""
         v = self.depths.values(nodes)
         s_u = crown_slope(self.z, gamma[:, None], beta[:, None], self.h)
-        s_d = s_u + self.depths.slopes(nodes[0], v[0])
+        s_d = s_u + self.depths.slopes(nodes[0])
         return v, s_u, s_d, central_angle_deg(self.half_width, v[1])
 
     def __call__(self, gamma, beta, nodes, gamma_allow: float):

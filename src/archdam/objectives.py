@@ -121,7 +121,7 @@ class DamProblem:
         # above rounding error (relative 1e-9 against about 1e-15), so that
         # no accepted design has a non-positive radius.
         h = self.canyon.h
-        weights = DepthInterpolant(h, np.linspace(0.0, h, RADIUS_CHECK_DEPTHS)).values(np.eye(6))
+        weights = DepthInterpolant(h, np.linspace(0.0, h, RADIUS_CHECK_DEPTHS)).basis
         lo = (self.lower[8:] - BOUND_SLACK).reshape(2, -1, 1)
         hi = (self.upper[8:] + BOUND_SLACK).reshape(2, -1, 1)
         least = np.minimum(weights * lo, weights * hi).sum(axis=1)

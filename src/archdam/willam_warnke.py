@@ -85,6 +85,9 @@ class WWCoefficients:
 
 
 def _solve3(M: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    # an overflowed entry would reach LAPACK, which prints to stdout
+    if not (np.isfinite(M).all() and np.isfinite(rhs).all()):
+        raise DegenerateStrengthError("calibration system overflows")
     scale = np.abs(M).max()
     if scale == 0.0 or np.linalg.cond(M) > 1e12:
         raise DegenerateStrengthError("singular calibration system")

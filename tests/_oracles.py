@@ -6,8 +6,9 @@ the pairwise force sum over explicit difference vectors and the force
 step with one masked pass per branch, grid-sum and loop hypervolume,
 Monte Carlo volume, the tensor-product Gauss-Legendre volume rule and
 the volume by Simpson's rule across the valley, the closed-form
-calibration stress states for the failure criterion, the Lagrange basis in product form and the
-barycentric interpolant for one design, the stress grid's points one
+calibration stress states for the failure criterion, the Lagrange basis
+in product form, the exact rational Lagrange interpolant with its slope,
+the barycentric interpolant for one design, the stress grid's points one
 at a time, the dam evaluator one design at a time, the four-pass
 criterion (one masked pass per stress domain) with its meridian
 polynomials, and the scalar forms of the criterion (sorting, domain,
@@ -15,12 +16,13 @@ margin) and of the tournament (one duel, one win ratio).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from archdam.mtdm import UndefinedSetError
 from archdam.stress_model import GRAVITY
-from archdam.willam_warnke import EvaluationError, criterion_values
+from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
 
 def brute_force_rank(F, violations=None):
@@ -330,6 +332,33 @@ def lagrange_basis(z, i, nodes):
     return num / den
 
 
+def exact_lagrange(levels, F, z):
+    """Values and slopes of the Lagrange interpolants of the node rows F,
+    shape (r, len(levels)), at depths z, each shape (r, len(z)): worked in
+    exact rational arithmetic on the float inputs and rounded once. The
+    basis is l_j(z) = prod_{k != j} (z - x_k) / (x_j - x_k), and l_j'(z)
+    sums, over the levels i != j, the same product without its factor for
+    x_i; F = np.eye(len(levels)) gives the basis itself."""
+    x = [Fraction(v) for v in levels]
+    rows = [[Fraction(v) for v in row] for row in np.atleast_2d(F)]
+    n = len(x)
+    values = np.empty((len(rows), len(z)))
+    slopes = np.empty((len(rows), len(z)))
+    for col, zf in enumerate(z):
+        d = [Fraction(zf) - xk for xk in x]
+        basis, slope_basis = [], []
+        for j in range(n):
+            others = [k for k in range(n) if k != j]
+            den = math.prod(x[j] - x[k] for k in others)
+            basis.append(math.prod(d[k] for k in others) / den)
+            slope_basis.append(sum(math.prod(d[k] for k in others if k != i)
+                                   for i in others) / den)
+        for r, row in enumerate(rows):
+            values[r, col] = float(sum(f * b for f, b in zip(row, basis)))
+            slopes[r, col] = float(sum(f * b for f, b in zip(row, slope_basis)))
+    return values, slopes
+
+
 class LagrangeInterpolant:
     """Barycentric Lagrange interpolant with derivative, exact at the nodes:
     the per-design interpolant the evaluator used before it was batched."""
@@ -393,13 +422,19 @@ def evaluate_rowwise(problem, X):
     """The dam evaluation one design at a time, as it was before batching:
     one interpolant per section property and design, fresh quadrature
     depths per volume (closed_form_volume), stresses at every grid point,
-    a Python loop over the rows. A design with a non-positive thickness or radius at a grid point,
-    or with a non-positive compressive meridian, gets the penalty
-    objectives and violation + 1. Returns (F, violation)."""
+    a Python loop over the rows. A design with a non-positive radius at
+    one of 101 depths ("radius"), a non-positive thickness or radius at a
+    grid point ("thickness") or a non-positive compressive meridian
+    ("meridian") gets the penalty objectives and violation + 1. Returns
+    (F, violation, the degenerate kinds, with None for a design that is
+    not, and the validity warnings: the states outside the hydrostatic
+    validity range, 0 for a degenerate design)."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(-1, 20)
     canyon, h = problem.canyon, problem.canyon.h
     F = np.empty((len(X), 2))
     viol = np.empty(len(X))
+    kinds = [None] * len(X)
+    warnings = np.zeros(len(X), dtype=int)
     for i, x in enumerate(X):
         if np.any(x < problem.lower - 1e-9) or np.any(x > problem.upper + 1e-9):
             raise ValueError("design outside variable bounds")
@@ -411,6 +446,7 @@ def evaluate_rowwise(problem, X):
         zs = np.linspace(0.0, h, 101)
         if np.min(ru(zs)) <= 0.0 or np.min(rd(zs)) <= 0.0:
             viol[i] = float(np.maximum(order_cons, 0.0).sum()) + 1.0
+            kinds[i] = "radius"
             continue
 
         cons = np.empty(9)
@@ -430,16 +466,19 @@ def evaluate_rowwise(problem, X):
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
             viol[i] = violation + 1.0
+            kinds[i] = "thickness"
             continue
         states = surrogate_states(tz, rz, z, face, h, problem.load_cases, problem.moment_share)
         try:
             margins = criterion_values(states, problem.strength, problem.coeffs)
         except EvaluationError:  # non-positive compressive meridian
             viol[i] = violation + 1.0
+            kinds[i] = "meridian"
             continue
         F[i] = fit1, float(margins.max())
         viol[i] = violation
-    return F, viol
+        warnings[i] = int((~hydrostatic_validity(states, problem.strength)).sum())
+    return F, viol, kinds, warnings
 
 
 def surrogate_states(tc, ru, z, face, h, load_cases, moment_share):

@@ -6,12 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import archdam
 from archdam import DamProblem
 from archdam.benchmarks import hypervolume2d
 from archdam.cli import _f6, _g6, main
-from archdam.geometry import DEFAULT_HEIGHT, CanyonProfile, level_depths
+from archdam.config import _schema
+from archdam.geometry import (DEFAULT_HEIGHT, LOWER_BOUNDS, UPPER_BOUNDS, CanyonProfile,
+                              level_depths)
 from archdam.stress_model import LoadCase, MOMENT_SHARE
 from archdam.willam_warnke import StrengthParams, criterion_values, solve_coefficients
 
@@ -97,7 +100,7 @@ def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, 
         assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {key} invalid: ")
+        assert captured.err.startswith(f"error: $.{key} invalid: ")
         assert reason in captured.err and "Traceback" not in captured.err
 
 
@@ -242,7 +245,7 @@ def test_config_whose_terms_overflow_exits_2_naming_section(tmp_path, capsys, pa
         assert not caught, [str(w.message) for w in caught]
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {section} invalid: overflow"), captured.err
+        assert captured.err.startswith(f"error: $.{section} invalid: overflow"), captured.err
     assert not (tmp_path / "run").exists()
 
 def test_optimize_at_penalty_ceilings_logs_finite_hypervolume(tmp_path, capsys):
@@ -587,3 +590,116 @@ def test_version_defined_once():
     assert 'dynamic = ["version"]' in text
     assert 'version = {attr = "archdam.__version__"}' in text
     assert archdam.__version__ not in text
+
+
+def _leaf_values(spec, draw):
+    """A value for one numeric config key: one inside its schema range, a
+    bound the schema admits, the float (integer) next to a bound on the
+    inside, 1e308 where the schema sets no maximum, or, one draw in
+    twenty, the float (integer) just past a bound."""
+    integer = spec["type"] == "integer"
+    lo = spec.get("minimum", spec.get("exclusiveMinimum"))
+    hi = spec.get("maximum")
+    step = (lambda b, d: b + d) if integer else (lambda b, d: float(np.nextafter(b, d * np.inf)))
+    admitted = [step(lo, 1)] + ([] if "exclusiveMinimum" in spec else [lo])
+    past = [step(lo, -1)] if "exclusiveMinimum" not in spec else [lo]
+    if hi is not None:
+        admitted += [hi, step(hi, -1)]
+        past.append(step(hi, 1))
+    elif not integer:
+        admitted.append(1e308)
+    if "not" in spec:  # n_arc: odd
+        past += [v for v in admitted if v % 2 == 0]
+        admitted = [v for v in admitted if v % 2]
+    pick = draw(st.integers(0, 19))
+    if pick == 19:
+        return draw(st.sampled_from(past))
+    if pick > 12:
+        return draw(st.sampled_from(admitted))
+    if integer:
+        value = draw(st.integers(lo, lo + 1000 if hi is None else hi))
+        return value - 1 + value % 2 if "not" in spec else value
+    return draw(st.floats(lo, 1e6 if hi is None else hi, exclude_min="exclusiveMinimum" in spec))
+
+
+def _section(properties, draw):
+    """A random subset of a schema section's keys with drawn values."""
+    out = {}
+    for key in draw(st.lists(st.sampled_from(sorted(properties)), unique=True)):
+        spec = properties[key]
+        if "enum" in spec:
+            out[key] = draw(st.sampled_from(spec["enum"]))
+        elif spec.get("type") in ("number", "integer"):
+            out[key] = _leaf_values(spec, draw)
+        elif spec.get("type") == "boolean":
+            out[key] = draw(st.booleans())
+        elif spec.get("type") == "string":
+            out[key] = draw(st.sampled_from(["."] * 9 + [""]))
+    return out
+
+
+def _bounds_list(draw, which):
+    """A bounds list: narrowed around Table 5, or now and then ragged or
+    with one entry a micrometre past the canonical box."""
+    base = LOWER_BOUNDS if which == "lower" else UPPER_BOUNDS
+    kind = draw(st.sampled_from(["narrowed"] * 4 + ["ragged", "past the box"]))
+    if kind == "ragged":
+        return base.tolist()[:draw(st.sampled_from([0, 19, 20]))] + [1.0] * draw(st.integers(0, 1))
+    values = ((base + TABLE5) / 2 if kind == "narrowed" else base).tolist()
+    if kind == "past the box":
+        k = draw(st.integers(0, 19))
+        values[k] += -1e-6 if which == "lower" else 1e-6
+    return values
+
+
+@st.composite
+def _configs(draw):
+    """Configs drawn key by key from the schema: values inside it, its
+    bounds, the floats just past them, 1e308, and ragged loads and bounds
+    lists."""
+    schema = _schema()["properties"]
+    cfg = {}
+    for section in draw(st.lists(st.sampled_from(sorted(schema)), unique=True)):
+        spec = schema[section]
+        if section == "loads":
+            items = spec["items"]["properties"]
+            n = draw(st.sampled_from([0] + [1, 2, 3, 4] * 4))
+            cfg[section] = [_section(items, draw) for _ in range(n)]
+            for item in cfg[section]:
+                if draw(st.integers(0, 19)):
+                    item.setdefault("kind", draw(st.sampled_from(items["kind"]["enum"])))
+        else:
+            cfg[section] = _section(spec["properties"], draw)
+        if section == "problem":
+            for which in ("lower", "upper"):
+                if draw(st.booleans()):
+                    cfg[section][f"{which}_bounds"] = _bounds_list(draw, which)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_configs())
+# an overflowed calibration entry once reached LAPACK, which printed to
+# stdout; a w_base above w_crest, and two sections that overflow only
+# together, were refused without a path
+@example(cfg={"strength": {"f_cb": 1e308}})
+@example(cfg={"geometry": {"w_crest": 50.0, "w_base": 60.0}})
+@example(cfg={"problem": {"moment_share": 4.2e297},
+              "loads": [{"kind": "hydrostatic", "water_density": 2000}]})
+def test_config_in_schema_gives_finite_json_or_exit_2_with_path(tmp_path_factory, capfd, cfg):
+    # evaluate of the Table 5 design, in-process: exit 0 with finite JSON,
+    # or exit 2 naming the config key path that it refuses. capfd also
+    # sees what a library writes to the file descriptors
+    path = tmp_path_factory.getbasetemp() / "drawn_config.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["evaluate", "--config", str(path), "--design", TABLE5_ARG])
+    out, err = capfd.readouterr()
+    if code == 0:
+        doc = json.loads(out, parse_constant=lambda c: pytest.fail(c))
+        assert np.isfinite([doc["fit1"], doc["fit2"], doc["violation"]]).all()
+        assert err == ""
+    else:
+        assert code == 2, err
+        assert out == ""
+        assert re.fullmatch(r"error: [^\n]*\$\.[a-z][^\n]*\n", err), err

@@ -251,7 +251,7 @@ def test_make_problem_names_the_rejected_section(section, value, key):
     # a dict that skipped load_config's schema and checks
     cfg = default_config()
     cfg[section] = value
-    with pytest.raises(ConfigError, match="^" + re.escape(f"{key} invalid: ")):
+    with pytest.raises(ConfigError, match="^" + re.escape(f"$.{key} invalid: ")):
         make_problem(cfg)
 
 

@@ -26,6 +26,7 @@ from archdam.geometry import (
 from _oracles import (
     LagrangeInterpolant,
     dense_volume,
+    exact_lagrange,
     faces_cross,
     gauss_legendre_volume,
     lagrange_basis,
@@ -91,31 +92,78 @@ def test_interpolation_reproduces_quintics():
     # derivative of the interpolant matches the quintic's as well
     dpoly = poly.deriv()
     zs = rng.uniform(0.0, h, 50)
-    interp = DepthInterpolant(h, zs, slopes=True)
-    slopes = interp.slopes(f(levels), interp.values(f(levels)))
+    slopes = DepthInterpolant(h, zs).slopes(f(levels))
     assert np.max(np.abs(slopes - dpoly(zs / h) / h)) < 1e-9
 
 
-def _fused_level_sums(ref, z):
-    """The reference interpolant's values at off-level depths z, with each
-    product r_j f_j added to the running sum unrounded, as a fused
-    multiply-add does."""
-    r = ref.w / (z[:, None] - ref.x)
+# measured worst differences from the exact interpolant over the four
+# heights and depth sets below: 7.9e-16 max|f| for values, 1.8e-14
+# max|f| / h for slopes
+VALUE_TOL, SLOPE_TOL = 2e-15, 5e-14
+# the barycentric interpolant differs by up to 1.2e-15 and 1.6e-13 on the
+# depth sets of test_depth_interpolant_equals_per_design_reference, its own
+# slope error near a level included
+BARYCENTRIC_VALUE_TOL, BARYCENTRIC_SLOPE_TOL = 4e-15, 5e-13
+
+
+def _basis_depth_sets(h):
+    levels = level_depths(h)
+    return {
+        "101 even": np.linspace(0.0, h, 101),
+        "uniform": np.random.default_rng(31).uniform(0.0, h, 60),
+        "256 Gauss-Legendre": 0.5 * h * (1.0 + np.polynomial.legendre.leggauss(256)[0]),
+        "1e-9 h off the interior levels": np.concatenate([levels[1:5] - 1e-9 * h,
+                                                          levels[1:5] + 1e-9 * h]),
+    }
+
+
+@pytest.mark.parametrize("h", [DEFAULT_HEIGHT, 18.3465, 15.0, 500.0])
+def test_basis_matches_exact_lagrange(h):
+    # the basis itself (F = I) and random node rows against exact rational
+    # Lagrange values and slopes, and exact identity columns at the levels.
+    # The barycentric slope, which divides by the squared offsets from the
+    # levels, misses the slope tolerance by far near a level; at
+    # h = 18.3465 the barycentric weights sum to 0
+    levels = level_depths(h)
+    F = np.vstack([np.eye(6), np.random.default_rng(7).uniform(-50.0, 150.0, (3, 6))])
+    scale = np.abs(F).max(axis=1)[:, None]
+    for name, z in _basis_depth_sets(h).items():
+        interp = DepthInterpolant(h, z)
+        values, slopes = exact_lagrange(levels, F, z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.abs(interp.values(F) - values) <= VALUE_TOL * scale), name
+            assert np.all(np.abs(interp.slopes(F) - slopes) <= SLOPE_TOL * scale / h), name
+        assert np.array_equal(interp.values(np.eye(6)), interp.basis), name
+        assert np.array_equal(interp.slopes(np.eye(6)), interp.slope_basis), name
+        if name.startswith("1e-9"):
+            barycentric = LagrangeInterpolant(levels, F[-1]).derivative(z)
+            assert np.abs(barycentric - slopes[-1]).max() > 1e3 * SLOPE_TOL * scale[-1, 0] / h
+    # a depth on a level takes the node values exactly: the default stress
+    # depths are the levels
+    z = np.linspace(0.0, h, 101)
+    assert np.array_equal(DepthInterpolant(h, z).basis[:, ::20], np.eye(6))
+
+
+def _fused_level_sums(f, basis):
+    """The level sums of node values f against a basis, with each product
+    f_j B_jk added to the running sum unrounded, as a fused multiply-add
+    does."""
     sums = []
-    for row in r:
+    for column in basis.T:
         acc = 0.0
-        for rj, fj in zip(row, ref.f):
-            acc = float(Fraction(rj) * Fraction(fj) + Fraction(acc))
+        for fj, bj in zip(f, column):
+            acc = float(Fraction(fj) * Fraction(bj) + Fraction(acc))
         sums.append(acc)
-    return np.array(sums) / r.sum(axis=1)
+    return np.array(sums)
 
 
 @pytest.mark.parametrize("depths", ["level hits", "no level hits", "level hits, zero weight sum"])
 def test_depth_interpolant_equals_per_design_reference(depths):
-    # the batched interpolant sums over the levels in the order of the
-    # one-design reference, so the two agree bit for bit at any batch shape.
-    # At h = 18.3465 the barycentric weights sum to exactly 0, which must
-    # not reach a division at the depths that hit a level
+    # the batched interpolant adds each output's products in level order,
+    # so any batch shape gives the bits of one design's sums, and within
+    # the stated tolerances the barycentric per-design interpolant. At
+    # h = 18.3465 the barycentric weights sum to exactly 0
     h = 18.3465 if "zero" in depths else DEFAULT_HEIGHT
     levels = level_depths(h)
     rng = np.random.default_rng(29)
@@ -123,28 +171,31 @@ def test_depth_interpolant_equals_per_design_reference(depths):
         z = np.concatenate([np.linspace(0.0, h, 101), rng.uniform(0.0, h, 20)])
     else:
         z = 0.5 * h * (1.0 + np.polynomial.legendre.leggauss(32)[0])
-    hits = np.isin(z, levels)
-    assert hits.sum() == (0 if depths == "no level hits" else 6)
+    assert np.isin(z, levels).sum() == (0 if depths == "no level hits" else 6)
     if "zero" in depths:
         assert sum(LagrangeInterpolant(levels, np.zeros(6)).w) == 0.0
-    # the first input's products r_j f_j, with f_j = (1 + 2**-30)**j, are
+    interp = DepthInterpolant(h, z)
+    # the first input's products f_j B_jk, with f_j = (1 + 2**-30)**j, are
     # inexact, so level sums built with fused multiply-adds (one rounding
     # per term instead of two) land on other last bits at some depths
     fma_prone = (1.0 + 2.0**-30) ** np.arange(1, 7)
-    ref = LagrangeInterpolant(levels, fma_prone)
-    assert not np.array_equal(_fused_level_sums(ref, z[~hits]), ref(z[~hits]))
-    interp = DepthInterpolant(h, z, slopes=True)
+    assert not np.array_equal(_fused_level_sums(fma_prone, interp.basis),
+                              sum(fma_prone[j] * interp.basis[j] for j in range(6)))
     for f in [fma_prone] + [rng.uniform(-50.0, 150.0, shape) for shape in [(6,), (7, 6), (2, 7, 6)]]:
         shape = f.shape
         rows = f.reshape(-1, 6)
-        ref = [LagrangeInterpolant(levels, row) for row in rows]
-        values = np.array([r(z) for r in ref]).reshape(shape[:-1] + z.shape)
-        slopes = np.array([r.derivative(z) for r in ref]).reshape(shape[:-1] + z.shape)
         cause = "; the level sums fuse multiply and add" if f is fma_prone else ""
+        for basis, get in ((interp.basis, interp.values), (interp.slope_basis, interp.slopes)):
+            one = np.array([sum(row[j] * basis[j] for j in range(6)) for row in rows])
+            assert np.array_equal(get(f), one.reshape(shape[:-1] + z.shape)), f"{shape}{cause}"
+        scale = np.abs(rows).max(axis=1)[:, None]
+        ref = [LagrangeInterpolant(levels, row) for row in rows]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.array_equal(interp.values(f), values), f"{shape}{cause}"
-            assert np.array_equal(interp.slopes(f, interp.values(f)), slopes), f"{shape}{cause}"
+            values = np.array([r(z) for r in ref])
+            slopes = np.array([r.derivative(z) for r in ref])
+        assert np.all(np.abs(interp.values(rows) - values) <= BARYCENTRIC_VALUE_TOL * scale)
+        assert np.all(np.abs(interp.slopes(rows) - slopes) <= BARYCENTRIC_SLOPE_TOL * scale / h)
 
 
 def test_crown_profile_hand_values():

@@ -14,6 +14,37 @@ from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic
 from _oracles import evaluate_rowwise, faces_cross, lagrange_basis
 from conftest import TABLE5, grid_states
 
+# The rowwise reference interpolates with the barycentric per-design
+# interpolant, the package with its basis matrices, so off-level depths
+# differ in the last bits. Measured worst differences on 2,000 draws:
+# fit1 6.5e-16 relative, violations 2.7e-15 absolute, and fit2 under
+# n_depths 8 1.3e-12 at a fit2 of 43.5 (3e-14 relative). At the default
+# stress depths, the levels, fit2 is exact.
+FIT1_RTOL, VIOL_ATOL, FIT2_RTOL, FIT2_ATOL = 1e-14, 1e-13, 1e-13, 1e-15
+
+
+def _assert_matches_rowwise(problem, X, b=None):
+    """The batch equals the rowwise reference in its degenerate kinds,
+    validity warnings and feasible flags, and fit1, fit2 and the
+    violations within the tolerances above (fit2 exactly where the stress
+    depths are the levels); each row evaluated alone gives its batch
+    row's bits."""
+    b = problem._evaluate(X) if b is None else b
+    F_ref, viol_ref, kinds_ref, warnings_ref = evaluate_rowwise(problem, X)
+    assert list(b.degenerate) == kinds_ref
+    assert np.array_equal(b.validity_warnings, warnings_ref)
+    assert np.array_equal(b.violation == 0.0, viol_ref == 0.0)
+    assert np.allclose(b.F[:, 0], F_ref[:, 0], rtol=FIT1_RTOL, atol=0.0)
+    assert np.allclose(b.violation, viol_ref, rtol=0.0, atol=VIOL_ATOL)
+    if np.isin(problem.stress_surrogate.depths, level_depths(problem.canyon.h)).all():
+        assert np.array_equal(b.F[:, 1], F_ref[:, 1])
+    else:
+        assert np.allclose(b.F[:, 1], F_ref[:, 1], rtol=FIT2_RTOL, atol=FIT2_ATOL)
+    for i in range(len(X)):
+        one = problem._evaluate(X[i:i + 1])
+        assert np.array_equal(one.F[0], b.F[i]) and one.violation[0] == b.violation[i]
+        assert np.array_equal(one.constraints[0], b.constraints[i])
+
 
 def test_reference_design_regression(dam_problem, table5_design):
     e = dam_problem.evaluate(table5_design)
@@ -167,17 +198,14 @@ def test_non_finite_design_raises(dam_problem):
 
 # order 31 is an odd rule, with a volume depth at half the height, so the
 # volume sums a second depth set with its own weights; 8 stress depths
-# fall between the levels, so the stress sections come from the level
-# sums, not the lookup
+# fall between the levels, so the stress sections are not the node values
 @pytest.mark.parametrize("setting", [{}, {"quadrature_order": 31}, {"n_depths": 8}],
                          ids=["default", "quadrature_order=31", "n_depths=8"])
 def test_batch_equals_rowwise_reference(setting):
     problem = DamProblem(**setting)
     rng = np.random.default_rng(2024)
     X = LOWER_BOUNDS + rng.random((200, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
-    F, viol = problem.evaluate_batch(X)
-    F_ref, viol_ref = evaluate_rowwise(problem, X)
-    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    _assert_matches_rowwise(problem, X)
 
 
 def test_batch_equals_rowwise_reference_with_degenerate_rows():
@@ -191,8 +219,7 @@ def test_batch_equals_rowwise_reference_with_degenerate_rows():
     X = np.vstack([normal[:2], thin_crest, TABLE5, thickness, normal[2:]])
     b = p._evaluate(X)
     F, viol = b.F, b.violation
-    F_ref, viol_ref = evaluate_rowwise(p, X)
-    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    _assert_matches_rowwise(p, X, b)
     assert list(b.degenerate) == [None, None, "thickness", None, "thickness", None, None]
     assert np.isfinite(b.constraints).all()
     assert np.array_equal(F[[2, 4]], [[PENALTY_FIT1, PENALTY_FIT2]] * 2)
@@ -201,9 +228,7 @@ def test_batch_equals_rowwise_reference_with_degenerate_rows():
 
 
 def test_batch_of_one_and_empty_batch(dam_problem):
-    F, viol = dam_problem.evaluate_batch(TABLE5[None, :])
-    F_ref, viol_ref = evaluate_rowwise(dam_problem, TABLE5[None, :])
-    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    _assert_matches_rowwise(dam_problem, TABLE5[None, :])
     F, viol = dam_problem.evaluate_batch(np.empty((0, 20)))
     assert F.shape == (0, 2) and viol.shape == (0,)
 
@@ -240,8 +265,7 @@ def test_thin_design_penalized_alone_as_meridian():
         e = p.evaluate(X[i])
         assert (b.F[i, 0], b.F[i, 1], b.violation[i]) == (e.fit1, e.fit2, e.violation)
     assert p.evaluate(X[0]).diagnostics == {"degenerate": "meridian"}
-    F_ref, viol_ref = evaluate_rowwise(p, X)
-    assert np.array_equal(b.F, F_ref) and np.array_equal(b.violation, viol_ref)
+    _assert_matches_rowwise(p, X, b)
     # the scalar criterion keeps raising for direct callers
     states = grid_states(p, X[0])
     with pytest.raises(EvaluationError):
@@ -273,9 +297,7 @@ def _in_bound_batches(draw):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_in_bound_batches())
 def test_batch_equals_rowwise_reference_property(dam_problem, X):
-    F, viol = dam_problem.evaluate_batch(X)
-    F_ref, viol_ref = evaluate_rowwise(dam_problem, X)
-    assert np.array_equal(F, F_ref) and np.array_equal(viol, viol_ref)
+    _assert_matches_rowwise(dam_problem, X)
 
 
 def _narrowed_problem():
@@ -308,8 +330,7 @@ def test_radius_check_sound_at_worst_case_designs(make):
     p = make()
     X = _worst_case_designs(p)
     b = p._evaluate(X)
-    F_ref, viol_ref = evaluate_rowwise(p, X)
-    assert np.array_equal(b.F, F_ref) and np.array_equal(b.violation, viol_ref)
+    _assert_matches_rowwise(p, X, b)
     assert list(b.degenerate) == [None] * len(X)
 
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from archdam import CanyonProfile, DamProblem, LoadCase
-from archdam.geometry import DEFAULT_HEIGHT, DepthInterpolant, level_depths
+from archdam.geometry import DEFAULT_HEIGHT, DepthInterpolant
 from archdam.stress_model import (ARC_STATIONS, GRAVITY, GRID_DEPTHS, MOMENT_SHARE,
                                   StressSurrogate, _sorted_states)
 
-from _oracles import LagrangeInterpolant, sample_points, surrogate_states
+from _oracles import sample_points, surrogate_states
 from conftest import TABLE5, grid_states
 
 
@@ -172,15 +172,15 @@ def test_distinct_rows_of_the_default_grid():
 def test_states_equal_per_point_reference():
     # bit for bit, signed zeros included, on the default grid and on one of
     # 8 depths x 11 arc stations; the reference takes tc and ru at every
-    # point from the per-design interpolant
+    # point from the package's interpolant at that point's depth
     h = DEFAULT_HEIGHT
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
-    tc, ru = (LagrangeInterpolant(level_depths(h), TABLE5[k:k + 6]) for k in (2, 8))
+    nodes = TABLE5[2:14].reshape(2, 6)
     for n_depths, n_arc in ((6, 9), (8, 11)):
         surrogate = StressSurrogate(_canyon(), n_depths, n_arc, cases, MOMENT_SHARE)
-        rows = surrogate(*DepthInterpolant(h, surrogate.depths).values(
-            TABLE5[2:14].reshape(2, 6)))
+        rows = surrogate(*DepthInterpolant(h, surrogate.depths).values(nodes))
         _, z, face = sample_points(_canyon(), n_depths, n_arc)
-        ref = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
+        tc, ru = DepthInterpolant(h, z).values(nodes)
+        ref = surrogate_states(tc, ru, z, face, h, cases, MOMENT_SHARE)
         assert np.array_equal(rows.repeat(n_arc, axis=0).view(np.int64), ref.view(np.int64))

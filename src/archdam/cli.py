@@ -26,6 +26,7 @@ from . import willam_warnke as ww
 from .config import ConfigError, load_config, make_mocss_config, make_problem
 from .geometry import VARIABLE_NAMES
 from .mocss import NonFiniteError, run_mocss
+from .stress_model import ARC_STATIONS
 
 
 # -- formatting ---------------------------------------------------------------
@@ -198,9 +199,13 @@ def _load_scenarios(path: str):
                 f"scenario [{k}] must be an object with keys name, weights"
             )
         try:
-            out.append(Scenario(str(item["name"]), tuple(item["weights"])))
+            scenario = Scenario(str(item["name"]), tuple(item["weights"]))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"scenario [{k}] invalid: {exc}") from exc
+        if len(scenario.weights) != 2:  # fit1 and fit2
+            raise ConfigError(f"scenario [{k}] invalid: {len(scenario.weights)} weights "
+                              "for 2 objectives")
+        out.append(scenario)
     return out
 
 
@@ -274,12 +279,12 @@ def _cmd_evaluate_geometry(args) -> int:
 
 def _cmd_stress_field(args) -> int:
     _, digest, problem, x, outdir = _setup(args, design=True)
-    # the surrogate's rows, each expanded to the n_arc points of its arc
+    # the surrogate's rows, each expanded to the ARC_STATIONS points of its arc
     surrogate = problem.stress_surrogate
     ok, states = problem.stress_states(x[2:14].reshape(2, 1, 6))
     if not ok[0]:
         raise ValueError("non-positive thickness at a stress sample")
-    states = states[0].repeat(surrogate.n_arc, axis=0)
+    states = states[0].repeat(ARC_STATIONS, axis=0)
     margins = ww.criterion_values(states, problem.strength, problem.coeffs)
 
     rows = [

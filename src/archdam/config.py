@@ -51,7 +51,6 @@ _BOUNDS = (
     ("minimum", lambda v, b: v < b, "is less than the minimum of"),
     ("exclusiveMinimum", lambda v, b: v <= b, "is less than or equal to the minimum of"),
     ("maximum", lambda v, b: v > b, "is greater than the maximum of"),
-    ("multipleOf", lambda v, b: v % b != 0, "is not a multiple of"),
 )
 
 
@@ -70,13 +69,6 @@ def _validate(value, schema: dict, path: str = "$") -> None:
         fail(f"{value!r} is not of type {kind!r}")
     if "enum" in schema and value not in schema["enum"]:
         fail(f"{value!r} is not one of {schema['enum']!r}")
-    if "not" in schema:
-        try:
-            _validate(value, schema["not"], path)
-        except ConfigError:
-            pass
-        else:
-            fail(f"{value!r} should not be valid under {schema['not']!r}")
     if _TYPES["number"](value):
         for keyword, broken, text in _BOUNDS:
             if keyword in schema and broken(value, schema[keyword]):

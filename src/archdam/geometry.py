@@ -220,10 +220,12 @@ class VolumeQuadrature:
         """Volumes, shape (n,), for the node values of tc, ru and rd
         stacked as shape (3, n, 6)."""
         tc, ru, rd = self.depths.values(nodes)
-        a = 1.0 / rd - 1.0 / ru
+        # a = 1 / rd - 1 / ru, mean and edge are made in the ru and rd sections
+        a = np.subtract(np.divide(1.0, rd, out=rd), np.divide(1.0, ru, out=ru), out=rd)
         # areas over the 2 w the weights carry: mean = G(w) / w, and where the
         # faces cross, x0 / w = sqrt(tc / (tc - edge)) and G(x0) = 2 tc x0 / 3
-        mean, edge = a * self._w2_6 + tc, a * self._w2_2 + tc
+        mean = np.add(np.multiply(a, self._w2_6, out=ru), tc, out=ru)
+        edge = np.add(np.multiply(a, self._w2_2, out=rd), tc, out=rd)
         cross = np.flatnonzero(tc * edge < 0.0)
         if cross.size:
             t, m = tc.take(cross), mean.take(cross)

@@ -37,9 +37,11 @@ class Scenario:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not (w > 0.0).all():
             raise ValueError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-        object.__setattr__(self, "weights", tuple(float(x) for x in w))
+        weights = tuple(float(x) for x in w)
+        total = sum(weights)  # inf past the float range, with no numpy warning
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"weights must sum to 1, got {total!r}")
+        object.__setattr__(self, "weights", weights)
 
 
 @dataclass(frozen=True)

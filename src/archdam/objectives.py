@@ -22,7 +22,7 @@ the problem, so evaluate_batch is one numpy pass over all its designs
 and evaluate is a batch of one. Stresses are computed once per (face,
 depth) row of the grid (stress_model.StressSurrogate): fit2 is the
 maximum over the rows, and the validity-warning count counts each row
-n_arc times, once per grid point it stands for.
+ARC_STATIONS times, once per grid point it stands for.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class DamProblem:
     read once, at construction; to change one, build a new problem
     (dataclasses.replace). Bounds on ru and rd that admit a non-positive
     radius raise ValueError. stress_surrogate is built from n_depths and
-    n_arc and holds the stress grid. The CLI tabulates a design through
+    holds the stress grid. The CLI tabulates a design through
     the same passes the evaluation makes: constraint_depths.sections,
     whose maxima are the slope and angle constraints, and stress_states,
     whose largest margin is fit2."""
@@ -106,7 +106,6 @@ class DamProblem:
     gamma_allow: float = GAMMA_ALLOW
     quadrature_order: int = QUADRATURE_ORDER
     n_depths: int = GRID_DEPTHS
-    n_arc: int = ARC_STATIONS
     moment_share: float = MOMENT_SHARE
     penalty_fit1: float = PENALTY_FIT1
     penalty_fit2: float = PENALTY_FIT2
@@ -132,8 +131,8 @@ class DamProblem:
         self._highest = self.upper + BOUND_SLACK
         self.constraint_depths = ConstraintDepths(self.canyon)
         self._volume = VolumeQuadrature(self.canyon, self.quadrature_order)
-        self.stress_surrogate = StressSurrogate(self.canyon, self.n_depths, self.n_arc,
-                                                self.load_cases, self.moment_share)
+        self.stress_surrogate = StressSurrogate(self.canyon, self.n_depths, self.load_cases,
+                                                self.moment_share)
         self.stress_depths = DepthInterpolant(h, self.stress_surrogate.depths)
 
     @property
@@ -192,8 +191,8 @@ class DamProblem:
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         # NaN where a compressive meridian came out non-positive
         fit2 = margins.max(axis=(1, 2))
-        # each row stands for the n_arc points of its arc
-        warnings = invalid.sum(axis=(1, 2)) * self.n_arc
+        # each row stands for the ARC_STATIONS points of its arc
+        warnings = invalid.sum(axis=(1, 2)) * ARC_STATIONS
         meridian_ok = ~np.isnan(fit2)
 
         if all_thick and meridian_ok.all():

@@ -19,9 +19,9 @@ Per sample point the surrogate composes three components:
 
 None of these terms depends on the arc position x, so a sample point's
 state is fixed by its depth and face. StressSurrogate therefore works on
-the (face, depth) rows of its grid, each standing for the n_arc points of
-one arc: the default grid of 6 depths x 9 arc stations x 2 faces holds 12
-rows. The terms that depend on no design are built with it.
+the (face, depth) rows of its grid, each standing for the ARC_STATIONS
+points of one arc: the default grid of 6 depths x 9 arc stations x 2 faces
+holds 12 rows. The terms that depend on no design are built with it.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ __all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "GRID_DEPTHS", "ARC_STATION
            "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
-# the default sample grid: depth stations crest to base, arc stations
-# abutment to abutment
+# the sample grid: the default depth stations crest to base, and the arc
+# stations abutment to abutment, an odd count so the crown is the middle one
 GRID_DEPTHS = 6
 ARC_STATIONS = 9
 # share of the hydrostatic overturning moment carried by cantilever bending
@@ -74,9 +74,9 @@ class LoadCase:
 class StressSurrogate:
     """The surrogate on the (face, depth) rows of a sample grid over both
     faces of a dam in the canyon: n_depths evenly spaced from the crest to
-    the canyon's height h (`depths`), and an arc of n_arc stations at each
-    depth (`grid()`). The rows are the upstream ones at `depths`, then the
-    downstream ones.
+    the canyon's height h (`depths`), and an arc of ARC_STATIONS stations at
+    each depth (`grid()`). The rows are the upstream ones at `depths`, then
+    the downstream ones.
 
     The load-case terms that depend on no design are built per row: -p
     (reservoir pressure plus the Westergaard term), the self-weight, and
@@ -86,14 +86,11 @@ class StressSurrogate:
     loop over the load cases.
     """
 
-    def __init__(self, canyon: CanyonProfile, n_depths: int, n_arc: int, load_cases,
+    def __init__(self, canyon: CanyonProfile, n_depths: int, load_cases,
                  moment_share: float):
         if n_depths < 6:
             raise ValueError("need at least 6 depth stations")
-        if n_arc < 9 or n_arc % 2 == 0:
-            raise ValueError("need at least 9 arc stations, odd count")
         self._canyon = canyon
-        self.n_arc = n_arc
         self.depths = np.linspace(0.0, canyon.h, n_depths)
         z = np.concatenate([self.depths, self.depths])
         up = np.arange(len(z)) < n_depths
@@ -118,13 +115,12 @@ class StressSurrogate:
             np.stack(t, axis=-1).ravel() for t in (neg_p, weight, bend))
 
     def grid(self):
-        """The sample points (x, z, face) in row order, n_arc consecutive
-        points per row. An arc runs from abutment to abutment at
-        +-half_width(z); n_arc is odd, so its middle point is the crown
-        x = 0."""
-        frac = np.linspace(-1.0, 1.0, self.n_arc)
+        """The sample points (x, z, face) in row order, ARC_STATIONS
+        consecutive points per row. An arc runs from abutment to abutment
+        at +-half_width(z); its middle point is the crown x = 0."""
+        frac = np.linspace(-1.0, 1.0, ARC_STATIONS)
         x = (self._canyon.half_width(self.depths)[:, None] * frac[None, :]).ravel()
-        z = np.repeat(self.depths, self.n_arc)
+        z = np.repeat(self.depths, ARC_STATIONS)
         return np.concatenate([x, x]), np.concatenate([z, z]), np.repeat(["up", "down"], len(x))
 
     def __call__(self, tc, ru):

@@ -403,12 +403,12 @@ class LagrangeInterpolant:
         return out
 
 
-def sample_points(canyon, n_depths=6, n_arc=9):
+def sample_points(canyon, n_depths=6):
     """The stress grid's points (x, z, face), one at a time: the upstream
     face, then the downstream one; on each, n_depths evenly spaced depths
-    from the crest to the canyon's height h, and at each depth n_arc
+    from the crest to the canyon's height h, and at each depth nine
     evenly spaced arc stations from abutment to abutment."""
-    frac = np.linspace(-1.0, 1.0, n_arc)
+    frac = np.linspace(-1.0, 1.0, 9)
     points = []
     for face in ("up", "down"):
         for z in np.linspace(0.0, canyon.h, n_depths):
@@ -462,7 +462,7 @@ def evaluate_rowwise(problem, X):
 
         fit1 = closed_form_volume(canyon, problem.quadrature_order, tc, ru, rd)
 
-        _, z, face = sample_points(canyon, problem.n_depths, problem.n_arc)
+        _, z, face = sample_points(canyon, problem.n_depths)
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
             viol[i] = violation + 1.0

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from archdam import DamProblem, StrengthParams, solve_coefficients
+from archdam.stress_model import ARC_STATIONS
 
 # reference optimized design used as the regression anchor
 TABLE5 = np.array([
@@ -21,9 +22,8 @@ def grid_states(problem, x):
     """Sorted states (n_points, n_cases, 3) of one design of 20 values at
     every point of the problem's grid, through the problem's stress
     helpers as `archdam stress-field` takes them."""
-    surrogate = problem.stress_surrogate
-    rows = surrogate(*problem.stress_depths.values(x[2:14].reshape(2, 6)))
-    return rows.repeat(surrogate.n_arc, axis=0)
+    rows = problem.stress_surrogate(*problem.stress_depths.values(x[2:14].reshape(2, 6)))
+    return rows.repeat(ARC_STATIONS, axis=0)
 
 
 @pytest.fixture(scope="session")

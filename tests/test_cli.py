@@ -78,12 +78,16 @@ def test_evaluate_rejects_bad_designs(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
-def test_config_n_arc_must_be_odd_and_at_least_nine(tmp_path, capsys):
-    for n_arc in (7, 10, 202):
+def test_config_n_arc_is_an_unknown_key(tmp_path, capsys):
+    # the arc is fixed at ARC_STATIONS stations, so even 9 is refused
+    for n_arc in (7, 9, 10, 202):
         cfg = tmp_path / f"arc{n_arc}.json"
         cfg.write_text(json.dumps({"problem": {"n_arc": n_arc}}))
         assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 2
-        assert "n_arc" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config schema violation at $.problem: additional "
+                                "properties are not allowed: 'n_arc'\n")
 
 
 @pytest.mark.parametrize("payload, key, reason", [
@@ -196,7 +200,6 @@ PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
     ({"problem": {"quadrature_order": 257}}, "$.problem.quadrature_order",
      {"problem": {"quadrature_order": 256}}),
     ({"problem": {"n_depths": 201}}, "$.problem.n_depths", {"problem": {"n_depths": 200}}),
-    ({"problem": {"n_arc": 203}}, "$.problem.n_arc", {"problem": {"n_arc": 201}}),
     ({"mocss": {"n_cps": 2001}}, "$.mocss.n_cps", {"mocss": {"n_cps": 2000}}),
 ])
 def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
@@ -268,7 +271,6 @@ def test_optimize_at_penalty_ceilings_logs_finite_hypervolume(tmp_path, capsys):
     ({"mocss": {"n_cps": 4.0}}, "$.mocss.n_cps"),
     ({"mocss": {"iterations": 1.0}}, "$.mocss.iterations"),
     ({"problem": {"quadrature_order": 32.0}}, "$.problem.quadrature_order"),
-    ({"problem": {"n_arc": 9.0}}, "$.problem.n_arc"),
 ])
 def test_config_non_finite_or_float_integer_exits_2_with_path(tmp_path, capsys, payload, path):
     # JSON Schema accepts these (NaN passes every bound, 4.0 counts as an
@@ -366,11 +368,11 @@ def test_tables_take_the_evaluators_passes(tmp_path, capsys, n_depths):
             np.abs(s_u).max() / problem.gamma_allow - 1.0,
             np.abs(s_d).max() / problem.gamma_allow - 1.0,
             np.maximum(90.0 - phi, phi - 130.0).max() / 130.0]
-    # both tables, on a grid of the problem's depths by 11 arc stations
+    # both tables, on a grid of the problem's depths by the arc stations
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": {"n_depths": problem.n_depths, "n_arc": 11}}))
+    cfg.write_text(json.dumps({"problem": {"n_depths": problem.n_depths}}))
     for command, name, rows in [("evaluate-geometry", "geometry.csv", 50),
-                                ("stress-field", "stress_field.csv", problem.n_depths * 11 * 2 * 2)]:
+                                ("stress-field", "stress_field.csv", problem.n_depths * 9 * 2 * 2)]:
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--design", TABLE5_ARG,
                      "--out", str(out)]) == 0
@@ -562,6 +564,22 @@ def test_decide_input_validation(tmp_path, capsys):
     assert code == 1
     capsys.readouterr()
 
+    # scenarios are refused before the ranking, without a numpy warning or repr
+    refused = {
+        "three weights": ([0.2, 0.3, 0.5], "3 weights for 2 objectives"),
+        "one weight": ([1.0], "1 weights for 2 objectives"),
+        "overflowing sum": ([1e308, 1e308], "weights must sum to 1, got inf"),
+        "sum of 0.5": ([0.25, 0.25], "weights must sum to 1, got 0.5"),
+    }
+    for name, (weights, message) in refused.items():
+        scen.write_text(json.dumps([{"name": "a", "weights": [0.5, 0.5]},
+                                    {"name": "b", "weights": weights}]))
+        assert main(["decide", "--archive", str(lone),
+                     "--scenarios", str(scen), "--out", str(tmp_path)]) == 2, name
+        captured = capsys.readouterr()
+        assert captured.out == "", name
+        assert captured.err == f"error: scenario [1] invalid: {message}\n", name
+
 
 def test_benchmark_artifacts(tmp_path, capsys):
     cfg = _tiny_config(tmp_path, n_cps=20, iterations=30)
@@ -608,17 +626,13 @@ def _leaf_values(spec, draw):
         past.append(step(hi, 1))
     elif not integer:
         admitted.append(1e308)
-    if "not" in spec:  # n_arc: odd
-        past += [v for v in admitted if v % 2 == 0]
-        admitted = [v for v in admitted if v % 2]
     pick = draw(st.integers(0, 19))
     if pick == 19:
         return draw(st.sampled_from(past))
     if pick > 12:
         return draw(st.sampled_from(admitted))
     if integer:
-        value = draw(st.integers(lo, lo + 1000 if hi is None else hi))
-        return value - 1 + value % 2 if "not" in spec else value
+        return draw(st.integers(lo, lo + 1000 if hi is None else hi))
     return draw(st.floats(lo, 1e6 if hi is None else hi, exclude_min="exclusiveMinimum" in spec))
 
 

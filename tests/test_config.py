@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import archdam
 from archdam.config import (
+    _SCALARS,
     ConfigError,
     _schema,
     _validate,
@@ -19,7 +21,7 @@ from archdam.config import (
     make_mocss_config,
     make_problem,
 )
-from archdam import CanyonProfile, DamProblem
+from archdam import CanyonProfile, DamProblem, LoadCase, MocssConfig, StrengthParams
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
 
 
@@ -31,7 +33,6 @@ DEFAULTS = {
         "moment_share": 0.02,
         "quadrature_order": 32,
         "n_depths": 6,
-        "n_arc": 9,
         "penalty_fit1": 3.4e5,
         "penalty_fit2": 1.3,
         "lower_bounds": [0.0, 0.5, 3.0, 5.0, 7.0, 9.0, 11.0, 12.0, 104.0, 91.0, 78.0, 65.0,
@@ -77,7 +78,7 @@ DEFAULTS = {
     },
     "output": {"directory": "."},
 }
-DEFAULT_DIGEST = "e2f7d6e7e81087d25457591a75ffb976e062a849e449a6cb57fb366883e1224d"
+DEFAULT_DIGEST = "c9ad896d1f2b1e962aa5b31ae87aebb5cd2870ec0f653c408524fa31a5b72719"
 
 
 def _assert_same_json(got, want, path="$"):
@@ -258,7 +259,7 @@ def test_make_problem_names_the_rejected_section(section, value, key):
 # keywords config._validate implements, plus the annotations it may ignore
 SUPPORTED_KEYWORDS = {
     "type", "properties", "additionalProperties", "required", "enum",
-    "minimum", "maximum", "exclusiveMinimum", "not", "multipleOf", "items",
+    "minimum", "maximum", "exclusiveMinimum", "items",
     "minItems", "maxItems", "minLength",
 }
 ANNOTATIONS = {"$schema", "title"}
@@ -271,6 +272,22 @@ def _subschemas(schema):
         for sub in value.values() if keyword == "properties" else [value]:
             if isinstance(sub, dict):
                 yield from _subschemas(sub)
+
+
+def test_schema_keys_are_the_fields_default_config_reads():
+    # a schema key with no field would pass _validate and be dropped by
+    # make_problem; a field with no key could not be set
+    schema = _schema()["properties"]
+    names = {
+        "problem": [f.name for f in _SCALARS] + ["lower_bounds", "upper_bounds"],
+        "geometry": [f.name for f in fields(CanyonProfile)],
+        "strength": [f.name for f in fields(StrengthParams)],
+        "mocss": [f.name for f in fields(MocssConfig)],
+    }
+    for section, want in names.items():
+        assert sorted(schema[section]["properties"]) == sorted(want), section
+    assert sorted(schema["loads"]["items"]["properties"]) == sorted(f.name
+                                                                    for f in fields(LoadCase))
 
 
 def test_schema_uses_only_supported_keywords():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from archdam import CanyonProfile, DamProblem, default_config, make_problem
-from archdam.geometry import level_depths
+from archdam.geometry import VolumeQuadrature, level_depths
 from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
@@ -183,6 +183,23 @@ def test_batch_memory_at_largest_quadrature_order():
     finally:
         tracemalloc.stop()
     assert peak < 10e6
+
+
+def test_volume_memory_at_largest_quadrature_order():
+    # a, mean and edge are made in the ru and rd sections, so the volume of
+    # 2,000 designs at the schema's largest order peaks below 1.5 times its
+    # (3, n, order) sections
+    n, order = 2000, 256
+    volume = VolumeQuadrature(CanyonProfile.default(), order)
+    X = LOWER_BOUNDS + np.random.default_rng(8).random((n, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    nodes = np.ascontiguousarray(X[:, 2:].reshape(n, 3, 6).transpose(1, 0, 2))
+    tracemalloc.start()
+    try:
+        volume(nodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 3 * n * order * 8
 
 
 def test_non_finite_design_raises(dam_problem):

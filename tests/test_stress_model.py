@@ -21,7 +21,7 @@ def _canyon(h=DEFAULT_HEIGHT):
 def _point_states(cases, z, face="up"):
     """Sorted states (n_cases, 3) of CONSTANT_DESIGN at depth z, 0 or 100 m:
     a row of the default grid of a dam 100 m high."""
-    surrogate = StressSurrogate(_canyon(100.0), 6, 9, cases, MOMENT_SHARE)
+    surrogate = StressSurrogate(_canyon(100.0), 6, cases, MOMENT_SHARE)
     row = list(surrogate.depths).index(z) + (6 if face == "down" else 0)
     return surrogate(np.full(6, 12.5), np.full(6, 100.0))[row]
 
@@ -91,9 +91,9 @@ def test_states_sorted_descending():
     assert np.all(np.diff(states, axis=-1) <= 0.0)
 
 
-def _surrogate(canyon, n_depths=GRID_DEPTHS, n_arc=ARC_STATIONS):
+def _surrogate(canyon, n_depths=GRID_DEPTHS):
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
-    return StressSurrogate(canyon, n_depths, n_arc, cases, MOMENT_SHARE)
+    return StressSurrogate(canyon, n_depths, cases, MOMENT_SHARE)
 
 
 def test_default_grid_layout():
@@ -111,10 +111,6 @@ def test_default_grid_layout():
     assert np.allclose(np.abs(xs[:, 0]), canyon.half_width(zs[:, 0]))
     with pytest.raises(ValueError, match="at least 6 depth stations"):
         _surrogate(canyon, n_depths=5)
-    with pytest.raises(ValueError, match="at least 9 arc stations, odd count"):
-        _surrogate(canyon, n_arc=8)
-    with pytest.raises(ValueError, match="at least 9 arc stations, odd count"):
-        _surrogate(canyon, n_arc=7)
 
 
 def test_mirror_symmetry():
@@ -171,16 +167,17 @@ def test_distinct_rows_of_the_default_grid():
 
 def test_states_equal_per_point_reference():
     # bit for bit, signed zeros included, on the default grid and on one of
-    # 8 depths x 11 arc stations; the reference takes tc and ru at every
-    # point from the package's interpolant at that point's depth
+    # 8 depths; the reference takes tc and ru at every point from the
+    # package's interpolant at that point's depth
     h = DEFAULT_HEIGHT
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
     nodes = TABLE5[2:14].reshape(2, 6)
-    for n_depths, n_arc in ((6, 9), (8, 11)):
-        surrogate = StressSurrogate(_canyon(), n_depths, n_arc, cases, MOMENT_SHARE)
+    for n_depths in (6, 8):
+        surrogate = StressSurrogate(_canyon(), n_depths, cases, MOMENT_SHARE)
         rows = surrogate(*DepthInterpolant(h, surrogate.depths).values(nodes))
-        _, z, face = sample_points(_canyon(), n_depths, n_arc)
+        _, z, face = sample_points(_canyon(), n_depths)
         tc, ru = DepthInterpolant(h, z).values(nodes)
         ref = surrogate_states(tc, ru, z, face, h, cases, MOMENT_SHARE)
-        assert np.array_equal(rows.repeat(n_arc, axis=0).view(np.int64), ref.view(np.int64))
+        assert np.array_equal(rows.repeat(ARC_STATIONS, axis=0).view(np.int64),
+                              ref.view(np.int64))

@@ -198,9 +198,16 @@ def _load_scenarios(path: str):
             raise ConfigError(
                 f"scenario [{k}] must be an object with keys name, weights"
             )
+        name, weights = item["name"], item["weights"]
         try:
-            scenario = Scenario(str(item["name"]), tuple(item["weights"]))
-        except (TypeError, ValueError) as exc:
+            # the CSV rows write the name unquoted
+            if not (isinstance(name, str) and name) or any(c in name for c in ',"\r\n'):
+                raise ValueError("name must be a non-empty string without a comma, double "
+                                 f"quote, CR or LF, got {json.dumps(name)}")
+            if not isinstance(weights, list) or any(type(w) not in (int, float) for w in weights):
+                raise ValueError(f"weights must be an array of numbers, got {json.dumps(weights)}")
+            scenario = Scenario(name, tuple(weights))
+        except (OverflowError, ValueError) as exc:
             raise ConfigError(f"scenario [{k}] invalid: {exc}") from exc
         if len(scenario.weights) != 2:  # fit1 and fit2
             raise ConfigError(f"scenario [{k}] invalid: {len(scenario.weights)} weights "

@@ -9,19 +9,19 @@ positions are denormalized only for evaluation.
 Loop structure per iteration:
   1. competition: the worst-ranked CPs are reseeded near uniformly drawn
      CM members, jittered per variable by the decaying repair bandwidth
-     so coincident particles (which exert no force on each other) cannot
-     freeze the population (classic CSS elitism; replace_fraction 0
-     disables it),
+     (INFEASIBLE_JITTER while nothing feasible is known) so coincident
+     particles (which exert no force on each other) cannot freeze the
+     population (classic CSS elitism; replace_fraction 0 disables it),
   2. charges from the current population's per-objective best/worst,
   3. pairwise forces, attraction gated by constrained Pareto rank (ties
      attract with probability 1/2) and sign-flipped to repulsion with
      probability 1 - attraction_prob,
-  4. movement with scheduled acceleration/velocity coefficients,
+  4. movement, ka rising and kv falling over the run (Kaveh & Talatahari 2010),
   5. per-variable harmony repair of out-of-bounds entries: with
      probability cmcr copy the variable from a random CM member, then
      with probability par step it toward the same variable of a random
-     rank-1 CP (step capped by a decaying bandwidth); otherwise redraw
-     uniformly.
+     rank-1 CP (step capped by a bandwidth decaying to PAR_STEP_MIN);
+     otherwise redraw uniformly.
   6. evaluation, re-ranking, and CM update with crowding-based deletion
      that never removes a per-objective extreme member.
 
@@ -68,6 +68,10 @@ import numpy as np
 __all__ = ["MocssConfig", "MocssResult", "NonFiniteError", "pareto_rank", "run_mocss"]
 
 
+PAR_STEP_MIN = 1e-4  # the floor of the repair bandwidth, in normalized coordinates
+INFEASIBLE_JITTER = 0.1  # the reseeding jitter while no feasible design is known
+
+
 class NonFiniteError(ValueError):
     """An objective or violation handed to the ranking is not finite."""
 
@@ -80,27 +84,21 @@ class MocssConfig:
     memory (CM) keeps at most archive_capacity non-dominated designs.
     Coefficients, positions in normalized [0, 1] coordinates:
       ka, kv: acceleration and velocity coefficients of the move
-        X + rand * ka * force + rand * kv * V. With schedule, ka rises
-        from ka/2 to ka and kv falls from kv/2 to 0 over the run;
-        without it both stay constant.
+        X + rand * ka * force + rand * kv * V; over the run ka rises
+        from ka/2 to ka and kv falls from kv/2 to 0.
       radius: the interaction radius a. A CP of charge q at distance r
         pulls with q r / a^3 inside it and q / r^2 outside it.
-      alpha: weight of the first objective in the CM's crowding
-        distance; the second's follows from the ratio of their worst
-        values.
       cmcr: probability that an out-of-bounds variable is copied from a
         random CM member rather than redrawn uniformly.
       par: probability that a copied variable then steps toward a
         random rank-1 CP.
-      par_step0, par_step_min: that step's bandwidth falls linearly
-        from par_step0 + par_step_min to par_step_min; it also jitters
-        the reseeded CPs once a feasible design is known.
+      par_step0: that step's bandwidth falls linearly from par_step0 +
+        PAR_STEP_MIN to PAR_STEP_MIN; it also jitters the reseeded CPs
+        once a feasible design is known (INFEASIBLE_JITTER before).
       attraction_prob: probability that a rank-gated pull stays an
         attraction; otherwise it becomes a repulsion.
       replace_fraction: share of the worst-ranked CPs reseeded near CM
         members each iteration, doubled while no feasible design is known.
-      infeasible_jitter: the reseeding jitter while no feasible design is
-        known.
       seed: seed of the run's one random generator.
     """
 
@@ -109,16 +107,12 @@ class MocssConfig:
     archive_capacity: int = 100
     ka: float = 2.0
     kv: float = 2.0
-    schedule: bool = True
     radius: float = 1.0
-    alpha: float = 1.0
     cmcr: float = 0.98
     par: float = 0.5
     par_step0: float = 0.02
-    par_step_min: float = 1e-4
     attraction_prob: float = 0.8
     replace_fraction: float = 0.3
-    infeasible_jitter: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -206,7 +200,7 @@ def pareto_rank(F: np.ndarray, violations=None) -> np.ndarray:
     return ranks
 
 
-def _prune_archive(X, F, viol, capacity, alpha, order):
+def _prune_archive(X, F, viol, capacity, order):
     """Drop closest pairs in weighted objective space (two objectives, as
     pareto_rank requires) until within capacity, never deleting a
     per-objective extreme member (the first row of each minimum). Of the
@@ -229,9 +223,9 @@ def _prune_archive(X, F, viol, capacity, alpha, order):
     n = len(F)
     if n <= capacity:
         return X, F, viol, F[order]
-    # the objectives weighted alpha and alpha * worst f2 / worst f1
+    # the objectives weighted 1 and worst f2 / worst f1
     worst1, worst2 = F.max(axis=0).tolist()
-    W = F * [alpha, alpha * (worst2 / worst1) if worst1 != 0.0 else alpha]
+    W = F * [1.0, worst2 / worst1 if worst1 != 0.0 else 1.0]
     Wo = W[order]
     step = Wo[1:] - Wo[:-1]
     keep = np.ones(n, dtype=bool)
@@ -334,7 +328,7 @@ def _first_front(F, V):
     return idx[keep]
 
 
-def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
+def _archive_update(aX, aF, aV, cX, cF, cV, capacity):
     """The CM after adding the candidates: the first front of the union,
     each repeated design once (its first occurrence), pruned to capacity;
     with its (f1, f2) order, as _prune_archive returns it.
@@ -365,7 +359,7 @@ def _archive_update(aX, aF, aV, cX, cF, cV, capacity, alpha):
         keep[np.flatnonzero(tied)[first]] = True
         idx = idx[keep[idx]]
     order = (np.cumsum(keep) - 1)[idx]
-    return _prune_archive(X[keep], F[keep], V[keep], capacity, alpha, order)
+    return _prune_archive(X[keep], F[keep], V[keep], capacity, order)
 
 
 def _forces(X, q, gate, radius):
@@ -443,7 +437,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
     F, viol = problem.evaluate_batch(lo + X * span)
     n_evals = n
     ranks = pareto_rank(F, viol)
-    aX, aF, aV, aFo = _archive_update(X[:0], F[:0], viol[:0], X, F, viol, cap, config.alpha)
+    aX, aF, aV, aFo = _archive_update(X[:0], F[:0], viol[:0], X, F, viol, cap)
 
     log = []
 
@@ -463,9 +457,9 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
 
     for it in range(1, config.iterations + 1):
         t = it / config.iterations
-        ka = 0.5 * config.ka * (1.0 + t) if config.schedule else config.ka
-        kv = 0.5 * config.kv * (1.0 - t) if config.schedule else config.kv
-        bw = config.par_step0 * (1.0 - t) + config.par_step_min
+        ka = 0.5 * config.ka * (1.0 + t)
+        kv = 0.5 * config.kv * (1.0 - t)
+        bw = config.par_step0 * (1.0 - t) + PAR_STEP_MIN
 
         # competition step: worst-ranked CPs are reseeded near CM members.
         # While the memory holds no feasible design the search is global:
@@ -477,7 +471,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
         if not feasible_found:
             n_rep = min(n, 2 * n_rep)
         if n_rep > 0:
-            scale = bw if feasible_found else config.infeasible_jitter
+            scale = bw if feasible_found else INFEASIBLE_JITTER
             worst = np.argsort(-ranks, kind="stable")[:n_rep]
             pick = rng.integers(len(aX), size=n_rep)
             jitter = rng.uniform(-scale, scale, size=(n_rep, d))
@@ -512,9 +506,7 @@ def run_mocss(problem, config: MocssConfig, hook=None, hv_reference=None) -> Moc
         ranks = pareto_rank(F, viol)
 
         first = ranks == 1
-        aX, aF, aV, aFo = _archive_update(
-            aX, aF, aV, X[first], F[first], viol[first], cap, config.alpha
-        )
+        aX, aF, aV, aFo = _archive_update(aX, aF, aV, X[first], F[first], viol[first], cap)
         _record(it)
 
     return MocssResult(

@@ -56,16 +56,16 @@ def brute_force_rank(F, violations=None):
     return ranks
 
 
-def prune_reference(X, F, viol, capacity, alpha):
+def prune_reference(X, F, viol, capacity):
     """Drop closest pairs in weighted objective space until within
     capacity, never deleting a per-objective extreme member. Literal
     form: every deletion takes the alive submatrix afresh and its
     row-major argmin."""
     if len(F) <= capacity:
         return X, F, viol
-    # weights alpha and alpha * fitworst_2 / fitworst_1 (alpha if fitworst_1 is 0)
+    # weights 1 and fitworst_2 / fitworst_1 (1 if fitworst_1 is 0)
     worst = F.max(axis=0)
-    W = F * np.array([alpha, alpha * (worst[1] / worst[0]) if worst[0] != 0.0 else alpha])
+    W = F * np.array([1.0, worst[1] / worst[0] if worst[0] != 0.0 else 1.0])
     D = np.linalg.norm(W[:, None, :] - W[None, :, :], axis=2)
     np.fill_diagonal(D, np.inf)
     alive = np.ones(len(F), dtype=bool)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -36,6 +37,18 @@ def _assert_manifest_lists_the_other_files(out):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
                                          if p.name != "manifest.json")
+
+
+def _assert_finite_artifacts(out):
+    """Every value in the CSV and JSON files of a run directory is finite."""
+    for p in out.iterdir():
+        text = p.read_text()
+        if p.suffix == ".csv":  # a manifest line and a header, then numbers
+            rows = [line.split(",") for line in text.splitlines()[2:]]
+            assert np.isfinite(np.array(rows, dtype=float)).all(), p.name
+        else:
+            for doc in text.splitlines() if p.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_constant=lambda c: pytest.fail(f"{p.name}: {c}"))
 
 
 def test_usage_and_help_exit_codes(capsys):
@@ -88,6 +101,24 @@ def test_config_n_arc_is_an_unknown_key(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("error: config schema violation at $.problem: additional "
                                 "properties are not allowed: 'n_arc'\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("alpha", 1.0), ("schedule", True), ("par_step_min", 1e-4), ("infeasible_jitter", 0.1),
+])
+def test_config_removed_mocss_setting_is_an_unknown_key(tmp_path, capsys, key, value):
+    # the schedule is always on, the crowding weights fixed and the other
+    # two are constants of mocss, so even the old defaults are refused
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mocss": {key: value}}))
+    run = tmp_path / "run"
+    for argv in (["optimize"], ["benchmark", "--problem", "zdt1"]):
+        assert main(argv + ["--config", str(cfg), "--out", str(run)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: config schema violation at $.mocss: additional "
+                                f"properties are not allowed: '{key}'\n")
+    assert not run.exists()
 
 
 @pytest.mark.parametrize("payload, key, reason", [
@@ -201,6 +232,14 @@ PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
      {"problem": {"quadrature_order": 256}}),
     ({"problem": {"n_depths": 201}}, "$.problem.n_depths", {"problem": {"n_depths": 200}}),
     ({"mocss": {"n_cps": 2001}}, "$.mocss.n_cps", {"mocss": {"n_cps": 2000}}),
+    # radius**3 overflows, or underflows to a zero divisor; well inside
+    # these, the force step stays clear of its Gram rounding floor
+    ({"mocss": {"radius": 1e300}}, "$.mocss.radius", {"mocss": {"radius": 1000}}),
+    ({"mocss": {"radius": 1e-300}}, "$.mocss.radius", {"mocss": {"radius": 0.001}}),
+    # a jitter wider than the normalized box overflows rng.uniform's range
+    ({"mocss": {"par_step0": 1e308}}, "$.mocss.par_step0", {"mocss": {"par_step0": 1}}),
+    # the move rand * ka * force overflows
+    ({"mocss": {"ka": 1e308}}, "$.mocss.ka", {"mocss": {"ka": 1000}}),
 ])
 def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, payload, path,
                                                          ceiling):
@@ -221,13 +260,19 @@ def test_config_above_physical_ceiling_exits_2_with_path(tmp_path, capsys, paylo
         value, bound = float(m[1]), float(m[3])
         assert value > bound if m[2].startswith("greater") else value < bound
     assert not (tmp_path / "run").exists()
-    # the limit itself is accepted and gives finite output, without a warning
+    # the limit itself is accepted and gives finite output, without a
+    # warning; evaluate reads no mocss key, so a short optimize runs those
     cfg.write_text(json.dumps(ceiling))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["evaluate", "--config", str(cfg), "--design", TABLE5_ARG]) == 0
+        assert np.isfinite(json.loads(capsys.readouterr().out)["fit1"])
+        if "mocss" in ceiling:
+            cfg.write_text(json.dumps({"mocss": {"iterations": 3, **ceiling["mocss"]}}))
+            assert main(["optimize", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+            assert capsys.readouterr().err == ""
+            _assert_finite_artifacts(tmp_path / "run")
     assert not caught, [str(w.message) for w in caught]
-    assert np.isfinite(json.loads(capsys.readouterr().out)["fit1"])
 
 
 
@@ -564,16 +609,27 @@ def test_decide_input_validation(tmp_path, capsys):
     assert code == 1
     capsys.readouterr()
 
-    # scenarios are refused before the ranking, without a numpy warning or repr
+    # scenarios are refused before the ranking, without a numpy warning or
+    # repr; the CSV files write the name unquoted
+    even = [0.5, 0.5]
     refused = {
-        "three weights": ([0.2, 0.3, 0.5], "3 weights for 2 objectives"),
-        "one weight": ([1.0], "1 weights for 2 objectives"),
-        "overflowing sum": ([1e308, 1e308], "weights must sum to 1, got inf"),
-        "sum of 0.5": ([0.25, 0.25], "weights must sum to 1, got 0.5"),
+        "three weights": ("b", [0.2, 0.3, 0.5], "3 weights for 2 objectives"),
+        "one weight": ("b", [1.0], "1 weights for 2 objectives"),
+        "overflowing sum": ("b", [1e308, 1e308], "weights must sum to 1, got inf"),
+        "sum of 0.5": ("b", [0.25, 0.25], "weights must sum to 1, got 0.5"),
+        "string weight": ("b", ["0.5", 0.5],
+                          'weights must be an array of numbers, got ["0.5", 0.5]'),
+        "integer weight past the float range": ("b", [10**400, 0.5],
+                                                "int too large to convert to float"),
+        **{f"name {what}": (text, even, "name must be a non-empty string without a comma, "
+                                        f"double quote, CR or LF, got {json.dumps(text)}")
+           for what, text in (("null", None), ("empty", ""), ("a number", 7),
+                              ("with a comma", "a,b"), ("with a double quote", 'say "b"'),
+                              ("with a CR", "c\rd"), ("with an LF", "c\nd"))},
     }
-    for name, (weights, message) in refused.items():
-        scen.write_text(json.dumps([{"name": "a", "weights": [0.5, 0.5]},
-                                    {"name": "b", "weights": weights}]))
+    for name, (scenario_name, weights, message) in refused.items():
+        scen.write_text(json.dumps([{"name": "a", "weights": even},
+                                    {"name": scenario_name, "weights": weights}]))
         assert main(["decide", "--archive", str(lone),
                      "--scenarios", str(scen), "--out", str(tmp_path)]) == 2, name
         captured = capsys.readouterr()
@@ -717,3 +773,43 @@ def test_config_in_schema_gives_finite_json_or_exit_2_with_path(tmp_path_factory
         assert code == 2, err
         assert out == ""
         assert re.fullmatch(r"error: [^\n]*\$\.[a-z][^\n]*\n", err), err
+
+
+@st.composite
+def _mocss_sections(draw):
+    """mocss sections drawn key by key as _configs draws them, with short
+    runs: n_cps and iterations, where the schema admits them, are cut to
+    at most 12, and are 12 when not drawn."""
+    spec = _schema()["properties"]["mocss"]["properties"]
+    section = _section(spec, draw)
+    for key in ("n_cps", "iterations"):
+        value = section.get(key, 12)
+        section[key] = min(value, 12) if value <= spec[key].get("maximum", value) else value
+    return section
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mocss_sections())
+# radius**3 overflowed; on the all-feasible ZDT1, the first reseeding
+# jitter's range, 2e308 * (1 - 1/12), overflowed rng.uniform
+@example(mocss={"radius": 1e300, "n_cps": 12, "iterations": 12})
+@example(mocss={"par_step0": 1e308, "n_cps": 12, "iterations": 12})
+def test_mocss_in_schema_runs_or_exits_2_with_path(tmp_path_factory, capfd, mocss):
+    # optimize on the dam and benchmark on ZDT1, in-process: exit 0 with
+    # finite artifacts, or exit 2 naming the mocss key path that it refuses
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "drawn_mocss.json", base / "drawn_run"
+    path.write_text(json.dumps({"mocss": mocss}))
+    for argv in (["optimize"], ["benchmark", "--problem", "zdt1"]):
+        shutil.rmtree(out, ignore_errors=True)
+        code = main(argv + ["--config", str(path), "--out", str(out)])
+        stdout, err = capfd.readouterr()
+        if code == 0:
+            assert err == ""
+            _assert_finite_artifacts(out)
+        else:
+            assert code == 2, err
+            assert stdout == ""
+            assert re.fullmatch(r"error: [^\n]*\$\.mocss[^\n]*\n", err), err
+            assert not out.exists()

@@ -64,21 +64,17 @@ DEFAULTS = {
         "archive_capacity": 100,
         "ka": 2.0,
         "kv": 2.0,
-        "schedule": True,
         "radius": 1.0,
-        "alpha": 1.0,
         "cmcr": 0.98,
         "par": 0.5,
         "par_step0": 0.02,
-        "par_step_min": 1e-4,
         "attraction_prob": 0.8,
         "replace_fraction": 0.3,
-        "infeasible_jitter": 0.1,
         "seed": 0,
     },
     "output": {"directory": "."},
 }
-DEFAULT_DIGEST = "c9ad896d1f2b1e962aa5b31ae87aebb5cd2870ec0f653c408524fa31a5b72719"
+DEFAULT_DIGEST = "593221c2b7d6fc74479b49a89d283a7c7ab97823833b8d679f77341320a7b96f"
 
 
 def _assert_same_json(got, want, path="$"):

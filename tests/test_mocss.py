@@ -97,9 +97,8 @@ def test_prune_matches_reference():
         X = np.arange(n, dtype=float)[:, None]
         viol = np.zeros(n)
         capacity = (1, 2, int(rng.integers(1, n + 1)))[trial // 3 % 3]
-        alpha = (1.0, 0.5, 3.0)[trial % 3]
-        got = _prune_archive(X, F, viol, capacity, alpha, np.lexsort((F[:, 1], F[:, 0])))
-        want = prune_reference(X, F, viol, capacity, alpha)
+        got = _prune_archive(X, F, viol, capacity, np.lexsort((F[:, 1], F[:, 0])))
+        want = prune_reference(X, F, viol, capacity)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
     for trial in range(140):
         n = int(rng.integers(100, 131))
@@ -142,9 +141,8 @@ def test_prune_matches_reference():
             F = np.column_stack([f1, n - f1])
         X = np.arange(n, dtype=float)[:, None]
         viol = np.zeros(n)
-        alpha = (1.0, 0.5, 3.0)[trial % 3]
-        got = _prune_archive(X, F, viol, 100, alpha, np.lexsort((F[:, 1], F[:, 0])))
-        want = prune_reference(X, F, viol, 100, alpha)
+        got = _prune_archive(X, F, viol, 100, np.lexsort((F[:, 1], F[:, 0])))
+        want = prune_reference(X, F, viol, 100)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), trial
     # dx * dx underflows to 0 here, so |dx| > 0 would end the walk from
     # row 0 at row 3, before row 1 ties row 2 at distance 0 with the lower
@@ -152,20 +150,20 @@ def test_prune_matches_reference():
     a = 1e-170
     F = np.array([[0.0, 0.0], [a, 0.0], [0.0, -a], [a, -5 * a], [0.0, a]])
     X, viol = np.arange(5.0)[:, None], np.zeros(5)
-    got = _prune_archive(X, F, viol, 4, 1.0, np.lexsort((F[:, 1], F[:, 0])))
+    got = _prune_archive(X, F, viol, 4, np.lexsort((F[:, 1], F[:, 0])))
     assert np.array_equal(got[0].ravel(), [0.0, 2.0, 3.0, 4.0])
-    assert all(np.array_equal(g, w) for g, w in zip(got, prune_reference(X, F, viol, 4, 1.0)))
+    assert all(np.array_equal(g, w) for g, w in zip(got, prune_reference(X, F, viol, 4)))
 
 
 
-def _prune_both(X, F, capacity, alpha, order=None):
+def _prune_both(X, F, capacity, order=None):
     """_prune_archive against prune_reference on the same rows, its fourth
     output against the kept objective rows in (f1, f2) order."""
     viol = np.zeros(len(F))
     if order is None:
         order = np.lexsort((F[:, 1], F[:, 0]))
-    got = _prune_archive(X, F, viol, capacity, alpha, order)
-    want = prune_reference(X, F, viol, capacity, alpha)
+    got = _prune_archive(X, F, viol, capacity, order)
+    want = prune_reference(X, F, viol, capacity)
     kept = want[1]
     return (all(np.array_equal(g, w) for g, w in zip(got, want))
             and got[3].tobytes() == kept[np.lexsort((kept[:, 1], kept[:, 0]))].tobytes())
@@ -187,28 +185,28 @@ def test_prune_chain_ties_match_reference():
             order = np.lexsort((F[:, 1], F[:, 0]))
             k = np.flatnonzero(np.isin(order, [a, b, c]))
             order[k] = a, c, b
-            assert _prune_both(np.arange(n, dtype=float)[:, None], F, capacity, 1.0, order), trial
+            assert _prune_both(np.arange(n, dtype=float)[:, None], F, capacity, order), trial
         elif trial % 4 == 1:
-            # alpha 0: every weighted row is the same, so every pair is
-            # at distance 0 and the two lowest row indices go first
+            # rows of size 1e-170, whose squared gaps all underflow, so
+            # every pair is at distance 0 and the two lowest row indices
+            # go first
             X = np.arange(n, dtype=float)[:, None]
             perm = rng.permutation(n)
-            assert _prune_both(X, F[perm], capacity, 0.0), trial
+            assert _prune_both(X, F[perm] * 1e-170, capacity), trial
         elif trial % 4 == 2:
             # a run of rows 1e-170 apart, whose squared gaps underflow, so
             # rows that differ lie at distance 0, in shuffled row order
             m = int(rng.integers(3, 8))
             F[:m] = np.column_stack([np.arange(m) * 1e-170, np.ones(m)])
             perm = rng.permutation(n)
-            assert _prune_both(np.arange(n, dtype=float)[:, None], F[perm], capacity, 1.0), trial
+            assert _prune_both(np.arange(n, dtype=float)[:, None], F[perm], capacity), trial
         else:
             # integer steps of 1 and 2 along an anti-diagonal whose worst
             # values are equal, so the weights are exact: deleting a row
             # between two gaps of 1 opens a gap equal to the gaps of 2
             f1 = np.concatenate(([0.0], np.cumsum(rng.integers(1, 3, n - 1)))).astype(float)
             F = np.column_stack([f1, f1[-1] - f1])[rng.permutation(n)]
-            alpha = (1.0, 0.5)[trial // 4 % 2]
-            assert _prune_both(np.arange(n, dtype=float)[:, None], F, capacity, alpha), trial
+            assert _prune_both(np.arange(n, dtype=float)[:, None], F, capacity), trial
 
 def _small_config(**kw):
     base = dict(n_cps=16, iterations=20, archive_capacity=24, seed=5)
@@ -392,9 +390,9 @@ def _archive_update_like_np_unique(X, F, V):
     _, first = np.unique(X, axis=0, return_index=True)
     keep = np.sort(first)
     Xf, Ff, Vf = (a[keep][pareto_rank(F[keep], V[keep]) == 1] for a in (X, F, V))
-    want = _prune_archive(Xf, Ff, Vf, n, 1.0, np.lexsort((Ff[:, 1], Ff[:, 0])))
+    want = _prune_archive(Xf, Ff, Vf, n, np.lexsort((Ff[:, 1], Ff[:, 0])))
     got = _archive_update(X[:n // 2], F[:n // 2], V[:n // 2],
-                          X[n // 2:], F[n // 2:], V[n // 2:], n, 1.0)
+                          X[n // 2:], F[n // 2:], V[n // 2:], n)
     return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
@@ -450,12 +448,12 @@ def test_archive_update_equals_reference_composition():
             F = np.column_stack([f1, 12.0 - f1 + rng.integers(0, 2, m) * (trial % 3 == 2)])
         V = np.where(rng.random(m) < 0.2, 0.5, 0.0) if trial % 5 else np.full(m, 0.5)
         F, V = F[design], V[design]
-        capacity, alpha = int(rng.integers(1, n + 1)), (1.0, 0.5, 3.0)[trial % 3]
+        capacity = int(rng.integers(1, n + 1))
         first = np.flatnonzero(brute_force_rank(F, V) == 1)
         keep = np.sort(first[np.unique(X[first] + 0.0, axis=0, return_index=True)[1]])
-        want = prune_reference(X[keep], F[keep], V[keep], capacity, alpha)
+        want = prune_reference(X[keep], F[keep], V[keep], capacity)
         k = n // 2
-        got = _archive_update(X[:k], F[:k], V[:k], X[k:], F[k:], V[k:], capacity, alpha)
+        got = _archive_update(X[:k], F[:k], V[:k], X[k:], F[k:], V[k:], capacity)
         assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), trial
         assert got[3].tobytes() == want[1][np.lexsort(want[1].T[::-1])].tobytes(), trial
 

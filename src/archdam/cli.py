@@ -92,7 +92,8 @@ def _write_artifacts(outdir: str, digest: str, seed, files: dict) -> None:
 
 
 def _parse_design(raw: str) -> np.ndarray:
-    """20 comma-separated values, or a path to a JSON array file."""
+    """20 comma-separated values, or a path to a JSON array file of 20
+    numbers (not booleans, strings, null or arrays)."""
     if "," in raw:
         try:
             vals = [float(tok) for tok in raw.split(",")]
@@ -101,7 +102,8 @@ def _parse_design(raw: str) -> np.ndarray:
     else:
         try:
             with open(raw) as fh:
-                vals = json.load(fh)
+                # an integer past the float range reads as inf, refused below
+                vals = json.load(fh, parse_int=float)
         except OSError as exc:
             raise ConfigError(f"cannot read design file {raw!r}: {exc}") from exc
         except json.JSONDecodeError as exc:
@@ -110,6 +112,9 @@ def _parse_design(raw: str) -> np.ndarray:
             raise ConfigError("design file must hold a JSON array")
     if len(vals) != 20:
         raise ConfigError(f"design needs 20 values, got {len(vals)}")
+    for name, v in zip(VARIABLE_NAMES, vals):
+        if type(v) is not float:
+            raise ConfigError(f"design value {name} = {json.dumps(v)} is not a number")
     x = np.asarray(vals, dtype=float)
     bad = ~np.isfinite(x)
     if bad.any():
@@ -126,6 +131,17 @@ def _checked_design(raw: str, problem) -> np.ndarray:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return x
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as the schema's mocss.seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
 
 
 # the largest ww-surface --steps: its table holds steps^3 rows, and each
@@ -287,17 +303,13 @@ def _cmd_evaluate_geometry(args) -> int:
 def _cmd_stress_field(args) -> int:
     _, digest, problem, x, outdir = _setup(args, design=True)
     # the surrogate's rows, each expanded to the ARC_STATIONS points of its arc
-    surrogate = problem.stress_surrogate
-    ok, states = problem.stress_states(x[2:14].reshape(2, 1, 6))
-    if not ok[0]:
-        raise ValueError("non-positive thickness at a stress sample")
-    states = states[0].repeat(ARC_STATIONS, axis=0)
+    states = problem.stress_states(x[2:14].reshape(2, 1, 6))[0].repeat(ARC_STATIONS, axis=0)
     margins = ww.criterion_values(states, problem.strength, problem.coeffs)
 
     rows = [
         [_g6(px), _g6(pz), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]),
          _g6(margins[i, k])]
-        for i, (px, pz, face) in enumerate(zip(*surrogate.grid()))
+        for i, (px, pz, face) in enumerate(zip(*problem.stress_surrogate.grid()))
         for k, lc in enumerate(problem.load_cases)
     ]
     _write_artifacts(outdir, digest, None, {"stress_field.csv": _csv(
@@ -442,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--design", required=True,
                            help="20 comma-separated values or a JSON array file")
         if seed:
-            p.add_argument("--seed", type=int, default=None,
+            p.add_argument("--seed", type=_seed, default=None,
                            help="override the configured random seed")
 
     p = sub.add_parser("optimize", help="run MoCSS on the dam problem")

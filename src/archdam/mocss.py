@@ -128,6 +128,8 @@ class MocssConfig:
             raise ValueError("interaction radius must be positive")
         if not 0.0 <= self.replace_fraction <= 1.0:
             raise ValueError("replace_fraction must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

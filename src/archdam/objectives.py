@@ -7,21 +7,22 @@ Constraints are the geometric/stability set (radius ordering, overhang
 slope, central angle) reduced to a single non-negative violation sum;
 a design is feasible iff that sum is zero.
 
-Degenerate designs are not an error: the design is marked infeasible
-(violation + 1) and receives the configured penalty-ceiling objective
-values. There are two kinds: "thickness" (a non-positive thickness or
-radius at a stress depth) and "meridian" (a stress state whose
-compressive Willam-Warnke meridian comes out non-positive, possible only
-for thin sections outside the canonical bounds). The other designs of
-the batch keep their values. DamProblem refuses, at construction,
-bounds that admit a non-positive ru or rd at any of the radius-check
-depths (over the canonical bounds the least value there is 21.29 m).
+Degenerate designs are not an error: a design with a stress state whose
+compressive Willam-Warnke meridian comes out non-positive ("meridian",
+possible only for thin sections outside the canonical bounds) is marked
+infeasible (violation + 1) and receives the configured penalty-ceiling
+objective values. The other designs of the batch keep their values.
+DamProblem refuses, at construction, bounds that admit a non-positive
+ru or rd at any of the radius-check depths (over the canonical bounds
+the least value there is 21.29 m) and tc bounds that admit a
+non-positive thickness at a control level.
 
-Every depth set (constraints, volume, stress grid) is built once with
-the problem, so evaluate_batch is one numpy pass over all its designs
-and evaluate is a batch of one. Stresses are computed once per (face,
-depth) row of the grid (stress_model.StressSurrogate): fit2 is the
-maximum over the rows, and the validity-warning count counts each row
+Every depth set (constraints, volume) is built once with the problem, so
+evaluate_batch is one numpy pass over all its designs and evaluate is a
+batch of one. Stresses are computed once per (face, depth) row of the
+grid (stress_model.StressSurrogate), whose depths are the control
+levels, straight from the node values of tc and ru: fit2 is the maximum
+over the rows, and the validity-warning count counts each row
 ARC_STATIONS times, once per grid point it stands for.
 """
 
@@ -44,7 +45,7 @@ from .geometry import (
     VARIABLE_NAMES,
     VolumeQuadrature,
 )
-from .stress_model import ARC_STATIONS, GRID_DEPTHS, MOMENT_SHARE, LoadCase, StressSurrogate
+from .stress_model import ARC_STATIONS, MOMENT_SHARE, LoadCase, StressSurrogate
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 
@@ -78,7 +79,7 @@ class _Batch(NamedTuple):
     F: np.ndarray  # (n, 2) objectives
     violation: np.ndarray  # (n,)
     constraints: np.ndarray  # (n, 9), finite for every row
-    degenerate: np.ndarray  # (n,) None, "thickness" or "meridian"
+    degenerate: np.ndarray  # (n,) None or "meridian"
     validity_warnings: np.ndarray  # (n,) grid states outside the hydrostatic range
 
 
@@ -91,11 +92,11 @@ class DamProblem:
     depth set are built from it. The geometry, grid and bounds fields are
     read once, at construction; to change one, build a new problem
     (dataclasses.replace). Bounds on ru and rd that admit a non-positive
-    radius raise ValueError. stress_surrogate is built from n_depths and
-    holds the stress grid. The CLI tabulates a design through
-    the same passes the evaluation makes: constraint_depths.sections,
-    whose maxima are the slope and angle constraints, and stress_states,
-    whose largest margin is fit2."""
+    radius, and tc bounds that admit a non-positive level thickness, raise
+    ValueError. stress_surrogate holds the stress grid. The CLI tabulates
+    a design through the same passes the evaluation makes:
+    constraint_depths.sections, whose maxima are the slope and angle
+    constraints, and stress_states, whose largest margin is fit2."""
 
     canyon: CanyonProfile = field(default_factory=CanyonProfile.default)
     strength: ww.StrengthParams = field(default_factory=ww.StrengthParams)
@@ -105,7 +106,6 @@ class DamProblem:
     )
     gamma_allow: float = GAMMA_ALLOW
     quadrature_order: int = QUADRATURE_ORDER
-    n_depths: int = GRID_DEPTHS
     moment_share: float = MOMENT_SHARE
     penalty_fit1: float = PENALTY_FIT1
     penalty_fit2: float = PENALTY_FIT2
@@ -129,11 +129,12 @@ class DamProblem:
             raise ValueError("the ru and rd bounds admit a non-positive radius")
         self._lowest = self.lower - BOUND_SLACK
         self._highest = self.upper + BOUND_SLACK
+        # the stresses divide by tc at the levels
+        if not np.all(self._lowest[2:8] > 0.0):
+            raise ValueError("the tc bounds admit a non-positive thickness")
         self.constraint_depths = ConstraintDepths(self.canyon)
         self._volume = VolumeQuadrature(self.canyon, self.quadrature_order)
-        self.stress_surrogate = StressSurrogate(self.canyon, self.n_depths, self.load_cases,
-                                                self.moment_share)
-        self.stress_depths = DepthInterpolant(h, self.stress_surrogate.depths)
+        self.stress_surrogate = StressSurrogate(self.canyon, self.load_cases, self.moment_share)
 
     @property
     def bounds(self):
@@ -163,56 +164,39 @@ class DamProblem:
         return X
 
     def stress_states(self, nodes):
-        """For node values of tc and ru stacked as shape (2, n, 6):
-        the mask of the designs whose tc and ru are positive at every
-        stress depth, and the surrogate's states of those designs only,
-        shape (mask.sum(), n_rows, n_cases, 3)."""
-        sections = self.stress_depths.values(nodes)  # (2, n, n_depths)
-        ok = (sections.min(axis=2) > 0.0).all(axis=0)
-        if not ok.all():
-            sections = sections[:, ok]
-        return ok, self.stress_surrogate(sections[0], sections[1])
+        """The surrogate's states, shape (n, n_rows, n_cases, 3), for node
+        values of tc and ru stacked as shape (2, n, 6): the stress depths
+        are the levels, so the node values are the sections there."""
+        return self.stress_surrogate(nodes[0], nodes[1])
 
     def _evaluate(self, X) -> _Batch:
         X = self.check_designs(X)
         n = len(X)
-        gamma, beta = X[:, 0], X[:, 1]
         # node values of tc, ru and rd stacked: (3, n, 6)
         nodes = np.ascontiguousarray(X[:, 2:].reshape(n, 3, 6).transpose(1, 0, 2))
         degenerate = np.empty(n, dtype=object)  # object arrays start as None
 
-        cons = self.constraint_depths(gamma, beta, nodes, self.gamma_allow)
+        cons = self.constraint_depths(X[:, 0], X[:, 1], nodes, self.gamma_allow)
         viol = np.maximum(cons, 0.0).sum(axis=1)
         fit1 = self._volume(nodes)
 
-        thick_ok, states = self.stress_states(nodes[:2])
-        all_thick = thick_ok.all()
+        states = self.stress_states(nodes[:2])
         margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)
         invalid = ~ww.hydrostatic_validity(states, self.strength)
+        F = np.empty((n, 2))
+        F[:, 0] = fit1
         # NaN where a compressive meridian came out non-positive
-        fit2 = margins.max(axis=(1, 2))
+        F[:, 1] = margins.max(axis=(1, 2))
         # each row stands for the ARC_STATIONS points of its arc
         warnings = invalid.sum(axis=(1, 2)) * ARC_STATIONS
-        meridian_ok = ~np.isnan(fit2)
 
-        if all_thick and meridian_ok.all():
-            F = np.empty((n, 2))
-            F[:, 0] = fit1
-            F[:, 1] = fit2
-            return _Batch(F, viol, cons, degenerate, warnings)
-
-        # some row is degenerate: penalty objectives, violation + 1
-        ok = thick_ok.copy()
-        ok[thick_ok] = meridian_ok
-        F = np.empty((n, 2))
-        F[:] = (self.penalty_fit1, self.penalty_fit2)
-        F[ok, 0] = fit1[ok]
-        F[ok, 1] = fit2[meridian_ok]
-        degenerate[~thick_ok] = "thickness"
-        degenerate[thick_ok & ~ok] = "meridian"
-        all_warnings = np.zeros(n, dtype=int)
-        all_warnings[ok] = warnings[meridian_ok]
-        return _Batch(F, np.where(ok, viol, viol + 1.0), cons, degenerate, all_warnings)
+        bad = np.isnan(F[:, 1])
+        if bad.any():  # penalty objectives, violation + 1
+            F[bad] = (self.penalty_fit1, self.penalty_fit2)
+            degenerate[bad] = "meridian"
+            warnings[bad] = 0
+            viol = np.where(bad, viol + 1.0, viol)
+        return _Batch(F, viol, cons, degenerate, warnings)
 
     def evaluate(self, design) -> Evaluation:
         """One design of 20 values, as a batch of one."""

@@ -4,7 +4,7 @@ This module is deliberately simple plumbing, not structural analysis: it
 produces principal stress states with the right shape, signs, and scaling
 so the failure-criterion pipeline can be exercised end to end. A real FE
 backend can replace it by satisfying the same evaluator contract: the
-crown thickness and upstream radius at the row depths in, sorted
+crown thickness and upstream radius at the six control levels in, sorted
 principal states per (row, load case) out.
 
 Per sample point the surrogate composes three components:
@@ -20,8 +20,10 @@ Per sample point the surrogate composes three components:
 None of these terms depends on the arc position x, so a sample point's
 state is fixed by its depth and face. StressSurrogate therefore works on
 the (face, depth) rows of its grid, each standing for the ARC_STATIONS
-points of one arc: the default grid of 6 depths x 9 arc stations x 2 faces
-holds 12 rows. The terms that depend on no design are built with it.
+points of one arc. The grid's depths are the six control levels, where
+tc and ru are the design's node values, so the grid of 6 depths x 9 arc
+stations x 2 faces holds 12 rows. The terms that depend on no design are
+built with it.
 """
 
 from __future__ import annotations
@@ -30,15 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CanyonProfile
+from .geometry import CanyonProfile, level_depths
 
-__all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "GRID_DEPTHS", "ARC_STATIONS",
-           "MOMENT_SHARE"]
+__all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "ARC_STATIONS", "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
-# the sample grid: the default depth stations crest to base, and the arc
-# stations abutment to abutment, an odd count so the crown is the middle one
-GRID_DEPTHS = 6
+# the arc stations of the sample grid, abutment to abutment, an odd count
+# so the crown is the middle one
 ARC_STATIONS = 9
 # share of the hydrostatic overturning moment carried by cantilever bending
 MOMENT_SHARE = 0.02
@@ -73,10 +73,10 @@ class LoadCase:
 
 class StressSurrogate:
     """The surrogate on the (face, depth) rows of a sample grid over both
-    faces of a dam in the canyon: n_depths evenly spaced from the crest to
-    the canyon's height h (`depths`), and an arc of ARC_STATIONS stations at
-    each depth (`grid()`). The rows are the upstream ones at `depths`, then
-    the downstream ones.
+    faces of a dam in the canyon: the six control levels
+    level_depths(canyon.h) (`depths`), and an arc of ARC_STATIONS stations
+    at each depth (`grid()`). The rows are the upstream ones at `depths`,
+    then the downstream ones.
 
     The load-case terms that depend on no design are built per row: -p
     (reservoir pressure plus the Westergaard term), the self-weight, and
@@ -86,14 +86,11 @@ class StressSurrogate:
     loop over the load cases.
     """
 
-    def __init__(self, canyon: CanyonProfile, n_depths: int, load_cases,
-                 moment_share: float):
-        if n_depths < 6:
-            raise ValueError("need at least 6 depth stations")
+    def __init__(self, canyon: CanyonProfile, load_cases, moment_share: float):
         self._canyon = canyon
-        self.depths = np.linspace(0.0, canyon.h, n_depths)
+        self.depths = level_depths(canyon.h)
         z = np.concatenate([self.depths, self.depths])
-        up = np.arange(len(z)) < n_depths
+        up = np.arange(len(z)) < len(self.depths)
 
         neg_p, weight, bend = [], [], []
         for lc in load_cases:
@@ -110,7 +107,7 @@ class StressSurrogate:
             # tensile upstream, compressive downstream
             bend.append(np.where(up, num, -num))
         self._state_shape = (len(z), len(load_cases), 3)
-        self._take = np.repeat(np.tile(np.arange(n_depths), 2), len(load_cases))
+        self._take = np.repeat(np.tile(np.arange(len(self.depths)), 2), len(load_cases))
         self._neg_p, self._weight, self._bend = (
             np.stack(t, axis=-1).ravel() for t in (neg_p, weight, bend))
 
@@ -125,8 +122,9 @@ class StressSurrogate:
 
     def __call__(self, tc, ru):
         """Sorted principal states, shape (..., n_rows, n_cases, 3), from
-        the crown thickness and upstream radius at `depths`, shape
-        (..., n_depths), for one design or a batch."""
+        the crown thickness and upstream radius at `depths`, the node
+        values tc1-tc6 and ru1-ru6, shape (..., 6), for one design or a
+        batch."""
         tc = tc.take(self._take, axis=-1)
         ru = ru.take(self._take, axis=-1)
         hoop = self._neg_p * ru / tc / 1e6

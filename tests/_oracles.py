@@ -403,15 +403,15 @@ class LagrangeInterpolant:
         return out
 
 
-def sample_points(canyon, n_depths=6):
+def sample_points(canyon):
     """The stress grid's points (x, z, face), one at a time: the upstream
-    face, then the downstream one; on each, n_depths evenly spaced depths
-    from the crest to the canyon's height h, and at each depth nine
-    evenly spaced arc stations from abutment to abutment."""
+    face, then the downstream one; on each, six evenly spaced depths from
+    the crest to the canyon's height h (the control levels), and at each
+    depth nine evenly spaced arc stations from abutment to abutment."""
     frac = np.linspace(-1.0, 1.0, 9)
     points = []
     for face in ("up", "down"):
-        for z in np.linspace(0.0, canyon.h, n_depths):
+        for z in np.linspace(0.0, canyon.h, 6):
             half = canyon.half_width(z)
             points.extend((half * f, z, face) for f in frac)
     x, z, face = zip(*points)
@@ -423,9 +423,10 @@ def evaluate_rowwise(problem, X):
     one interpolant per section property and design, fresh quadrature
     depths per volume (closed_form_volume), stresses at every grid point,
     a Python loop over the rows. A design with a non-positive radius at
-    one of 101 depths ("radius"), a non-positive thickness or radius at a
-    grid point ("thickness") or a non-positive compressive meridian
-    ("meridian") gets the penalty objectives and violation + 1. Returns
+    one of 101 depths ("radius") or a non-positive compressive meridian
+    ("meridian") gets the penalty objectives and violation + 1; a
+    non-positive thickness at a grid point raises, since the problem's
+    bounds admit none. Returns
     (F, violation, the degenerate kinds, with None for a design that is
     not, and the validity warnings: the states outside the hydrostatic
     validity range, 0 for a degenerate design)."""
@@ -462,12 +463,10 @@ def evaluate_rowwise(problem, X):
 
         fit1 = closed_form_volume(canyon, problem.quadrature_order, tc, ru, rd)
 
-        _, z, face = sample_points(canyon, problem.n_depths)
+        _, z, face = sample_points(canyon)
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
-            viol[i] = violation + 1.0
-            kinds[i] = "thickness"
-            continue
+            raise ValueError("non-positive thickness or radius at a grid point")
         states = surrogate_states(tz, rz, z, face, h, problem.load_cases, problem.moment_share)
         try:
             margins = criterion_values(states, problem.strength, problem.coeffs)

@@ -22,8 +22,7 @@ def grid_states(problem, x):
     """Sorted states (n_points, n_cases, 3) of one design of 20 values at
     every point of the problem's grid, through the problem's stress
     helpers as `archdam stress-field` takes them."""
-    rows = problem.stress_surrogate(*problem.stress_depths.values(x[2:14].reshape(2, 6)))
-    return rows.repeat(ARC_STATIONS, axis=0)
+    return problem.stress_states(x[2:14].reshape(2, 6)).repeat(ARC_STATIONS, axis=0)
 
 
 @pytest.fixture(scope="session")

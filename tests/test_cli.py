@@ -85,6 +85,22 @@ def test_evaluate_rejects_bad_designs(tmp_path, capsys):
         assert "gamma = nan is not finite" in captured.err
     assert main(["evaluate", "--design", nan.replace("nan", "0.1").replace("43", "inf")]) == 2
     assert "rd6 = inf is not finite" in capsys.readouterr().err
+    # a design file holds JSON numbers only: no boolean, string, array or
+    # null, and an integer past the float range is not finite
+    values = json.loads(f"[{nan.replace('nan', '0.1')}]")
+    for k, entry, shown in [(0, False, "false"), (2, "5", '"5"'), (0, [0.1], "[0.1]"),
+                            (19, None, "null"), (8, 10**400, "inf")]:
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(values[:k] + [entry] + values[k + 1:]))
+        name = archdam.VARIABLE_NAMES[k]
+        reason = "is not finite" if shown == "inf" else "is not a number"
+        for command in ("evaluate", "evaluate-geometry", "stress-field"):
+            out = [] if command == "evaluate" else ["--out", str(tmp_path / "o")]
+            assert main([command, "--design", str(path)] + out) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: design value {name} = {shown} {reason}\n"
+    assert not (tmp_path / "o").exists()
     # evaluate prints its result and writes no file, so it takes no --out
     assert main(["evaluate", "--design", TABLE5_ARG, "--out", str(tmp_path / "x")]) == 2
     assert "unrecognized arguments: --out" in capsys.readouterr().err
@@ -101,6 +117,22 @@ def test_config_n_arc_is_an_unknown_key(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err == ("error: config schema violation at $.problem: additional "
                                 "properties are not allowed: 'n_arc'\n")
+
+
+def test_config_n_depths_is_an_unknown_key(tmp_path, capsys):
+    # the stress grid is fixed at the six control levels, so even 6 is refused
+    for n_depths in (6, 8, 200, 201):
+        cfg = tmp_path / f"depths{n_depths}.json"
+        cfg.write_text(json.dumps({"problem": {"n_depths": n_depths}}))
+        for argv in (["evaluate", "--design", TABLE5_ARG],
+                     ["stress-field", "--design", TABLE5_ARG, "--out", str(tmp_path / "run")],
+                     ["optimize", "--out", str(tmp_path / "run")]):
+            assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("error: config schema violation at $.problem: additional "
+                                    "properties are not allowed: 'n_depths'\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("key, value", [
@@ -230,7 +262,8 @@ PENALTY_CEILINGS = {"problem": {"penalty_fit1": 1e9, "penalty_fit2": 1e3}}
     # or of one MoCSS iteration, stays under about 64 MB
     ({"problem": {"quadrature_order": 257}}, "$.problem.quadrature_order",
      {"problem": {"quadrature_order": 256}}),
-    ({"problem": {"n_depths": 201}}, "$.problem.n_depths", {"problem": {"n_depths": 200}}),
+    # numpy's generator takes no negative seed; the --seed flag keeps the same floor
+    ({"mocss": {"seed": -1}}, "$.mocss.seed", {"mocss": {"seed": 0}}),
     ({"mocss": {"n_cps": 2001}}, "$.mocss.n_cps", {"mocss": {"n_cps": 2000}}),
     # radius**3 overflows, or underflows to a zero divisor; well inside
     # these, the force step stays clear of its Gram rounding floor
@@ -378,46 +411,30 @@ def test_stress_field_artifact(tmp_path, capsys):
     assert not any("-0," in ln or ln.endswith("-0") for ln in lines)
 
 
-def test_stress_field_non_positive_thickness_exits_1(tmp_path, capsys):
-    # with 8 grid depths, a design inside the bounds whose thickness nodes
-    # alternate between their extremes dips to -3.76 m at the second depth
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": {"n_depths": 8}}))
-    x = TABLE5.copy()
-    x[2:8] = [3.0, 5.0, 19.0, 9.0, 26.0, 12.0]
-    design = ",".join(map(str, x))
-    out = tmp_path / "sf"
-    assert main(["stress-field", "--config", str(cfg), "--design", design,
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: non-positive thickness at a stress sample\n"
-    assert not out.exists()
-    # the evaluator penalizes the same design as degenerate kind "thickness"
-    assert main(["evaluate", "--config", str(cfg), "--design", design]) == 0
-    assert json.loads(capsys.readouterr().out)["diagnostics"] == {"degenerate": "thickness"}
-
-
-@pytest.mark.parametrize("n_depths", [None, 8])
-def test_tables_take_the_evaluators_passes(tmp_path, capsys, n_depths):
+@pytest.mark.parametrize("geometry", [None, {"h": 100.0, "w_crest": 90.0, "w_base": 30.0}])
+def test_tables_take_the_evaluators_passes(tmp_path, capsys, geometry):
     # the sections' maxima are the slope and angle constraints, and the
-    # stress states' largest margin is fit2, bit for bit
-    problem = DamProblem() if n_depths is None else DamProblem(n_depths=n_depths)
+    # stress states' largest margin is fit2, bit for bit, on the default
+    # canyon and on one of another height
+    problem = DamProblem() if geometry is None else DamProblem(canyon=CanyonProfile(**geometry))
     lo, hi = problem.bounds
     draws = np.random.default_rng(23).uniform(lo, hi, (40, 20))
     for x in [TABLE5, *draws]:
         ev = problem.evaluate(x)
         nodes = x[2:].reshape(3, 1, 6)
         _, s_u, s_d, phi = problem.constraint_depths.sections(x[:1], x[1:2], nodes)
-        ok, states = problem.stress_states(nodes[:2])
-        assert ok[0] and criterion_values(states, problem.strength, problem.coeffs).max() == ev.fit2
+        states = problem.stress_states(nodes[:2])
+        assert criterion_values(states, problem.strength, problem.coeffs).max() == ev.fit2
         assert ev.diagnostics["constraints"][6:] == [
             np.abs(s_u).max() / problem.gamma_allow - 1.0,
             np.abs(s_d).max() / problem.gamma_allow - 1.0,
             np.maximum(90.0 - phi, phi - 130.0).max() / 130.0]
-    # both tables, on a grid of the problem's depths by the arc stations
+    # both tables, at the constraint depths and on the grid of the six
+    # levels by the arc stations, two faces and two load cases
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"problem": {"n_depths": problem.n_depths}}))
+    cfg.write_text(json.dumps({} if geometry is None else {"geometry": geometry}))
     for command, name, rows in [("evaluate-geometry", "geometry.csv", 50),
-                                ("stress-field", "stress_field.csv", problem.n_depths * 9 * 2 * 2)]:
+                                ("stress-field", "stress_field.csv", 6 * 9 * 2 * 2)]:
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--design", TABLE5_ARG,
                      "--out", str(out)]) == 0
@@ -561,6 +578,19 @@ def test_optimize_seed_flag_changes_run(tmp_path, capsys):
     ma = json.loads((a / "manifest.json").read_text())
     assert ma["seed"] == 3
     assert (a / "archive.csv").read_bytes() != (b / "archive.csv").read_bytes()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    # as the schema refuses a mocss.seed below 0; numpy's generator takes none
+    cfg = _tiny_config(tmp_path, n_cps=8, iterations=2)
+    run = tmp_path / "run"
+    for argv in (["optimize"], ["benchmark", "--problem", "zdt1"]):
+        assert main(argv + ["--config", cfg, "--out", str(run), "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "error: argument --seed: must be a non-negative integer, got -1\n")
+    assert not run.exists()
 
 
 def test_decide_input_validation(tmp_path, capsys):

@@ -32,7 +32,6 @@ DEFAULTS = {
         "gamma_allow": 0.65,
         "moment_share": 0.02,
         "quadrature_order": 32,
-        "n_depths": 6,
         "penalty_fit1": 3.4e5,
         "penalty_fit2": 1.3,
         "lower_bounds": [0.0, 0.5, 3.0, 5.0, 7.0, 9.0, 11.0, 12.0, 104.0, 91.0, 78.0, 65.0,
@@ -74,7 +73,7 @@ DEFAULTS = {
     },
     "output": {"directory": "."},
 }
-DEFAULT_DIGEST = "593221c2b7d6fc74479b49a89d283a7c7ab97823833b8d679f77341320a7b96f"
+DEFAULT_DIGEST = "77f41f09768011a702e1e9b15183db7f6e5d2ccd1ab68e266505ac809aa944c2"
 
 
 def _assert_same_json(got, want, path="$"):

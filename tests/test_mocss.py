@@ -356,6 +356,9 @@ def test_config_validation():
         MocssConfig(replace_fraction=1.5)
     with pytest.raises(ValueError):
         MocssConfig(cmcr=-0.1)
+    # numpy's generator takes no negative seed; the schema's mocss.seed floor
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        MocssConfig(seed=-1)
 
 
 def test_coincident_particles_are_safe():

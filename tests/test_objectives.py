@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from archdam import CanyonProfile, DamProblem, default_config, make_problem
 from archdam.geometry import VolumeQuadrature, level_depths
-from archdam.objectives import LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
+from archdam.objectives import BOUND_SLACK, LOWER_BOUNDS, PENALTY_FIT1, PENALTY_FIT2, UPPER_BOUNDS
 from archdam.willam_warnke import EvaluationError, criterion_values, hydrostatic_validity
 
 from _oracles import evaluate_rowwise, faces_cross, lagrange_basis
@@ -17,18 +17,17 @@ from conftest import TABLE5, grid_states
 # The rowwise reference interpolates with the barycentric per-design
 # interpolant, the package with its basis matrices, so off-level depths
 # differ in the last bits. Measured worst differences on 2,000 draws:
-# fit1 6.5e-16 relative, violations 2.7e-15 absolute, and fit2 under
-# n_depths 8 1.3e-12 at a fit2 of 43.5 (3e-14 relative). At the default
-# stress depths, the levels, fit2 is exact.
-FIT1_RTOL, VIOL_ATOL, FIT2_RTOL, FIT2_ATOL = 1e-14, 1e-13, 1e-13, 1e-15
+# fit1 6.5e-16 relative, violations 2.7e-15 absolute. The stress depths
+# are the levels, where both interpolants give the node values, so fit2
+# is exact.
+FIT1_RTOL, VIOL_ATOL = 1e-14, 1e-13
 
 
 def _assert_matches_rowwise(problem, X, b=None):
     """The batch equals the rowwise reference in its degenerate kinds,
-    validity warnings and feasible flags, and fit1, fit2 and the
-    violations within the tolerances above (fit2 exactly where the stress
-    depths are the levels); each row evaluated alone gives its batch
-    row's bits."""
+    validity warnings, feasible flags and fit2, and fit1 and the
+    violations within the tolerances above; each row evaluated alone
+    gives its batch row's bits."""
     b = problem._evaluate(X) if b is None else b
     F_ref, viol_ref, kinds_ref, warnings_ref = evaluate_rowwise(problem, X)
     assert list(b.degenerate) == kinds_ref
@@ -36,10 +35,7 @@ def _assert_matches_rowwise(problem, X, b=None):
     assert np.array_equal(b.violation == 0.0, viol_ref == 0.0)
     assert np.allclose(b.F[:, 0], F_ref[:, 0], rtol=FIT1_RTOL, atol=0.0)
     assert np.allclose(b.violation, viol_ref, rtol=0.0, atol=VIOL_ATOL)
-    if np.isin(problem.stress_surrogate.depths, level_depths(problem.canyon.h)).all():
-        assert np.array_equal(b.F[:, 1], F_ref[:, 1])
-    else:
-        assert np.allclose(b.F[:, 1], F_ref[:, 1], rtol=FIT2_RTOL, atol=FIT2_ATOL)
+    assert np.array_equal(b.F[:, 1], F_ref[:, 1])
     for i in range(len(X)):
         one = problem._evaluate(X[i:i + 1])
         assert np.array_equal(one.F[0], b.F[i]) and one.violation[0] == b.violation[i]
@@ -84,11 +80,11 @@ def test_downstream_radius_excess_is_infeasible(dam_problem):
 
 
 def _permissive_problem():
-    # in-bounds node values keep every interpolant positive, so the
-    # penalty branches only fire once the tc envelope is widened
+    # tc nodes down to 0.5 m, far below the canonical floors: a thin
+    # enough level gives a non-positive compressive meridian
     lo = LOWER_BOUNDS.copy()
     hi = UPPER_BOUNDS.copy()
-    lo[2:8] = -50.0
+    lo[2:8] = 0.5
     hi[2:8] = 200.0
     return DamProblem(lower=lo, upper=hi)
 
@@ -120,15 +116,17 @@ def test_bounds_admitting_non_positive_radius_raise():
             DamProblem(lower=lo, upper=hi)
 
 
-def test_degenerate_thickness_is_penalized():
-    p = _permissive_problem()
-    x = TABLE5.copy()
-    x[5] = -1.0  # non-positive section right at a sampled depth
-    e = p.evaluate(x)
-    assert not e.feasible
-    assert e.fit1 == PENALTY_FIT1 and e.fit2 == PENALTY_FIT2
-    assert e.violation > 0.0
-    assert e.diagnostics["degenerate"] == "thickness"
+def test_bounds_admitting_non_positive_thickness_raise():
+    # the stresses divide by tc at the levels; a lower bound at the 1e-9
+    # slack a design may lie outside it admits tc = 0 there
+    for k, floor in ((2, 0.0), (7, -50.0), (4, BOUND_SLACK)):
+        lo = LOWER_BOUNDS.copy()
+        lo[k] = floor
+        with pytest.raises(ValueError, match="tc bounds admit a non-positive thickness"):
+            DamProblem(lower=lo)
+    lo = LOWER_BOUNDS.copy()
+    lo[2:8] = 2.0 * BOUND_SLACK
+    assert DamProblem(lower=lo).evaluate(TABLE5).feasible
 
 
 def test_out_of_bounds_raises(dam_problem):
@@ -214,10 +212,9 @@ def test_non_finite_design_raises(dam_problem):
 
 
 # order 31 is an odd rule, with a volume depth at half the height, so the
-# volume sums a second depth set with its own weights; 8 stress depths
-# fall between the levels, so the stress sections are not the node values
-@pytest.mark.parametrize("setting", [{}, {"quadrature_order": 31}, {"n_depths": 8}],
-                         ids=["default", "quadrature_order=31", "n_depths=8"])
+# volume sums a second depth set with its own weights
+@pytest.mark.parametrize("setting", [{}, {"quadrature_order": 31}],
+                         ids=["default", "quadrature_order=31"])
 def test_batch_equals_rowwise_reference(setting):
     problem = DamProblem(**setting)
     rng = np.random.default_rng(2024)
@@ -227,17 +224,17 @@ def test_batch_equals_rowwise_reference(setting):
 
 def test_batch_equals_rowwise_reference_with_degenerate_rows():
     p = _permissive_problem()
-    thickness = TABLE5.copy()
-    thickness[5] = -1.0
-    thin_crest = TABLE5.copy()
-    thin_crest[2] = -20.0
+    thin_base = TABLE5.copy()
+    thin_base[7] = 1.0
+    thin_middle = TABLE5.copy()
+    thin_middle[5] = 0.5
     rng = np.random.default_rng(5)
     normal = LOWER_BOUNDS + rng.random((4, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
-    X = np.vstack([normal[:2], thin_crest, TABLE5, thickness, normal[2:]])
+    X = np.vstack([normal[:2], thin_base, TABLE5, thin_middle, normal[2:]])
     b = p._evaluate(X)
     F, viol = b.F, b.violation
     _assert_matches_rowwise(p, X, b)
-    assert list(b.degenerate) == [None, None, "thickness", None, "thickness", None, None]
+    assert list(b.degenerate) == [None, None, "meridian", None, "meridian", None, None]
     assert np.isfinite(b.constraints).all()
     assert np.array_equal(F[[2, 4]], [[PENALTY_FIT1, PENALTY_FIT2]] * 2)
     assert viol[2] >= 1.0 and viol[4] >= 1.0

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from archdam import CanyonProfile, DamProblem, LoadCase
-from archdam.geometry import DEFAULT_HEIGHT, DepthInterpolant
-from archdam.stress_model import (ARC_STATIONS, GRAVITY, GRID_DEPTHS, MOMENT_SHARE,
-                                  StressSurrogate, _sorted_states)
+from archdam.geometry import (DEFAULT_HEIGHT, LOWER_BOUNDS, UPPER_BOUNDS, DepthInterpolant,
+                              level_depths)
+from archdam.stress_model import (ARC_STATIONS, GRAVITY, MOMENT_SHARE, StressSurrogate,
+                                  _sorted_states)
 
 from _oracles import sample_points, surrogate_states
 from conftest import TABLE5, grid_states
@@ -21,7 +22,7 @@ def _canyon(h=DEFAULT_HEIGHT):
 def _point_states(cases, z, face="up"):
     """Sorted states (n_cases, 3) of CONSTANT_DESIGN at depth z, 0 or 100 m:
     a row of the default grid of a dam 100 m high."""
-    surrogate = StressSurrogate(_canyon(100.0), 6, cases, MOMENT_SHARE)
+    surrogate = StressSurrogate(_canyon(100.0), cases, MOMENT_SHARE)
     row = list(surrogate.depths).index(z) + (6 if face == "down" else 0)
     return surrogate(np.full(6, 12.5), np.full(6, 100.0))[row]
 
@@ -91,9 +92,9 @@ def test_states_sorted_descending():
     assert np.all(np.diff(states, axis=-1) <= 0.0)
 
 
-def _surrogate(canyon, n_depths=GRID_DEPTHS):
+def _surrogate(canyon):
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
-    return StressSurrogate(canyon, n_depths, cases, MOMENT_SHARE)
+    return StressSurrogate(canyon, cases, MOMENT_SHARE)
 
 
 def test_default_grid_layout():
@@ -109,8 +110,6 @@ def test_default_grid_layout():
     zs = z[up].reshape(6, 9)
     assert np.all(xs[:, 4] == 0.0)
     assert np.allclose(np.abs(xs[:, 0]), canyon.half_width(zs[:, 0]))
-    with pytest.raises(ValueError, match="at least 6 depth stations"):
-        _surrogate(canyon, n_depths=5)
 
 
 def test_mirror_symmetry():
@@ -155,29 +154,39 @@ def test_closed_form_order_matches_np_sort():
 def test_distinct_rows_of_the_default_grid():
     # 12 (face, depth) rows, upstream first, each standing for the 9
     # consecutive points of its arc
-    h = DEFAULT_HEIGHT
     surrogate = _surrogate(_canyon())
     _, z, face = surrogate.grid()
+    assert np.array_equal(surrogate.depths, level_depths(DEFAULT_HEIGHT))
     assert np.array_equal(surrogate.depths, np.unique(z))
     assert np.array_equal(z, np.tile(surrogate.depths, 2).repeat(9))
     assert np.array_equal(face, np.repeat(["up", "down"], 54))
-    tc, ru = DepthInterpolant(h, surrogate.depths).values(TABLE5[2:14].reshape(2, 6))
-    assert surrogate(tc, ru).shape == (12, 3, 3)
+    assert surrogate(*TABLE5[2:14].reshape(2, 6)).shape == (12, 3, 3)
 
 
 def test_states_equal_per_point_reference():
-    # bit for bit, signed zeros included, on the default grid and on one of
-    # 8 depths; the reference takes tc and ru at every point from the
-    # package's interpolant at that point's depth
+    # bit for bit, signed zeros included; the reference takes tc and ru at
+    # every point from the package's interpolant at that point's depth
     h = DEFAULT_HEIGHT
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
     nodes = TABLE5[2:14].reshape(2, 6)
-    for n_depths in (6, 8):
-        surrogate = StressSurrogate(_canyon(), n_depths, cases, MOMENT_SHARE)
-        rows = surrogate(*DepthInterpolant(h, surrogate.depths).values(nodes))
-        _, z, face = sample_points(_canyon(), n_depths)
-        tc, ru = DepthInterpolant(h, z).values(nodes)
-        ref = surrogate_states(tc, ru, z, face, h, cases, MOMENT_SHARE)
-        assert np.array_equal(rows.repeat(ARC_STATIONS, axis=0).view(np.int64),
-                              ref.view(np.int64))
+    rows = StressSurrogate(_canyon(), cases, MOMENT_SHARE)(*nodes)
+    _, z, face = sample_points(_canyon())
+    tc, ru = DepthInterpolant(h, z).values(nodes)
+    ref = surrogate_states(tc, ru, z, face, h, cases, MOMENT_SHARE)
+    assert np.array_equal(rows.repeat(ARC_STATIONS, axis=0).view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("h", [15.0, DEFAULT_HEIGHT, 500.0])
+def test_states_take_the_node_values(h):
+    # the stress depths are the levels, where the interpolant's basis is the
+    # identity: the problem's states are the surrogate's on the node values,
+    # and the same bits as on the sections interpolated to the levels
+    problem = DamProblem(canyon=_canyon(h))
+    X = LOWER_BOUNDS + np.random.default_rng(30).random((2000, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
+    nodes = np.vstack([X, TABLE5])[:, 2:14].reshape(-1, 2, 6).transpose(1, 0, 2)
+    states = problem.stress_states(nodes)
+    sections = DepthInterpolant(h, problem.stress_surrogate.depths).values(nodes)
+    for tc, ru in (nodes, sections):
+        assert np.array_equal(states.view(np.int64),
+                              problem.stress_surrogate(tc, ru).view(np.int64))

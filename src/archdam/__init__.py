@@ -11,9 +11,9 @@ __version__ = "0.1.0"
 # the benchmark names: the CLI's --problem choices, without loading archdam.benchmarks
 BENCHMARK_NAMES = ("SCH", "ZDT1", "ZDT2")
 
-from .config import ConfigError, default_config, load_config, make_mocss_config, make_problem
+from .config import (ConfigError, MocssConfig, default_config, load_config, make_mocss_config,
+                     make_problem)
 from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS, VARIABLE_NAMES
-from .mocss import MocssConfig, MocssResult, pareto_rank, run_mocss
 from .objectives import DamProblem, Evaluation
 from .stress_model import LoadCase
 from .willam_warnke import StrengthParams, WWCoefficients, criterion_values, solve_coefficients
@@ -30,10 +30,11 @@ __all__ = [
     "StrengthParams", "WWCoefficients", "criterion_values", "solve_coefficients",
 ]
 
-# The decision maker and the benchmark problems are not part of building or
-# evaluating a dam, so they load on first use of one of their names
-# (PEP 562), not with the package.
+# The optimizer, the decision maker and the benchmark problems are not part
+# of building or evaluating a dam, so each loads on first use of one of its
+# names or of the submodule itself (PEP 562), not with the package.
 _LAZY = {
+    **dict.fromkeys(["MocssResult", "pareto_rank", "run_mocss"], "mocss"),
     **dict.fromkeys(["RankingResult", "UndefinedSetError", "Scenario", "acceptable_mask", "rank_R"],
                     "mtdm"),
     **dict.fromkeys(["BenchmarkProblem", "get_benchmark", "hypervolume2d", "igd"], "benchmarks"),
@@ -42,7 +43,7 @@ _LAZY = {
 
 def __getattr__(name):
     module = _LAZY.get(name, name)
-    if module not in ("mtdm", "benchmarks"):
+    if module not in ("mocss", "mtdm", "benchmarks"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import importlib
 

@@ -25,7 +25,6 @@ from . import BENCHMARK_NAMES, __version__
 from . import willam_warnke as ww
 from .config import ConfigError, load_config, make_mocss_config, make_problem
 from .geometry import VARIABLE_NAMES
-from .mocss import NonFiniteError, run_mocss
 from .stress_model import ARC_STATIONS
 
 
@@ -95,10 +94,15 @@ def _parse_design(raw: str) -> np.ndarray:
     """20 comma-separated values, or a path to a JSON array file of 20
     numbers (not booleans, strings, null or arrays)."""
     if "," in raw:
-        try:
-            vals = [float(tok) for tok in raw.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"design value not a number: {exc}") from exc
+        tokens = raw.split(",")
+        if len(tokens) != 20:
+            raise ConfigError(f"design needs 20 values, got {len(tokens)}")
+        vals = []
+        for name, tok in zip(VARIABLE_NAMES, tokens):
+            try:
+                vals.append(float(tok))
+            except ValueError as exc:
+                raise ConfigError(f"design value {name} = {tok.strip()} is not a number") from exc
     else:
         try:
             with open(raw) as fh:
@@ -253,6 +257,8 @@ def _setup(args, design=False):
 
 
 def _cmd_optimize(args) -> int:
+    from .mocss import NonFiniteError, run_mocss
+
     cfg, digest, problem, _, outdir = _setup(args)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
     try:
@@ -404,6 +410,7 @@ def _cmd_decide(args) -> int:
 
 def _cmd_benchmark(args) -> int:
     from .benchmarks import get_benchmark, hypervolume2d, igd
+    from .mocss import run_mocss
 
     cfg, digest = load_config(args.config)
     problem = get_benchmark(args.problem)

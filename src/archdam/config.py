@@ -1,5 +1,8 @@
 """Run configuration: JSON loading, schema validation, object assembly.
 
+MocssConfig, the optimizer's settings, is defined here rather than in
+mocss, so that building and evaluating a dam never loads the optimizer.
+
 A configuration file is a JSON object with optional sections problem,
 geometry, strength, loads, mocss, output. Every key is optional and
 falls back to the library defaults; unknown keys and duplicate keys are
@@ -14,18 +17,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS
-from .mocss import MocssConfig
 from .objectives import DamProblem
 from .stress_model import LoadCase
 from .willam_warnke import DegenerateStrengthError, StrengthParams
 
-__all__ = ["ConfigError", "load_config", "default_config", "make_problem",
+__all__ = ["ConfigError", "MocssConfig", "load_config", "default_config", "make_problem",
            "make_mocss_config"]
 
 
@@ -94,6 +96,63 @@ def _validate(value, schema: dict, path: str = "$") -> None:
         for key, sub in known.items():
             if key in value:
                 _validate(value[key], sub, f"{path}.{key}")
+
+
+@dataclass
+class MocssConfig:
+    """Settings of one MoCSS run.
+
+    n_cps charged particles (CPs) move for `iterations` steps; the charged
+    memory (CM) keeps at most archive_capacity non-dominated designs.
+    Coefficients, positions in normalized [0, 1] coordinates:
+      ka, kv: acceleration and velocity coefficients of the move
+        X + rand * ka * force + rand * kv * V; over the run ka rises
+        from ka/2 to ka and kv falls from kv/2 to 0.
+      radius: the interaction radius a. A CP of charge q at distance r
+        pulls with q r / a^3 inside it and q / r^2 outside it.
+      cmcr: probability that an out-of-bounds variable is copied from a
+        random CM member rather than redrawn uniformly.
+      par: probability that a copied variable then steps toward a
+        random rank-1 CP.
+      par_step0: that step's bandwidth falls linearly from par_step0 +
+        mocss.PAR_STEP_MIN to mocss.PAR_STEP_MIN; it also jitters the
+        reseeded CPs once a feasible design is known
+        (mocss.INFEASIBLE_JITTER before).
+      attraction_prob: probability that a rank-gated pull stays an
+        attraction; otherwise it becomes a repulsion.
+      replace_fraction: share of the worst-ranked CPs reseeded near CM
+        members each iteration, doubled while no feasible design is known.
+      seed: seed of the run's one random generator.
+    """
+
+    n_cps: int = 100
+    iterations: int = 200
+    archive_capacity: int = 100
+    ka: float = 2.0
+    kv: float = 2.0
+    radius: float = 1.0
+    cmcr: float = 0.98
+    par: float = 0.5
+    par_step0: float = 0.02
+    attraction_prob: float = 0.8
+    replace_fraction: float = 0.3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.n_cps < 2:
+            raise ValueError("need at least two charged particles")
+        if self.iterations < 0:
+            raise ValueError("iterations must be non-negative")
+        if self.archive_capacity < 1:
+            raise ValueError("archive capacity must be positive")
+        if not 0.0 <= self.cmcr <= 1.0 or not 0.0 <= self.par <= 1.0:
+            raise ValueError("cmcr and par must lie in [0, 1]")
+        if self.radius <= 0:
+            raise ValueError("interaction radius must be positive")
+        if not 0.0 <= self.replace_fraction <= 1.0:
+            raise ValueError("replace_fraction must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 # the scalar problem.* keys: the DamProblem fields with an int or float default

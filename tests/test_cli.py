@@ -85,6 +85,19 @@ def test_evaluate_rejects_bad_designs(tmp_path, capsys):
         assert "gamma = nan is not finite" in captured.err
     assert main(["evaluate", "--design", nan.replace("nan", "0.1").replace("43", "inf")]) == 2
     assert "rd6 = inf is not finite" in capsys.readouterr().err
+    # a comma-separated value that is not a number is named as in a design
+    # file; the count is checked first
+    tokens = nan.split(",")
+    for k, token in [(0, "true"), (9, "abc"), (19, "")]:
+        bad = ",".join(tokens[:k] + [token] + tokens[k + 1:]).replace("nan", "0.1")
+        want = f"error: design value {archdam.VARIABLE_NAMES[k]} = {token} is not a number\n"
+        for arg, err in [(bad, want), (bad + ",1", "error: design needs 20 values, got 21\n")]:
+            for command in ("evaluate", "evaluate-geometry", "stress-field"):
+                out = [] if command == "evaluate" else ["--out", str(tmp_path / "o")]
+                assert main([command, "--design", arg] + out) == 2
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == err
     # a design file holds JSON numbers only: no boolean, string, array or
     # null, and an integer past the float range is not finite
     values = json.loads(f"[{nan.replace('nan', '0.1')}]")

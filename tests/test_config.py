@@ -22,7 +22,10 @@ from archdam.config import (
     make_problem,
 )
 from archdam import CanyonProfile, DamProblem, LoadCase, MocssConfig, StrengthParams
+from archdam.cli import ARCHIVE_COLUMNS
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
+
+from conftest import TABLE5
 
 
 # default_config() as it was written out before it was read from the
@@ -382,23 +385,36 @@ def test_import_and_setup_skip_jsonschema_and_importlib_resources(tmp_path):
 
 
 def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
-    # a dam is built and evaluated without them; the decision maker and the
-    # benchmarks load on first use of one of their names
+    # a dam is built and evaluated with these six modules alone; the
+    # optimizer, the decision maker and the benchmarks load on first use of
+    # one of their names or of their submodule
     cfg = _write(tmp_path, {"mocss": {"n_cps": 12}, "geometry": {"h": 120.0}})
     code = (
         "import sys\n"
         "import archdam\n"
         f"cfg, _ = archdam.load_config({cfg!r})\n"
-        "archdam.make_problem(cfg)\n"
+        "problem = archdam.make_problem(cfg)\n"
         "archdam.make_mocss_config(cfg)\n"
-        "skipped = ('numpy.polynomial', 'archdam.mtdm', 'archdam.benchmarks', 'archdam.cli')\n"
-        "print(sorted(m for m in skipped if m in sys.modules))\n"
-        "got = archdam.Scenario, archdam.rank_R, archdam.get_benchmark, archdam.mtdm.rank_R\n"
-        "mtdm, bench = sys.modules['archdam.mtdm'], sys.modules['archdam.benchmarks']\n"
-        "want = mtdm.Scenario, mtdm.rank_R, bench.get_benchmark, mtdm.rank_R\n"
-        "print([a is b for a, b in zip(got, want)])\n"
+        "lo, hi = problem.bounds\n"
+        "x = (lo + hi) / 2\n"
+        "problem.evaluate_batch(x[None])\n"
+        "problem.evaluate(x)\n"
+        "print(sorted(m for m in sys.modules if m == 'archdam' or m.startswith('archdam.')))\n"
+        "print('numpy.polynomial' in sys.modules)\n"
+        "got = (archdam.run_mocss, archdam.pareto_rank, archdam.MocssResult,\n"
+        "       archdam.mocss.MocssConfig, archdam.MocssConfig,\n"
+        "       archdam.Scenario, archdam.rank_R, archdam.get_benchmark, archdam.mtdm.rank_R)\n"
+        "mocss, mtdm, bench = (sys.modules[f'archdam.{m}'] for m in ('mocss', 'mtdm', 'benchmarks'))\n"
+        "want = (mocss.run_mocss, mocss.pareto_rank, mocss.MocssResult,\n"
+        "        archdam.config.MocssConfig, archdam.config.MocssConfig,\n"
+        "        mtdm.Scenario, mtdm.rank_R, bench.get_benchmark, mtdm.rank_R)\n"
+        "print([a is b for a, b in zip(got, want, strict=True)])\n"
     )
-    assert _run_bare(code) == "[]\n[True, True, True, True]\n"
+    assert _run_bare(code) == (
+        "['archdam', 'archdam.config', 'archdam.geometry', 'archdam.objectives', "
+        "'archdam.stress_model', 'archdam.willam_warnke']\n"
+        "False\n"
+        f"{[True] * 9}\n")
 
 
 def test_dam_run_within_capacity_never_loads_heapq(tmp_path):
@@ -416,11 +432,39 @@ def test_dam_run_within_capacity_never_loads_heapq(tmp_path):
     assert _run_bare(code) == "True False False\n"
 
 
-def test_cli_import_skips_decision_maker_and_logging():
-    # the decision maker loads for `decide` alone, and nothing logs
+def test_cli_import_skips_decision_maker_and_logging(tmp_path):
+    # the optimizer loads for `optimize` and `benchmark` alone, the decision
+    # maker for `decide` alone, and nothing logs
     code = ("import sys, archdam.cli\n"
-            "print(sorted(m for m in ('archdam.mtdm', 'logging') if m in sys.modules))\n")
+            "print(sorted(m for m in ('archdam.mocss', 'archdam.mtdm', 'logging') "
+            "if m in sys.modules))\n")
     assert _run_bare(code) == "[]\n"
+    cfg = _write(tmp_path, {"mocss": {"n_cps": 12, "iterations": 3}})
+    scenarios = _write(tmp_path, [{"name": "even", "weights": [0.5, 0.5]}], "scenarios.json")
+    archive = tmp_path / "archive.csv"
+    design = ",".join(map(str, TABLE5))
+    archive.write_text(f"{','.join(ARCHIVE_COLUMNS)}\n{design},317086.7,-0.036,0,1\n"
+                       f"{design},320000,-0.04,0,1\n")
+    out = str(tmp_path / "out")
+    common = ["--config", cfg, "--out", out]
+    runs = [
+        [["evaluate", "--design", design, "--config", cfg],
+         ["evaluate-geometry", "--design", design, *common],
+         ["stress-field", "--design", design, *common],
+         ["ww-surface", "--steps", "3", *common],
+         ["decide", "--archive", str(archive), "--scenarios", scenarios, "--out", out],
+         ["optimize", *common]],
+        # a fresh interpreter, as `optimize` above has loaded the optimizer
+        [["benchmark", "--problem", "zdt1", *common]],
+    ]
+    for argvs in runs:
+        code = ("import contextlib, io, sys, archdam.cli\n"
+                f"for argv in {argvs!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = archdam.cli.main(argv)\n"
+                "    print(argv[0], code, 'archdam.mocss' in sys.modules)\n")
+        assert _run_bare(code) == "".join(
+            f"{argv[0]} 0 {argv[0] in ('optimize', 'benchmark')}\n" for argv in argvs)
 
 
 def test_cli_loads_benchmarks_for_benchmark_command_alone():

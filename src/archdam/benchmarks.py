@@ -7,7 +7,7 @@ quality can be scored with IGD and 2-D hypervolume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BenchmarkProblem:
+class BenchmarkProblem(NamedTuple):
     """One of BENCHMARK_NAMES on its box [lower, upper], with the
     hypervolume reference corner used for the progress log. It has no
     constraints: every violation is 0."""

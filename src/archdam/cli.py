@@ -13,7 +13,6 @@ leaves nothing behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -290,7 +289,7 @@ def _cmd_evaluate(args) -> int:
     for key, value in values.items():
         if not np.isfinite(value):
             raise ConfigError(f"evaluate: {key} = {value} is not finite under this config")
-    print(json.dumps(_round6(dataclasses.asdict(ev)), indent=2, allow_nan=False))
+    print(json.dumps(_round6(ev._asdict()), indent=2, allow_nan=False))
     return 0
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -98,8 +98,8 @@ def _validate(value, schema: dict, path: str = "$") -> None:
                 _validate(value[key], sub, f"{path}.{key}")
 
 
-@dataclass
-class MocssConfig:
+class MocssConfig(namedtuple("MocssConfig", "n_cps iterations archive_capacity ka kv radius cmcr "
+                                            "par par_step0 attraction_prob replace_fraction seed")):
     """Settings of one MoCSS run.
 
     n_cps charged particles (CPs) move for `iterations` steps; the charged
@@ -123,54 +123,51 @@ class MocssConfig:
       replace_fraction: share of the worst-ranked CPs reseeded near CM
         members each iteration, doubled while no feasible design is known.
       seed: seed of the run's one random generator.
+    The constructor checks the settings; _make and _replace do not, so
+    build a new configuration with the constructor.
     """
 
-    n_cps: int = 100
-    iterations: int = 200
-    archive_capacity: int = 100
-    ka: float = 2.0
-    kv: float = 2.0
-    radius: float = 1.0
-    cmcr: float = 0.98
-    par: float = 0.5
-    par_step0: float = 0.02
-    attraction_prob: float = 0.8
-    replace_fraction: float = 0.3
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_cps < 2:
+    def __new__(cls, n_cps=100, iterations=200, archive_capacity=100, ka=2.0, kv=2.0,
+                radius=1.0, cmcr=0.98, par=0.5, par_step0=0.02, attraction_prob=0.8,
+                replace_fraction=0.3, seed=0):
+        if n_cps < 2:
             raise ValueError("need at least two charged particles")
-        if self.iterations < 0:
+        if iterations < 0:
             raise ValueError("iterations must be non-negative")
-        if self.archive_capacity < 1:
+        if archive_capacity < 1:
             raise ValueError("archive capacity must be positive")
-        if not 0.0 <= self.cmcr <= 1.0 or not 0.0 <= self.par <= 1.0:
+        if not 0.0 <= cmcr <= 1.0 or not 0.0 <= par <= 1.0:
             raise ValueError("cmcr and par must lie in [0, 1]")
-        if self.radius <= 0:
+        if radius <= 0:
             raise ValueError("interaction radius must be positive")
-        if not 0.0 <= self.replace_fraction <= 1.0:
+        if not 0.0 <= replace_fraction <= 1.0:
             raise ValueError("replace_fraction must lie in [0, 1]")
-        if self.seed < 0:
+        if seed < 0:
             raise ValueError("seed must be non-negative")
+        return super().__new__(cls, n_cps, iterations, archive_capacity, ka, kv, radius, cmcr,
+                               par, par_step0, attraction_prob, replace_fraction, seed)
 
 
-# the scalar problem.* keys: the DamProblem fields with an int or float default
-_SCALARS = [f for f in fields(DamProblem) if isinstance(f.default, (int, float))]
+# the scalar problem.* keys and their defaults: the int or float keyword
+# defaults of DamProblem
+_SCALARS = {name: value for name, value in DamProblem.__init__.__kwdefaults__.items()
+            if isinstance(value, (int, float))}
 
 
 def default_config() -> dict:
     """Complete configuration with every key at its library default, read
-    from the dataclasses that hold the defaults."""
-    problem = {f.name: f.default for f in _SCALARS}
+    from the keyword defaults of DamProblem and from default records."""
+    problem = dict(_SCALARS)
     problem["lower_bounds"] = LOWER_BOUNDS.tolist()
     problem["upper_bounds"] = UPPER_BOUNDS.tolist()
     return {
         "problem": problem,
-        "geometry": asdict(CanyonProfile.default()),
-        "strength": asdict(StrengthParams()),
-        "loads": [asdict(lc) for lc in DamProblem.load_cases],
-        "mocss": asdict(MocssConfig()),
+        "geometry": CanyonProfile.default()._asdict(),
+        "strength": StrengthParams()._asdict(),
+        "loads": [lc._asdict() for lc in DamProblem.load_cases],
+        "mocss": MocssConfig()._asdict(),
         "output": {"directory": "."},
     }
 
@@ -301,7 +298,7 @@ def _assemble(cfg: dict) -> DamProblem:
             canyon=canyon,
             strength=strength,
             load_cases=loads,
-            **{f.name: prob[f.name] for f in _SCALARS},
+            **{name: prob[name] for name in _SCALARS},
             lower=np.asarray(prob["lower_bounds"], dtype=float),
             upper=np.asarray(prob["upper_bounds"], dtype=float),
         )

@@ -26,7 +26,7 @@ which the CLI tabulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -77,23 +77,22 @@ def level_depths(h: float) -> np.ndarray:
     return np.linspace(0.0, h, 6)
 
 
-@dataclass(frozen=True)
-class CanyonProfile:
+class CanyonProfile(namedtuple("CanyonProfile", "h w_crest w_base")):
     """Symmetric trapezoidal valley of the dam's height h: half-width
     linear in depth. h is the one dam height; the control levels are
-    level_depths(h)."""
+    level_depths(h). The constructor checks the values; _make and
+    _replace do not, so build a new profile with the constructor."""
 
-    h: float
-    w_crest: float
-    w_base: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.h <= 0:
+    def __new__(cls, h, w_crest, w_base):
+        if h <= 0:
             raise ValueError("dam height must be positive")
-        if self.w_crest <= 0 or self.w_base <= 0:
+        if w_crest <= 0 or w_base <= 0:
             raise ValueError("canyon half-widths must be positive")
-        if self.w_base > self.w_crest:
+        if w_base > w_crest:
             raise ValueError("canyon must not widen with depth")
+        return super().__new__(cls, h, w_crest, w_base)
 
     @classmethod
     def default(cls, h: float = DEFAULT_HEIGHT) -> "CanyonProfile":

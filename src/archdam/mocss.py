@@ -61,7 +61,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ class NonFiniteError(ValueError):
     """An objective or violation handed to the ranking is not finite."""
 
 
-@dataclass
-class MocssResult:
+class MocssResult(NamedTuple):
     """The final CM of a run: its designs in physical units, their
     objectives and violations, one progress-log entry per iteration
     (iteration 0 first) and the number of evaluations made."""

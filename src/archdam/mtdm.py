@@ -7,7 +7,8 @@ a weighted geometric mean reflecting decision-maker priorities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +25,16 @@ class UndefinedSetError(ValueError):
     """Tournament ratios are undefined on sets with fewer than two members."""
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """Named priority weights, one per objective, positive and summing to 1."""
+class Scenario(namedtuple("Scenario", "name weights")):
+    """Named priority weights, one per objective, positive and summing to
+    1, held as a tuple of floats. The constructor checks and converts the
+    weights; _make and _replace do not, so build a new scenario with the
+    constructor."""
 
-    name: str
-    weights: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
+    def __new__(cls, name, weights):
+        w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValueError("weights must be a non-empty 1-d sequence")
         if not (w > 0.0).all():
@@ -41,11 +43,10 @@ class Scenario:
         total = sum(weights)  # inf past the float range, with no numpy warning
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {total!r}")
-        object.__setattr__(self, "weights", weights)
+        return super().__new__(cls, name, weights)
 
 
-@dataclass(frozen=True)
-class RankingResult:
+class RankingResult(NamedTuple):
     """Global scores plus the best-first ordering they induce."""
 
     R: np.ndarray

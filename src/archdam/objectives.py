@@ -28,7 +28,6 @@ ARC_STATIONS times, once per grid point it stands for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +59,7 @@ BOUND_SLACK = 1e-9
 RADIUS_CHECK_DEPTHS = 101
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(NamedTuple):
     """One design's result: the volume fit1 (m^3), the worst failure
     margin fit2, the total constraint violation and whether it is 0.
     diagnostics holds the nine constraint values and the count of grid
@@ -72,7 +70,7 @@ class Evaluation:
     fit2: float
     violation: float
     feasible: bool
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
 
 
 class _Batch(NamedTuple):
@@ -83,36 +81,37 @@ class _Batch(NamedTuple):
     validity_warnings: np.ndarray  # (n,) grid states outside the hydrostatic range
 
 
-@dataclass
 class DamProblem:
     """Bundles geometry, stress surrogate, and failure criterion into the
     constrained two-objective evaluation used by the optimizer.
 
     canyon.h is the one dam height: the six control levels and every
-    depth set are built from it. The geometry, grid and bounds fields are
-    read once, at construction; to change one, build a new problem
-    (dataclasses.replace). Bounds on ru and rd that admit a non-positive
-    radius, and tc bounds that admit a non-positive level thickness, raise
-    ValueError. stress_surrogate holds the stress grid. The CLI tabulates
-    a design through the same passes the evaluation makes:
-    constraint_depths.sections, whose maxima are the slope and angle
-    constraints, and stress_states, whose largest margin is fit2."""
+    depth set are built from it. The geometry, grid and bounds attributes
+    are read once, at construction; to change one, build a new problem.
+    lower and upper default to copies of the canonical bounds. Bounds on
+    ru and rd that admit a non-positive radius, and tc bounds that admit
+    a non-positive level thickness, raise ValueError. stress_surrogate
+    holds the stress grid. The CLI tabulates a design through the same
+    passes the evaluation makes: constraint_depths.sections, whose maxima
+    are the slope and angle constraints, and stress_states, whose largest
+    margin is fit2."""
 
-    canyon: CanyonProfile = field(default_factory=CanyonProfile.default)
-    strength: ww.StrengthParams = field(default_factory=ww.StrengthParams)
-    load_cases: tuple = (
-        LoadCase(kind="hydrostatic"),
-        LoadCase(kind="pseudo_seismic"),
-    )
-    gamma_allow: float = GAMMA_ALLOW
-    quadrature_order: int = QUADRATURE_ORDER
-    moment_share: float = MOMENT_SHARE
-    penalty_fit1: float = PENALTY_FIT1
-    penalty_fit2: float = PENALTY_FIT2
-    lower: np.ndarray = field(default_factory=lambda: LOWER_BOUNDS.copy())
-    upper: np.ndarray = field(default_factory=lambda: UPPER_BOUNDS.copy())
+    load_cases = (LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic"))
 
-    def __post_init__(self):
+    def __init__(self, *, canyon=CanyonProfile.default(), strength=ww.StrengthParams(),
+                 load_cases=load_cases, gamma_allow=GAMMA_ALLOW,
+                 quadrature_order=QUADRATURE_ORDER, moment_share=MOMENT_SHARE,
+                 penalty_fit1=PENALTY_FIT1, penalty_fit2=PENALTY_FIT2, lower=None, upper=None):
+        self.canyon = canyon
+        self.strength = strength
+        self.load_cases = load_cases
+        self.gamma_allow = gamma_allow
+        self.quadrature_order = quadrature_order
+        self.moment_share = moment_share
+        self.penalty_fit1 = penalty_fit1
+        self.penalty_fit2 = penalty_fit2
+        self.lower = LOWER_BOUNDS.copy() if lower is None else lower
+        self.upper = UPPER_BOUNDS.copy() if upper is None else upper
         self.coeffs = ww.solve_coefficients(self.strength)
         # the least value an ru or rd interpolant takes at a radius-check
         # depth over every accepted design: sum_j min(l_j lo_j, l_j hi_j)

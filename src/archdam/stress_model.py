@@ -28,7 +28,7 @@ built with it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,29 +46,29 @@ MOMENT_SHARE = 0.02
 _KINDS = ("gravity", "hydrostatic", "pseudo_seismic")
 
 
-@dataclass(frozen=True)
-class LoadCase:
+class LoadCase(namedtuple("LoadCase",
+                          "kind water_level seismic_coefficient water_density concrete_density")):
     """One static loading scenario.
 
     water_level is measured in meters below the crest (0 = full
     reservoir, h = empty). The water-driven terms act for the
     hydrostatic and pseudo_seismic kinds; the Westergaard term only for
-    pseudo_seismic.
+    pseudo_seismic. The constructor checks the values; _make and
+    _replace do not, so build a new load case with the constructor.
     """
 
-    kind: str = "hydrostatic"
-    water_level: float = 0.0
-    seismic_coefficient: float = 0.1
-    water_density: float = 1000.0
-    concrete_density: float = 2400.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown load case kind {self.kind!r}")
-        if self.water_density <= 0 or self.concrete_density <= 0:
+    def __new__(cls, kind="hydrostatic", water_level=0.0, seismic_coefficient=0.1,
+                water_density=1000.0, concrete_density=2400.0):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown load case kind {kind!r}")
+        if water_density <= 0 or concrete_density <= 0:
             raise ValueError("densities must be positive")
-        if self.seismic_coefficient < 0:
+        if seismic_coefficient < 0:
             raise ValueError("seismic coefficient must be non-negative")
+        return super().__new__(cls, kind, water_level, seismic_coefficient, water_density,
+                               concrete_density)
 
 
 class StressSurrogate:

@@ -18,7 +18,8 @@ fitted surface.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,37 +47,30 @@ class EvaluationError(ValueError):
     """Criterion evaluation produced a non-physical meridian value."""
 
 
-@dataclass(frozen=True)
-class StrengthParams:
+class StrengthParams(namedtuple("StrengthParams", "f_c f_t f_cb f_1 f_2 sigma_h_a s_f")):
     """Concrete strength constants, MPa. Unsupplied triaxial constants
     default to the classic ratios f_cb = 1.2 f_c, f_1 = 1.45 f_c,
-    f_2 = 1.725 f_c at the ambient hydrostatic state sigma_h_a = sqrt(3) f_c."""
+    f_2 = 1.725 f_c at the ambient hydrostatic state sigma_h_a = sqrt(3) f_c.
+    The constructor checks the strengths and fills those defaults; _make
+    and _replace skip both, so build a new record with the constructor."""
 
-    f_c: float = 30.0
-    f_t: float = 1.5
-    f_cb: float | None = None
-    f_1: float | None = None
-    f_2: float | None = None
-    sigma_h_a: float | None = None
-    s_f: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.f_c <= 0 or self.f_t <= 0:
+    def __new__(cls, f_c=30.0, f_t=1.5, f_cb=None, f_1=None, f_2=None, sigma_h_a=None,
+                s_f=1.0):
+        if f_c <= 0 or f_t <= 0:
             raise ValueError("strengths must be positive")
-        if self.f_t >= self.f_c:
+        if f_t >= f_c:
             raise ValueError("tensile strength must be below compressive")
-        if self.f_cb is None:
-            object.__setattr__(self, "f_cb", 1.2 * self.f_c)
-        if self.f_1 is None:
-            object.__setattr__(self, "f_1", 1.45 * self.f_c)
-        if self.f_2 is None:
-            object.__setattr__(self, "f_2", 1.725 * self.f_c)
-        if self.sigma_h_a is None:
-            object.__setattr__(self, "sigma_h_a", math.sqrt(3.0) * self.f_c)
+        return super().__new__(cls, f_c, f_t,
+                               1.2 * f_c if f_cb is None else f_cb,
+                               1.45 * f_c if f_1 is None else f_1,
+                               1.725 * f_c if f_2 is None else f_2,
+                               math.sqrt(3.0) * f_c if sigma_h_a is None else sigma_h_a,
+                               s_f)
 
 
-@dataclass(frozen=True)
-class WWCoefficients:
+class WWCoefficients(NamedTuple):
     """Fitted meridian coefficients: r1 = a[0] + a[1] xi + a[2] xi^2, likewise r2 with b."""
 
     a: np.ndarray

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import shutil
@@ -197,7 +196,7 @@ def test_evaluate_non_finite_output_exits_2(monkeypatch, capsys, payload, key):
     # evaluate must not print the result as JSON with Infinity in it
     evaluate = DamProblem.evaluate
     monkeypatch.setattr(DamProblem, "evaluate",
-                        lambda self, x: dataclasses.replace(evaluate(self, x), **payload))
+                        lambda self, x: evaluate(self, x)._replace(**payload))
     assert main(["evaluate", "--design", TABLE5_ARG]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ from conftest import TABLE5
 
 
 # default_config() as it was written out before it was read from the
-# dataclasses, and the digest load_config() gives with no file
+# records' defaults, and the digest load_config() gives with no file
 DEFAULTS = {
     "problem": {
         "gamma_allow": 0.65,
@@ -277,15 +276,14 @@ def test_schema_keys_are_the_fields_default_config_reads():
     # make_problem; a field with no key could not be set
     schema = _schema()["properties"]
     names = {
-        "problem": [f.name for f in _SCALARS] + ["lower_bounds", "upper_bounds"],
-        "geometry": [f.name for f in fields(CanyonProfile)],
-        "strength": [f.name for f in fields(StrengthParams)],
-        "mocss": [f.name for f in fields(MocssConfig)],
+        "problem": [*_SCALARS, "lower_bounds", "upper_bounds"],
+        "geometry": CanyonProfile._fields,
+        "strength": StrengthParams._fields,
+        "mocss": MocssConfig._fields,
     }
     for section, want in names.items():
         assert sorted(schema[section]["properties"]) == sorted(want), section
-    assert sorted(schema["loads"]["items"]["properties"]) == sorted(f.name
-                                                                    for f in fields(LoadCase))
+    assert sorted(schema["loads"]["items"]["properties"]) == sorted(LoadCase._fields)
 
 
 def test_schema_uses_only_supported_keywords():
@@ -385,9 +383,9 @@ def test_import_and_setup_skip_jsonschema_and_importlib_resources(tmp_path):
 
 
 def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
-    # a dam is built and evaluated with these six modules alone; the
-    # optimizer, the decision maker and the benchmarks load on first use of
-    # one of their names or of their submodule
+    # a dam is built and evaluated with these six modules alone, and with
+    # no dataclasses; the optimizer, the decision maker and the benchmarks
+    # load on first use of one of their names or of their submodule
     cfg = _write(tmp_path, {"mocss": {"n_cps": 12}, "geometry": {"h": 120.0}})
     code = (
         "import sys\n"
@@ -400,7 +398,7 @@ def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
         "problem.evaluate_batch(x[None])\n"
         "problem.evaluate(x)\n"
         "print(sorted(m for m in sys.modules if m == 'archdam' or m.startswith('archdam.')))\n"
-        "print('numpy.polynomial' in sys.modules)\n"
+        "print('numpy.polynomial' in sys.modules, 'dataclasses' in sys.modules)\n"
         "got = (archdam.run_mocss, archdam.pareto_rank, archdam.MocssResult,\n"
         "       archdam.mocss.MocssConfig, archdam.MocssConfig,\n"
         "       archdam.Scenario, archdam.rank_R, archdam.get_benchmark, archdam.mtdm.rank_R)\n"
@@ -413,7 +411,7 @@ def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
     assert _run_bare(code) == (
         "['archdam', 'archdam.config', 'archdam.geometry', 'archdam.objectives', "
         "'archdam.stress_model', 'archdam.willam_warnke']\n"
-        "False\n"
+        "False False\n"
         f"{[True] * 9}\n")
 
 
@@ -434,9 +432,9 @@ def test_dam_run_within_capacity_never_loads_heapq(tmp_path):
 
 def test_cli_import_skips_decision_maker_and_logging(tmp_path):
     # the optimizer loads for `optimize` and `benchmark` alone, the decision
-    # maker for `decide` alone, and nothing logs
+    # maker for `decide` alone, nothing logs and no command loads dataclasses
     code = ("import sys, archdam.cli\n"
-            "print(sorted(m for m in ('archdam.mocss', 'archdam.mtdm', 'logging') "
+            "print(sorted(m for m in ('archdam.mocss', 'archdam.mtdm', 'logging', 'dataclasses') "
             "if m in sys.modules))\n")
     assert _run_bare(code) == "[]\n"
     cfg = _write(tmp_path, {"mocss": {"n_cps": 12, "iterations": 3}})
@@ -462,9 +460,10 @@ def test_cli_import_skips_decision_maker_and_logging(tmp_path):
                 f"for argv in {argvs!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()):\n"
                 "        code = archdam.cli.main(argv)\n"
-                "    print(argv[0], code, 'archdam.mocss' in sys.modules)\n")
+                "    print(argv[0], code, 'archdam.mocss' in sys.modules,\n"
+                "          'dataclasses' in sys.modules)\n")
         assert _run_bare(code) == "".join(
-            f"{argv[0]} 0 {argv[0] in ('optimize', 'benchmark')}\n" for argv in argvs)
+            f"{argv[0]} 0 {argv[0] in ('optimize', 'benchmark')} False\n" for argv in argvs)
 
 
 def test_cli_loads_benchmarks_for_benchmark_command_alone():

@@ -62,6 +62,11 @@ def test_canyon_height_validation():
     # the height is checked first, so a config's message names it alone
     with pytest.raises(ValueError, match="^dam height must be positive$"):
         CanyonProfile(h=0.0, w_crest=-1.0, w_base=40.0)
+    # the checks hold for positional arguments as well
+    with pytest.raises(ValueError, match="^dam height must be positive$"):
+        CanyonProfile(-5.0, 50.0, 40.0)
+    with pytest.raises(ValueError, match="^canyon must not widen with depth$"):
+        CanyonProfile(100.0, 50.0, 60.0)
 
 
 def test_lagrange_cardinality():

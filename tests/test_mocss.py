@@ -359,6 +359,11 @@ def test_config_validation():
     # numpy's generator takes no negative seed; the schema's mocss.seed floor
     with pytest.raises(ValueError, match="seed must be non-negative"):
         MocssConfig(seed=-1)
+    # the checks hold for positional arguments as well
+    with pytest.raises(ValueError, match="need at least two charged particles"):
+        MocssConfig(1)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        MocssConfig(100, 200, 100, 2.0, 2.0, 1.0, 0.98, 0.5, 0.02, 0.8, 0.3, -1)
 
 
 def test_coincident_particles_are_safe():

@@ -94,6 +94,11 @@ def test_scenario_validation():
         Scenario(name="bad", weights=(0.5, 0.6))
     with pytest.raises(ValueError):
         Scenario(name="bad", weights=(-0.2, 1.2))
+    # the checks hold for positional arguments as well
+    with pytest.raises(ValueError, match="weights must sum to 1"):
+        Scenario("bad", (0.5, 0.6))
+    with pytest.raises(ValueError, match="weights must be strictly positive"):
+        Scenario("bad", (-0.2, 1.2))
     with pytest.raises(ValueError):
         # weight count must match the objective count at ranking time
         rank_R(np.array([[1.0, 2.0], [2.0, 1.0]]), Scenario(name="one", weights=(1.0,)))

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -255,11 +254,18 @@ def test_bounds_property():
     assert np.all(lo < hi)
 
 
+def test_problem_compares_by_identity_and_hashes():
+    # the problem holds arrays: equality by value would be ambiguous
+    p, q = DamProblem(), DamProblem()
+    assert p == p and p != q
+    assert {p: 1, q: 2}[p] == 1
+
+
 def _thin_problem():
     # tc6 may go down to 0.5, below the canonical floor of 12
     lo = LOWER_BOUNDS.copy()
     lo[7] = 0.5
-    return dataclasses.replace(DamProblem(), lower=lo)
+    return DamProblem(lower=lo)
 
 
 def _table5_with_tc6(value):

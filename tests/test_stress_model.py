@@ -131,6 +131,13 @@ def test_load_case_validation():
         LoadCase(water_density=0.0)
     with pytest.raises(ValueError):
         LoadCase(seismic_coefficient=-0.1)
+    # the checks hold for positional arguments as well
+    with pytest.raises(ValueError, match="unknown load case kind 'wave'"):
+        LoadCase("wave")
+    with pytest.raises(ValueError, match="seismic coefficient must be non-negative"):
+        LoadCase("pseudo_seismic", 0.0, -0.1)
+    with pytest.raises(ValueError, match="densities must be positive"):
+        LoadCase("hydrostatic", 0.0, 0.1, 1000.0, 0.0)
 
 
 def test_closed_form_order_matches_np_sort():

@@ -294,3 +294,19 @@ def test_strength_defaults_fill_ratios(default_strength):
     assert s.f_1 == pytest.approx(1.45 * s.f_c)
     assert s.f_2 == pytest.approx(1.725 * s.f_c)
     assert s.sigma_h_a == pytest.approx(np.sqrt(3.0) * s.f_c)
+
+
+def test_strength_validation():
+    for kwargs in ({"f_c": 0.0}, {"f_t": -1.5}):
+        with pytest.raises(ValueError, match="^strengths must be positive$"):
+            StrengthParams(**kwargs)
+    with pytest.raises(ValueError, match="^tensile strength must be below compressive$"):
+        StrengthParams(f_c=30.0, f_t=30.0)
+    # the checks hold for positional arguments as well
+    with pytest.raises(ValueError, match="^strengths must be positive$"):
+        StrengthParams(-30.0, 1.5)
+    with pytest.raises(ValueError, match="^tensile strength must be below compressive$"):
+        StrengthParams(30.0, 31.0)
+    # a supplied triaxial constant is kept, the others take their ratio
+    s = StrengthParams(40.0, 2.0, 50.0)
+    assert (s.f_cb, s.f_1, s.f_2) == (50.0, 1.45 * 40.0, 1.725 * 40.0)

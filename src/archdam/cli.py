@@ -309,7 +309,7 @@ def _cmd_stress_field(args) -> int:
     _, digest, problem, x, outdir = _setup(args, design=True)
     # the surrogate's rows, each expanded to the ARC_STATIONS points of its arc
     states = problem.stress_states(x[2:14].reshape(2, 1, 6))[0].repeat(ARC_STATIONS, axis=0)
-    margins = ww.criterion_values(states, problem.strength, problem.coeffs)
+    margins = ww.criterion_values(states, problem.strength, problem.coeffs)[0]
 
     rows = [
         [_g6(px), _g6(pz), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]),
@@ -342,9 +342,8 @@ def _cmd_ww_surface(args) -> int:
     try:
         # an overflow is a state outside the range; an underflow to zero is not
         with np.errstate(all="raise", under="ignore"):
-            margin, f_over, s_term, dom = ww.evaluate_components(
-                states, problem.strength, problem.coeffs
-            )
+            margin, f_over, s_term = ww.criterion_values(states, problem.strength,
+                                                         problem.coeffs)
     except (ww.EvaluationError, FloatingPointError) as exc:
         raise ConfigError(
             f"--sigma-min/--sigma-max: the grid {grid} "
@@ -354,7 +353,7 @@ def _cmd_ww_surface(args) -> int:
     rows = [
         [_f6(s[0]), _f6(s[1]), _f6(s[2]), ww.DOMAIN_NAMES[d],
          _f6(fo), _f6(st), _f6(m)]
-        for s, d, fo, st, m in zip(states, dom, f_over, s_term, margin)
+        for s, d, fo, st, m in zip(states, ww.domain_codes(states), f_over, s_term, margin)
     ]
     _write_artifacts(outdir, digest, None, {"ww_surface.csv": _csv(
         digest, ["sigma1", "sigma2", "sigma3", "domain", "F_over_fc", "S", "margin"], rows)})

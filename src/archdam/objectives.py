@@ -180,7 +180,7 @@ class DamProblem:
         fit1 = self._volume(nodes)
 
         states = self.stress_states(nodes[:2])
-        margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)
+        margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)[0]
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         F = np.empty((n, 2))
         F[:, 0] = fit1

@@ -30,13 +30,21 @@ __all__ = [
     "EvaluationError",
     "solve_coefficients",
     "criterion_values",
-    "evaluate_components",
+    "domain_codes",
     "hydrostatic_validity",
 ]
 
 _SQ2_15 = math.sqrt(2.0 / 15.0)
 
 DOMAIN_NAMES = ("CCC", "TCC", "TTC", "TTT")
+
+
+def domain_codes(states):
+    """Index into DOMAIN_NAMES of each sorted state, shape (..., 3); a
+    state on a domain boundary goes to the more tensile domain."""
+    s = np.asarray(states, dtype=float)
+    return np.select([s[..., 2] >= 0.0, s[..., 1] > 0.0, s[..., 0] > 0.0],
+                     [3, 2, 1], 0).astype(np.int8)
 
 
 class DegenerateStrengthError(ValueError):
@@ -144,25 +152,27 @@ def _meridian(r1, r2, cos_eta):
     return (2.0 * r2 * dd * cos_eta + r2 * t * np.sqrt(np.maximum(disc, 0.0))) / (ddc + t**2)
 
 
-def _passes(states, strength: StrengthParams, coeffs: WWCoefficients, strict: bool):
-    """The criterion's two passes over sorted states flattened to (k, 3).
+def criterion_values(states, strength: StrengthParams, coeffs: WWCoefficients,
+                     strict: bool = True):
+    """Vectorized criterion for sorted states, shape (..., 3).
 
-    The tension pass (TTC and TTT) runs on every state. The margins of
-    the tensile components share S = (f_t/f_c)(1 + min(s3, 0)/f_c), which
-    is f_t/f_c where s3 >= 0, so F/f_c is the largest component (the
-    larger of s1 and s2 in TTC, where s3 < 0 < s2).
-    The meridian pass runs on the compressive states (CCC and TCC) only,
-    whose values replace those: TCC is CCC with s1 taken as 0 in the
-    meridian abscissa and in F, and S scaled by (1 - s1/f_t). The
-    non-positive meridian check looks at CCC states, before that factor.
-    Returns the compressive mask, its TCC mask, and the (F/f_c, S) pairs
-    of the tension pass and of the meridian pass.
+    Returns (margin, F_over_fc, S), each of shape states.shape[:-1]. The
+    tension pass (TTC and TTT) runs on every state. The margins of the
+    tensile components share S = (f_t/f_c)(1 + min(s3, 0)/f_c), which is
+    f_t/f_c where s3 >= 0, so F/f_c is the largest component (the larger
+    of s1 and s2 in TTC, where s3 < 0 < s2). The meridian pass runs on
+    the compressive states (CCC and TCC) only, whose values replace
+    those: TCC is CCC with s1 taken as 0 in the meridian abscissa and in
+    F, and S scaled by (1 - s1/f_t). A CCC meridian that comes out
+    non-positive (corrupted coefficients, or a state far outside the
+    calibrated range) raises EvaluationError; with strict=False, S and
+    the margin of that state are NaN instead.
     """
     fc, ft = strength.f_c, strength.f_t
     s = np.asarray(states, dtype=float).reshape(-1, 3)
     s1, s2, s3 = s[:, 0], s[:, 1], s[:, 2]
-    tension = (np.maximum(np.maximum(s1, s2), s3) / fc,
-               (ft / fc) * (1.0 + np.minimum(s3, 0.0) / fc))
+    f_over = np.maximum(np.maximum(s1, s2), s3) / fc
+    s_term = (ft / fc) * (1.0 + np.minimum(s3, 0.0) / fc)
 
     comp = ~((s3 >= 0.0) | (s2 > 0.0))
     # the boolean row select, without the set-up cost of fancy indexing
@@ -188,35 +198,7 @@ def _passes(states, strength: StrengthParams, coeffs: WWCoefficients, strict: bo
             raise EvaluationError("non-positive compressive meridian value")
         S[bad] = np.nan
     S *= np.where(tcc, 1.0 - a1 / ft, 1.0)
-    F = np.sqrt(((m1 - a2) ** 2 + d23 + (a3 - m1) ** 2) / 15.0)
-    return comp, tcc, tension, (F / fc, S)
-
-
-def evaluate_components(states, strength: StrengthParams, coeffs: WWCoefficients,
-                        strict: bool = True):
-    """Vectorized criterion for sorted states, shape (..., 3).
-
-    Returns (margin, F_over_fc, S, domain_code) with domain codes indexing
-    DOMAIN_NAMES. A compressive-domain meridian that comes out
-    non-positive (corrupted coefficients, or a state far outside the
-    calibrated range) raises EvaluationError; with strict=False, S and
-    the margin of that state are NaN instead.
-    """
-    s = np.asarray(states, dtype=float)
-    comp, tcc, (f_over, s_term), (f_comp, s_comp) = _passes(s, strength, coeffs, strict)
-    f_over[comp] = f_comp
-    s_term[comp] = s_comp
-    dom = np.where(s[..., 2].ravel() >= 0.0, 3, 2).astype(np.int8)
-    dom[comp] = tcc
+    f_over[comp] = np.sqrt(((m1 - a2) ** 2 + d23 + (a3 - m1) ** 2) / 15.0) / fc
+    s_term[comp] = S
     margin = f_over - s_term / strength.s_f
-    return tuple(a.reshape(s.shape[:-1]) for a in (margin, f_over, s_term, dom))
-
-
-def criterion_values(states, strength: StrengthParams, coeffs: WWCoefficients,
-                     strict: bool = True):
-    """Margins only, for sorted states of shape (..., 3); strict as in
-    evaluate_components."""
-    comp, _, (f_over, s_term), (f_comp, s_comp) = _passes(states, strength, coeffs, strict)
-    margin = f_over - s_term / strength.s_f
-    margin[comp] = f_comp - s_comp / strength.s_f
-    return margin.reshape(np.shape(states)[:-1])
+    return tuple(v.reshape(np.shape(states)[:-1]) for v in (margin, f_over, s_term))

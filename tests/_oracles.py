@@ -469,7 +469,7 @@ def evaluate_rowwise(problem, X):
             raise ValueError("non-positive thickness or radius at a grid point")
         states = surrogate_states(tz, rz, z, face, h, problem.load_cases, problem.moment_share)
         try:
-            margins = criterion_values(states, problem.strength, problem.coeffs)
+            margins = criterion_values(states, problem.strength, problem.coeffs)[0]
         except EvaluationError:  # non-positive compressive meridian
             viol[i] = violation + 1.0
             kinds[i] = "meridian"
@@ -531,11 +531,12 @@ def _meridian(r1, r2, cos_eta):
     return (2.0 * r2 * dd * cos_eta + r2 * (2.0 * r1 - r2) * np.sqrt(np.maximum(disc, 0.0))) / den
 
 
-def evaluate_components_four_pass(states, strength, coeffs, strict=True):
+def criterion_four_pass(states, strength, coeffs, strict=True):
     """The criterion as four masked passes, one per stress domain, each
     gathering its states and scattering F/f_c, S and the domain code
-    back: (margin, F_over_fc, S, domain_code) as
-    willam_warnke.evaluate_components returns them."""
+    back: (margin, F_over_fc, S, domain_code), the three arrays of
+    willam_warnke.criterion_values and the codes of
+    willam_warnke.domain_codes."""
     s = np.asarray(states, dtype=float)
     s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2]
     fc, ft, sf = strength.f_c, strength.f_t, strength.s_f
@@ -613,7 +614,7 @@ def classify_domain(sigma) -> str:
 
 def criterion_value(sigma, strength, coeffs) -> float:
     """Scalar criterion margin for one sorted principal stress state."""
-    m = criterion_values(np.asarray(sigma, dtype=float).reshape(1, 3), strength, coeffs)
+    m = criterion_values(np.asarray(sigma, dtype=float).reshape(1, 3), strength, coeffs)[0]
     return float(m[0])
 
 

@@ -59,7 +59,7 @@ def test_criterion_01_calibration_round_trip(capsys):
     worst = 0.0
     strength = StrengthParams()
     coeffs = solve_coefficients(strength)
-    m = criterion_values(calibration_states(strength), strength, coeffs)
+    m = criterion_values(calibration_states(strength), strength, coeffs)[0]
     worst = max(worst, float(np.max(np.abs(m))))
 
     rng = np.random.default_rng(101)
@@ -68,7 +68,7 @@ def test_criterion_01_calibration_round_trip(capsys):
         ft = fc * rng.uniform(0.03, 0.12)
         s = StrengthParams(f_c=fc, f_t=ft)
         c = solve_coefficients(s)
-        m = criterion_values(calibration_states(s), s, c)
+        m = criterion_values(calibration_states(s), s, c)[0]
         worst = max(worst, float(np.max(np.abs(m))))
     dt = perf_counter() - t0
 
@@ -109,12 +109,12 @@ def test_criterion_02_boundary_continuity(capsys):
     gaps = {}
     for boundary in (1, 2, 3):
         lo, hi = _straddle_pairs(rng, n, boundary)
-        m_lo = criterion_values(lo, strength, coeffs)
-        m_hi = criterion_values(hi, strength, coeffs)
+        m_lo = criterion_values(lo, strength, coeffs)[0]
+        m_hi = criterion_values(hi, strength, coeffs)[0]
         gaps[boundary] = float(np.max(np.abs(m_hi - m_lo)))
 
     states = np.sort(rng.uniform(-45.0, 4.0, (n, 3)), axis=1)[:, ::-1]
-    base = criterion_values(states, strength, coeffs)
+    base = criterion_values(states, strength, coeffs)[0]
     lam = 3.7
     scaled_strength = StrengthParams(
         f_c=strength.f_c * lam, f_t=strength.f_t * lam, f_cb=strength.f_cb * lam,
@@ -122,7 +122,7 @@ def test_criterion_02_boundary_continuity(capsys):
         sigma_h_a=strength.sigma_h_a * lam)
     lam_gap = float(np.max(np.abs(
         criterion_values(states * lam, scaled_strength,
-                         solve_coefficients(scaled_strength)) - base)))
+                         solve_coefficients(scaled_strength))[0] - base)))
 
     ok = gaps[1] < 1e-6 and gaps[3] < 1e-6 and lam_gap < 1e-9 and gaps[2] < 1e-6
     _emit(capsys, "AC-02", ok,

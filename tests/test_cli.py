@@ -415,7 +415,7 @@ def test_stress_field_artifact(tmp_path, capsys):
     cases = [LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic")]
     states = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
     strength = StrengthParams()
-    margins = criterion_values(states, strength, solve_coefficients(strength))
+    margins = criterion_values(states, strength, solve_coefficients(strength))[0]
     assert lines[2:] == [
         ",".join([_g6(x[i]), _g6(z[i]), face[i], f"{k}:{lc.kind}", *map(_g6, states[i, k]),
                   _g6(margins[i, k])])
@@ -436,7 +436,7 @@ def test_tables_take_the_evaluators_passes(tmp_path, capsys, geometry):
         nodes = x[2:].reshape(3, 1, 6)
         _, s_u, s_d, phi = problem.constraint_depths.sections(x[:1], x[1:2], nodes)
         states = problem.stress_states(nodes[:2])
-        assert criterion_values(states, problem.strength, problem.coeffs).max() == ev.fit2
+        assert criterion_values(states, problem.strength, problem.coeffs)[0].max() == ev.fit2
         assert ev.diagnostics["constraints"][6:] == [
             np.abs(s_u).max() / problem.gamma_allow - 1.0,
             np.abs(s_d).max() / problem.gamma_allow - 1.0,
@@ -743,8 +743,6 @@ def _section(properties, draw):
             out[key] = draw(st.sampled_from(spec["enum"]))
         elif spec.get("type") in ("number", "integer"):
             out[key] = _leaf_values(spec, draw)
-        elif spec.get("type") == "boolean":
-            out[key] = draw(st.booleans())
         elif spec.get("type") == "string":
             out[key] = draw(st.sampled_from(["."] * 9 + [""]))
     return out

@@ -12,6 +12,7 @@ import pytest
 import archdam
 from archdam.config import (
     _SCALARS,
+    _TYPES,
     ConfigError,
     _schema,
     _validate,
@@ -290,6 +291,8 @@ def test_schema_uses_only_supported_keywords():
     for sub in _subschemas(_schema()):
         assert set(sub) <= SUPPORTED_KEYWORDS | ANNOTATIONS, sorted(set(sub) - SUPPORTED_KEYWORDS)
         assert sub.get("additionalProperties", False) is False
+    # every type the validator checks is one the schema uses, and no other
+    assert {sub["type"] for sub in _subschemas(_schema()) if "type" in sub} == set(_TYPES)
 
 
 _MUTANTS = [0, 1, 2, 4, 5, 6, 8, 9, 10, -1, 2**40, 0.0, 0.5, 1.0, 1.5, 9.0, -0.5,

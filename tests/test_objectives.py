@@ -286,11 +286,11 @@ def test_thin_design_penalized_alone_as_meridian():
         assert (b.F[i, 0], b.F[i, 1], b.violation[i]) == (e.fit1, e.fit2, e.violation)
     assert p.evaluate(X[0]).diagnostics == {"degenerate": "meridian"}
     _assert_matches_rowwise(p, X, b)
-    # the scalar criterion keeps raising for direct callers
+    # criterion_values keeps raising for direct callers
     states = grid_states(p, X[0])
     with pytest.raises(EvaluationError):
         criterion_values(states, p.strength, p.coeffs)
-    assert np.isnan(criterion_values(states, p.strength, p.coeffs, strict=False)).any()
+    assert np.isnan(criterion_values(states, p.strength, p.coeffs, strict=False)[0]).any()
 
 
 def test_validity_warnings_weighted_by_multiplicity():

@@ -8,12 +8,12 @@ from archdam.willam_warnke import (
     DOMAIN_NAMES,
     DegenerateStrengthError,
     EvaluationError,
-    evaluate_components,
+    domain_codes,
     hydrostatic_validity,
 )
 
-from _oracles import (calibration_states, classify_domain, criterion_value,
-                      evaluate_components_four_pass, meridian_r1, meridian_r2, sort_principal)
+from _oracles import (calibration_states, classify_domain, criterion_four_pass, criterion_value,
+                      meridian_r1, meridian_r2, sort_principal)
 
 
 def test_default_coefficients_frozen(default_strength, default_coeffs):
@@ -36,7 +36,7 @@ def test_default_coefficients_frozen(default_strength, default_coeffs):
 
 def test_calibration_round_trip_defaults(default_strength, default_coeffs):
     states = calibration_states(default_strength)
-    margins = criterion_values(states, default_strength, default_coeffs)
+    margins = criterion_values(states, default_strength, default_coeffs)[0]
     assert np.max(np.abs(margins)) < 1e-9
 
 
@@ -47,7 +47,7 @@ def test_calibration_round_trip_random_strengths():
         ft = fc * rng.uniform(0.03, 0.12)
         strength = StrengthParams(f_c=fc, f_t=ft)
         coeffs = solve_coefficients(strength)
-        margins = criterion_values(calibration_states(strength), strength, coeffs)
+        margins = criterion_values(calibration_states(strength), strength, coeffs)[0]
         assert np.max(np.abs(margins)) < 1e-9
 
 
@@ -95,29 +95,24 @@ def test_criterion_matches_four_pass_oracle(default_strength, default_coeffs):
     # bit for bit, NaN positions included, against one masked pass per domain
     states = _edge_and_drawn_states(default_strength, np.random.default_rng(41))
     for shaped in (states, states.reshape(-1, 2, 3)):
-        ref = evaluate_components_four_pass(shaped, default_strength, default_coeffs,
-                                            strict=False)
-        got = evaluate_components(shaped, default_strength, default_coeffs, strict=False)
-        margins = criterion_values(shaped, default_strength, default_coeffs, strict=False)
-        for a, b in zip((margins,) + got[:3], (ref[0],) + ref[:3]):
+        ref = criterion_four_pass(shaped, default_strength, default_coeffs, strict=False)
+        got = criterion_values(shaped, default_strength, default_coeffs, strict=False)
+        assert len(got) == 3
+        for a, b in zip(got, ref[:3]):
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
-        assert got[3].dtype == ref[3].dtype and np.array_equal(got[3], ref[3])
+        dom = domain_codes(shaped)
+        assert dom.dtype == ref[3].dtype and np.array_equal(dom, ref[3])
     dom, margin = ref[3].ravel(), ref[0].ravel()
     assert set(np.unique(dom)) == {0, 1, 2, 3}
     assert np.isnan(margin).any() and not np.isnan(margin[dom != 0]).any()
     assert (ref[2].ravel()[dom == 1] < 0.0).any()  # TCC states beyond f_t
     with pytest.raises(EvaluationError):
-        evaluate_components_four_pass(states, default_strength, default_coeffs)
+        criterion_four_pass(states, default_strength, default_coeffs)
     with pytest.raises(EvaluationError):
         criterion_values(states, default_strength, default_coeffs)
-    with pytest.raises(EvaluationError):
-        evaluate_components(states, default_strength, default_coeffs)
     finite = states[~np.isnan(margin)]
-    strict = evaluate_components(finite, default_strength, default_coeffs)
-    assert np.array_equal(criterion_values(finite, default_strength, default_coeffs),
-                          strict[0])
-    for a, b in zip(strict, evaluate_components_four_pass(finite, default_strength,
-                                                          default_coeffs)):
+    strict = criterion_values(finite, default_strength, default_coeffs) + (domain_codes(finite),)
+    for a, b in zip(strict, criterion_four_pass(finite, default_strength, default_coeffs)):
         assert np.array_equal(a, b)
 
 
@@ -128,9 +123,9 @@ def test_sort_principal():
 def test_isotropy(default_strength, default_coeffs):
     rng = np.random.default_rng(23)
     base = rng.uniform(-40.0, 4.0, (200, 3))
-    ref = criterion_values(sort_principal(base), default_strength, default_coeffs)
+    ref = criterion_values(sort_principal(base), default_strength, default_coeffs)[0]
     for perm in ([0, 2, 1], [2, 1, 0], [1, 2, 0]):
-        got = criterion_values(sort_principal(base[:, perm]), default_strength, default_coeffs)
+        got = criterion_values(sort_principal(base[:, perm]), default_strength, default_coeffs)[0]
         assert np.array_equal(got, ref)
 
 
@@ -158,8 +153,8 @@ def test_continuity_at_sigma1_and_sigma3_boundaries(default_strength, default_co
     rng = np.random.default_rng(29)
     for boundary in (1, 3):
         lo, hi = _random_straddles(rng, 500, boundary)
-        m_lo = criterion_values(lo, default_strength, default_coeffs)
-        m_hi = criterion_values(hi, default_strength, default_coeffs)
+        m_lo = criterion_values(lo, default_strength, default_coeffs)[0]
+        m_hi = criterion_values(hi, default_strength, default_coeffs)[0]
         assert np.max(np.abs(m_hi - m_lo)) < 1e-6
 
 
@@ -175,16 +170,16 @@ def test_sigma2_boundary_jump_is_model_intrinsic(default_strength, default_coeff
     eps = 5e-9
     tcc_state = np.array([[s1, -eps, s3]])
     ttc_state = np.array([[s1, eps, s3]])
-    m_tcc = float(criterion_values(tcc_state, default_strength, default_coeffs)[0])
-    m_ttc = float(criterion_values(ttc_state, default_strength, default_coeffs)[0])
+    m_tcc = float(criterion_values(tcc_state, default_strength, default_coeffs)[0][0])
+    m_ttc = float(criterion_values(ttc_state, default_strength, default_coeffs)[0][0])
 
     # TTC closed form: max tension vs the compression-scaled cutoff
     expect_ttc = s1 / fc - (ft / fc) * (1.0 + s3 / fc)
     assert m_ttc == pytest.approx(expect_ttc, abs=1e-9)
 
     # TCC closed form at sigma2 = 0
-    _, f_over, s_term, dom = evaluate_components(tcc_state, default_strength, default_coeffs)
-    assert DOMAIN_NAMES[int(dom[0])] == "TCC"
+    _, f_over, _ = criterion_values(tcc_state, default_strength, default_coeffs)
+    assert DOMAIN_NAMES[int(domain_codes(tcc_state)[0])] == "TCC"
     expect_f = np.sqrt(2.0 * s3 * s3 / 15.0) / fc
     assert float(f_over[0]) == pytest.approx(expect_f, rel=1e-9)
 
@@ -195,7 +190,7 @@ def test_sigma2_boundary_jump_is_model_intrinsic(default_strength, default_coeff
 def test_scale_invariance(default_strength, default_coeffs):
     rng = np.random.default_rng(31)
     states = np.sort(rng.uniform(-40.0, 4.0, (300, 3)), axis=1)[:, ::-1]
-    base = criterion_values(states, default_strength, default_coeffs)
+    base = criterion_values(states, default_strength, default_coeffs)[0]
     for lam in (0.1, 0.37, 2.0, 9.5):
         scaled = StrengthParams(
             f_c=default_strength.f_c * lam,
@@ -206,7 +201,7 @@ def test_scale_invariance(default_strength, default_coeffs):
             sigma_h_a=default_strength.sigma_h_a * lam,
         )
         coeffs = solve_coefficients(scaled)
-        got = criterion_values(states * lam, scaled, coeffs)
+        got = criterion_values(states * lam, scaled, coeffs)[0]
         assert np.max(np.abs(got - base)) < 1e-9
 
 
@@ -236,12 +231,12 @@ def test_scaling_property(states, f_c, ratio, m, lam):
     # margins unchanged, bit for bit under a power of two: every operation
     # of the criterion carries that factor exactly
     strength = StrengthParams(f_c=f_c, f_t=ratio * f_c)
-    base, f_over, s_term, _ = evaluate_components(
+    base, f_over, s_term = criterion_values(
         states, strength, solve_coefficients(strength), strict=False)
     valid = hydrostatic_validity(states, strength)
 
     two = _scaled(strength, 2.0**m)
-    got = criterion_values(states * 2.0**m, two, solve_coefficients(two), strict=False)
+    got = criterion_values(states * 2.0**m, two, solve_coefficients(two), strict=False)[0]
     assert np.array_equal(got, base, equal_nan=True)
     assert np.array_equal(hydrostatic_validity(states * 2.0**m, two), valid)
 
@@ -251,7 +246,7 @@ def test_scaling_property(states, f_c, ratio, m, lam):
     # cancels near zero. Outside the range the meridian blend can amplify
     # the coefficients' rounding a thousandfold.
     other = _scaled(strength, lam)
-    got = criterion_values(states * lam, other, solve_coefficients(other), strict=False)
+    got = criterion_values(states * lam, other, solve_coefficients(other), strict=False)[0]
     assert np.array_equal(np.isnan(got), np.isnan(base))
     ok = valid & ~np.isnan(base)
     scale = np.abs(f_over) + np.abs(s_term / strength.s_f)

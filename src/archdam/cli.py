@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -24,7 +25,6 @@ from . import BENCHMARK_NAMES, __version__
 from . import willam_warnke as ww
 from .config import ConfigError, load_config, make_mocss_config, make_problem
 from .geometry import VARIABLE_NAMES
-from .stress_model import ARC_STATIONS
 
 
 # -- formatting ---------------------------------------------------------------
@@ -307,18 +307,17 @@ def _cmd_evaluate_geometry(args) -> int:
 
 def _cmd_stress_field(args) -> int:
     _, digest, problem, x, outdir = _setup(args, design=True)
-    # the surrogate's rows, each expanded to the ARC_STATIONS points of its arc
-    states = problem.stress_states(x[2:14].reshape(2, 1, 6))[0].repeat(ARC_STATIONS, axis=0)
+    surrogate = problem.stress_surrogate
+    states = surrogate(x[2:8], x[8:14])
     margins = ww.criterion_values(states, problem.strength, problem.coeffs)[0]
 
     rows = [
-        [_g6(px), _g6(pz), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]),
-         _g6(margins[i, k])]
-        for i, (px, pz, face) in enumerate(zip(*problem.stress_surrogate.grid()))
+        [_g6(z), str(face), f"{k}:{lc.kind}", *map(_g6, states[i, k]), _g6(margins[i, k])]
+        for i, (z, face) in enumerate(zip(surrogate.z, surrogate.face))
         for k, lc in enumerate(problem.load_cases)
     ]
     _write_artifacts(outdir, digest, None, {"stress_field.csv": _csv(
-        digest, ["x", "z", "face", "load_case", "s1", "s2", "s3", "ww_margin"], rows)})
+        digest, ["z", "face", "load_case", "s1", "s2", "s3", "ww_margin"], rows)})
     print(f"stress field written to {outdir}/stress_field.csv")
     return 0
 
@@ -482,6 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ww-surface",
                        help="sample the failure criterion on a stress grid")
+    # argparse's negative-number pattern has no exponent, so it would take
+    # a bound such as -4e1 for an option
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     add_common(p)
     p.add_argument("--sigma-min", type=float, default=-60.0,
                    help="grid lower bound, MPa")

@@ -19,11 +19,11 @@ non-positive thickness at a control level.
 
 Every depth set (constraints, volume) is built once with the problem, so
 evaluate_batch is one numpy pass over all its designs and evaluate is a
-batch of one. Stresses are computed once per (face, depth) row of the
-grid (stress_model.StressSurrogate), whose depths are the control
+batch of one. Stresses are computed once per (face, depth) row and load
+case (stress_model.StressSurrogate), whose depths are the control
 levels, straight from the node values of tc and ru: fit2 is the maximum
-over the rows, and the validity-warning count counts each row
-ARC_STATIONS times, once per grid point it stands for.
+over these states, and the validity-warning count counts each state
+outside the hydrostatic range once.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .geometry import (
     VARIABLE_NAMES,
     VolumeQuadrature,
 )
-from .stress_model import ARC_STATIONS, MOMENT_SHARE, LoadCase, StressSurrogate
+from .stress_model import MOMENT_SHARE, LoadCase, StressSurrogate
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
 
@@ -62,7 +62,7 @@ RADIUS_CHECK_DEPTHS = 101
 class Evaluation(NamedTuple):
     """One design's result: the volume fit1 (m^3), the worst failure
     margin fit2, the total constraint violation and whether it is 0.
-    diagnostics holds the nine constraint values and the count of grid
+    diagnostics holds the nine constraint values and the count of stress
     states outside the hydrostatic range, or, for a degenerate design
     scored with the penalty objectives, its kind alone."""
 
@@ -78,7 +78,7 @@ class _Batch(NamedTuple):
     violation: np.ndarray  # (n,)
     constraints: np.ndarray  # (n, 9), finite for every row
     degenerate: np.ndarray  # (n,) None or "meridian"
-    validity_warnings: np.ndarray  # (n,) grid states outside the hydrostatic range
+    validity_warnings: np.ndarray  # (n,) stress states outside the hydrostatic range
 
 
 class DamProblem:
@@ -90,11 +90,11 @@ class DamProblem:
     are read once, at construction; to change one, build a new problem.
     lower and upper default to copies of the canonical bounds. Bounds on
     ru and rd that admit a non-positive radius, and tc bounds that admit
-    a non-positive level thickness, raise ValueError. stress_surrogate
-    holds the stress grid. The CLI tabulates a design through the same
-    passes the evaluation makes: constraint_depths.sections, whose maxima
-    are the slope and angle constraints, and stress_states, whose largest
-    margin is fit2."""
+    a non-positive level thickness, raise ValueError. The CLI tabulates a
+    design through the same passes the evaluation makes:
+    constraint_depths.sections, whose maxima are the slope and angle
+    constraints, and stress_surrogate, whose states' largest margin is
+    fit2."""
 
     load_cases = (LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic"))
 
@@ -162,12 +162,6 @@ class DamProblem:
                              f"finite value within [{self.lower[j]}, {self.upper[j]}]")
         return X
 
-    def stress_states(self, nodes):
-        """The surrogate's states, shape (n, n_rows, n_cases, 3), for node
-        values of tc and ru stacked as shape (2, n, 6): the stress depths
-        are the levels, so the node values are the sections there."""
-        return self.stress_surrogate(nodes[0], nodes[1])
-
     def _evaluate(self, X) -> _Batch:
         X = self.check_designs(X)
         n = len(X)
@@ -179,15 +173,14 @@ class DamProblem:
         viol = np.maximum(cons, 0.0).sum(axis=1)
         fit1 = self._volume(nodes)
 
-        states = self.stress_states(nodes[:2])
+        states = self.stress_surrogate(nodes[0], nodes[1])
         margins = ww.criterion_values(states, self.strength, self.coeffs, strict=False)[0]
         invalid = ~ww.hydrostatic_validity(states, self.strength)
         F = np.empty((n, 2))
         F[:, 0] = fit1
         # NaN where a compressive meridian came out non-positive
         F[:, 1] = margins.max(axis=(1, 2))
-        # each row stands for the ARC_STATIONS points of its arc
-        warnings = invalid.sum(axis=(1, 2)) * ARC_STATIONS
+        warnings = invalid.sum(axis=(1, 2))
 
         bad = np.isnan(F[:, 1])
         if bad.any():  # penalty objectives, violation + 1

@@ -7,7 +7,7 @@ backend can replace it by satisfying the same evaluator contract: the
 crown thickness and upstream radius at the six control levels in, sorted
 principal states per (row, load case) out.
 
-Per sample point the surrogate composes three components:
+Per row and load case the surrogate composes three components:
   * arch hoop stress from thin-ring theory, -p(z) * ru(z) / tc(z), with
     reservoir pressure p(z) and, for the pseudo-seismic case, the
     Westergaard pseudo-static pressure (7/8) k_h rho_w g sqrt(H_w z_w);
@@ -17,13 +17,11 @@ Per sample point the surrogate composes three components:
     the upstream face and compressive downstream;
   * zero third principal component (free faces).
 
-None of these terms depends on the arc position x, so a sample point's
-state is fixed by its depth and face. StressSurrogate therefore works on
-the (face, depth) rows of its grid, each standing for the ARC_STATIONS
-points of one arc. The grid's depths are the six control levels, where
-tc and ru are the design's node values, so the grid of 6 depths x 9 arc
-stations x 2 faces holds 12 rows. The terms that depend on no design are
-built with it.
+None of these terms depends on the arc position x, so a state is fixed
+by its depth and face: StressSurrogate computes one state per (face,
+depth) row and load case. The rows' depths are the six control levels,
+where tc and ru are the design's node values, so the two faces give 12
+rows. The terms that depend on no design are built with it.
 """
 
 from __future__ import annotations
@@ -34,12 +32,9 @@ import numpy as np
 
 from .geometry import CanyonProfile, level_depths
 
-__all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "ARC_STATIONS", "MOMENT_SHARE"]
+__all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
-# the arc stations of the sample grid, abutment to abutment, an odd count
-# so the crown is the middle one
-ARC_STATIONS = 9
 # share of the hydrostatic overturning moment carried by cantilever bending
 MOMENT_SHARE = 0.02
 
@@ -72,11 +67,10 @@ class LoadCase(namedtuple("LoadCase",
 
 
 class StressSurrogate:
-    """The surrogate on the (face, depth) rows of a sample grid over both
-    faces of a dam in the canyon: the six control levels
-    level_depths(canyon.h) (`depths`), and an arc of ARC_STATIONS stations
-    at each depth (`grid()`). The rows are the upstream ones at `depths`,
-    then the downstream ones.
+    """The surrogate on the (face, depth) rows over both faces of a dam in
+    the canyon, at the six control levels level_depths(canyon.h): the
+    upstream rows, then the downstream ones. `z` and `face` give each
+    row's depth and face ("up" or "down").
 
     The load-case terms that depend on no design are built per row: -p
     (reservoir pressure plus the Westergaard term), the self-weight, and
@@ -87,10 +81,10 @@ class StressSurrogate:
     """
 
     def __init__(self, canyon: CanyonProfile, load_cases, moment_share: float):
-        self._canyon = canyon
-        self.depths = level_depths(canyon.h)
-        z = np.concatenate([self.depths, self.depths])
-        up = np.arange(len(z)) < len(self.depths)
+        depths = level_depths(canyon.h)
+        self.z = z = np.concatenate([depths, depths])
+        self.face = np.repeat(["up", "down"], len(depths))
+        up = self.face == "up"
 
         neg_p, weight, bend = [], [], []
         for lc in load_cases:
@@ -107,22 +101,13 @@ class StressSurrogate:
             # tensile upstream, compressive downstream
             bend.append(np.where(up, num, -num))
         self._state_shape = (len(z), len(load_cases), 3)
-        self._take = np.repeat(np.tile(np.arange(len(self.depths)), 2), len(load_cases))
+        self._take = np.repeat(np.tile(np.arange(len(depths)), 2), len(load_cases))
         self._neg_p, self._weight, self._bend = (
             np.stack(t, axis=-1).ravel() for t in (neg_p, weight, bend))
 
-    def grid(self):
-        """The sample points (x, z, face) in row order, ARC_STATIONS
-        consecutive points per row. An arc runs from abutment to abutment
-        at +-half_width(z); its middle point is the crown x = 0."""
-        frac = np.linspace(-1.0, 1.0, ARC_STATIONS)
-        x = (self._canyon.half_width(self.depths)[:, None] * frac[None, :]).ravel()
-        z = np.repeat(self.depths, ARC_STATIONS)
-        return np.concatenate([x, x]), np.concatenate([z, z]), np.repeat(["up", "down"], len(x))
-
     def __call__(self, tc, ru):
         """Sorted principal states, shape (..., n_rows, n_cases, 3), from
-        the crown thickness and upstream radius at `depths`, the node
+        the crown thickness and upstream radius at the levels, the node
         values tc1-tc6 and ru1-ru6, shape (..., 6), for one design or a
         batch."""
         tc = tc.take(self._take, axis=-1)

@@ -8,7 +8,7 @@ Monte Carlo volume, the tensor-product Gauss-Legendre volume rule and
 the volume by Simpson's rule across the valley, the closed-form
 calibration stress states for the failure criterion, the Lagrange basis
 in product form, the exact rational Lagrange interpolant with its slope,
-the barycentric interpolant for one design, the stress grid's points one
+the barycentric interpolant for one design, the stress grid's rows one
 at a time, the dam evaluator one design at a time, the four-pass
 criterion (one masked pass per stress domain) with its meridian
 polynomials, and the scalar forms of the criterion (sorting, domain,
@@ -404,32 +404,26 @@ class LagrangeInterpolant:
 
 
 def sample_points(canyon):
-    """The stress grid's points (x, z, face), one at a time: the upstream
-    face, then the downstream one; on each, six evenly spaced depths from
-    the crest to the canyon's height h (the control levels), and at each
-    depth nine evenly spaced arc stations from abutment to abutment."""
-    frac = np.linspace(-1.0, 1.0, 9)
-    points = []
-    for face in ("up", "down"):
-        for z in np.linspace(0.0, canyon.h, 6):
-            half = canyon.half_width(z)
-            points.extend((half * f, z, face) for f in frac)
-    x, z, face = zip(*points)
-    return np.array(x), np.array(z), np.array(face)
+    """The stress grid's rows (z, face), one at a time: the upstream face,
+    then the downstream one; on each, six evenly spaced depths from the
+    crest to the canyon's height h (the control levels)."""
+    rows = [(z, face) for face in ("up", "down") for z in np.linspace(0.0, canyon.h, 6)]
+    z, face = zip(*rows)
+    return np.array(z), np.array(face)
 
 
 def evaluate_rowwise(problem, X):
     """The dam evaluation one design at a time, as it was before batching:
     one interpolant per section property and design, fresh quadrature
-    depths per volume (closed_form_volume), stresses at every grid point,
-    a Python loop over the rows. A design with a non-positive radius at
+    depths per volume (closed_form_volume), stresses at every grid row,
+    a Python loop over the designs. A design with a non-positive radius at
     one of 101 depths ("radius") or a non-positive compressive meridian
     ("meridian") gets the penalty objectives and violation + 1; a
-    non-positive thickness at a grid point raises, since the problem's
+    non-positive thickness at a grid row raises, since the problem's
     bounds admit none. Returns
     (F, violation, the degenerate kinds, with None for a design that is
-    not, and the validity warnings: the states outside the hydrostatic
-    validity range, 0 for a degenerate design)."""
+    not, and the validity warnings: the count of (row, load case) states
+    outside the hydrostatic validity range, 0 for a degenerate design)."""
     X = np.atleast_2d(np.asarray(X, dtype=float)).reshape(-1, 20)
     canyon, h = problem.canyon, problem.canyon.h
     F = np.empty((len(X), 2))
@@ -463,10 +457,10 @@ def evaluate_rowwise(problem, X):
 
         fit1 = closed_form_volume(canyon, problem.quadrature_order, tc, ru, rd)
 
-        _, z, face = sample_points(canyon)
+        z, face = sample_points(canyon)
         tz, rz = tc(z), ru(z)
         if np.min(tz) <= 0.0 or np.min(rz) <= 0.0:
-            raise ValueError("non-positive thickness or radius at a grid point")
+            raise ValueError("non-positive thickness or radius at a grid row")
         states = surrogate_states(tz, rz, z, face, h, problem.load_cases, problem.moment_share)
         try:
             margins = criterion_values(states, problem.strength, problem.coeffs)[0]
@@ -481,10 +475,10 @@ def evaluate_rowwise(problem, X):
 
 
 def surrogate_states(tc, ru, z, face, h, load_cases, moment_share):
-    """The stress surrogate computed at every grid point, with np.sort
-    doing the ordering, as before it was computed per distinct
-    (depth, face) row: sorted states of shape (n_points, n_cases, 3) from
-    tc and ru at the points."""
+    """The stress surrogate computed one load case at a time from the
+    physical formulas, with np.sort doing the ordering: sorted states of
+    shape (n_points, n_cases, 3) from tc and ru at points of depth z on
+    face "up" or "down"."""
     up = face == "up"
     states = np.empty((len(z), len(load_cases), 3))
     for k, lc in enumerate(load_cases):

@@ -7,7 +7,6 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from archdam import DamProblem, StrengthParams, solve_coefficients
-from archdam.stress_model import ARC_STATIONS
 
 # reference optimized design used as the regression anchor
 TABLE5 = np.array([
@@ -19,10 +18,10 @@ TABLE5 = np.array([
 
 
 def grid_states(problem, x):
-    """Sorted states (n_points, n_cases, 3) of one design of 20 values at
-    every point of the problem's grid, through the problem's stress
-    helpers as `archdam stress-field` takes them."""
-    return problem.stress_states(x[2:14].reshape(2, 6)).repeat(ARC_STATIONS, axis=0)
+    """Sorted states (n_rows, n_cases, 3) of one design of 20 values on
+    the (face, depth) rows of the problem's stress surrogate, as
+    `archdam stress-field` takes them."""
+    return problem.stress_surrogate(x[2:8], x[8:14])
 
 
 @pytest.fixture(scope="session")

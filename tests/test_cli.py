@@ -120,7 +120,7 @@ def test_evaluate_rejects_bad_designs(tmp_path, capsys):
 
 
 def test_config_n_arc_is_an_unknown_key(tmp_path, capsys):
-    # the arc is fixed at ARC_STATIONS stations, so even 9 is refused
+    # the surrogate samples no arc, so even 9 stations is refused
     for n_arc in (7, 9, 10, 202):
         cfg = tmp_path / f"arc{n_arc}.json"
         cfg.write_text(json.dumps({"problem": {"n_arc": n_arc}}))
@@ -408,16 +408,18 @@ def test_stress_field_artifact(tmp_path, capsys):
     capsys.readouterr()
     _assert_manifest_lists_the_other_files(out)
     lines = (out / "stress_field.csv").read_text().splitlines()
-    assert lines[1] == "x,z,face,load_case,s1,s2,s3,ww_margin"
-    # every value, from the per-point surrogate on the per-design interpolant
+    assert lines[1] == "z,face,load_case,s1,s2,s3,ww_margin"
+    # one row per (face, level, load case), every value from the per-row
+    # surrogate on the per-design interpolant
     h, (tc, ru, _) = _table5_interpolants()
-    x, z, face = sample_points(CanyonProfile.default())
+    z, face = sample_points(CanyonProfile.default())
     cases = [LoadCase(kind="hydrostatic"), LoadCase(kind="pseudo_seismic")]
     states = surrogate_states(tc(z), ru(z), z, face, h, cases, MOMENT_SHARE)
     strength = StrengthParams()
     margins = criterion_values(states, strength, solve_coefficients(strength))[0]
+    assert len(lines) == 2 + 24
     assert lines[2:] == [
-        ",".join([_g6(x[i]), _g6(z[i]), face[i], f"{k}:{lc.kind}", *map(_g6, states[i, k]),
+        ",".join([_g6(z[i]), face[i], f"{k}:{lc.kind}", *map(_g6, states[i, k]),
                   _g6(margins[i, k])])
         for i in range(len(z)) for k, lc in enumerate(cases)]
     assert not any("-0," in ln or ln.endswith("-0") for ln in lines)
@@ -435,18 +437,18 @@ def test_tables_take_the_evaluators_passes(tmp_path, capsys, geometry):
         ev = problem.evaluate(x)
         nodes = x[2:].reshape(3, 1, 6)
         _, s_u, s_d, phi = problem.constraint_depths.sections(x[:1], x[1:2], nodes)
-        states = problem.stress_states(nodes[:2])
+        states = problem.stress_surrogate(*nodes[:2])
         assert criterion_values(states, problem.strength, problem.coeffs)[0].max() == ev.fit2
         assert ev.diagnostics["constraints"][6:] == [
             np.abs(s_u).max() / problem.gamma_allow - 1.0,
             np.abs(s_d).max() / problem.gamma_allow - 1.0,
             np.maximum(90.0 - phi, phi - 130.0).max() / 130.0]
     # both tables, at the constraint depths and on the grid of the six
-    # levels by the arc stations, two faces and two load cases
+    # levels, two faces and two load cases
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({} if geometry is None else {"geometry": geometry}))
     for command, name, rows in [("evaluate-geometry", "geometry.csv", 50),
-                                ("stress-field", "stress_field.csv", 6 * 9 * 2 * 2)]:
+                                ("stress-field", "stress_field.csv", 6 * 2 * 2)]:
         out = tmp_path / command
         assert main([command, "--config", str(cfg), "--design", TABLE5_ARG,
                      "--out", str(out)]) == 0
@@ -491,6 +493,22 @@ def test_ww_surface_artifact(tmp_path, capsys):
                  "--sigma-max=1e-150"]) == 0
     assert capsys.readouterr().err == ""
     assert "nan" not in (tiny / "ww_surface.csv").read_text()
+
+
+def test_ww_surface_reads_a_negative_bound_with_an_exponent(tmp_path, capsys):
+    # -4e1 is the number -40, not an option
+    tables = []
+    for spelling in ("-4e1", "-40", "-4E+1", "-.4e2"):
+        out = tmp_path / f"ww{spelling}"
+        assert main(["ww-surface", "--out", str(out), "--sigma-min", spelling,
+                     "--sigma-max", "5", "--steps", "3"]) == 0
+        assert capsys.readouterr().err == ""
+        tables.append((out / "ww_surface.csv").read_text())
+    assert tables[1:] == tables[:1] * 3
+    assert main(["ww-surface", "--out", str(tmp_path / "x"), "--sigma-min", "-1e3",
+                 "--sigma-max", "-2e3"]) == 2
+    assert capsys.readouterr().err.startswith("error: --sigma-min/--sigma-max: the grid "
+                                              "[-1000, -2000] MPa ")
 
 
 @pytest.mark.parametrize("argv, option", [

@@ -293,13 +293,13 @@ def test_thin_design_penalized_alone_as_meridian():
     assert np.isnan(criterion_values(states, p.strength, p.coeffs, strict=False)[0]).any()
 
 
-def test_validity_warnings_weighted_by_multiplicity():
+def test_validity_warnings_count_each_state_once():
     p = _thin_problem()
     x = _table5_with_tc6(2.0)
     e = p.evaluate(x)
     assert e.fit2 == pytest.approx(22.37, abs=0.01)
-    # two distinct (depth, face) states, each standing for 9 arc stations
-    assert e.diagnostics["validity_warnings"] == 18
+    # two (face, depth, load case) states outside the range, counted once each
+    assert e.diagnostics["validity_warnings"] == 2
     invalid = ~hydrostatic_validity(grid_states(p, x), p.strength)
     assert e.diagnostics["validity_warnings"] == invalid.sum()
 

@@ -4,8 +4,7 @@ import pytest
 from archdam import CanyonProfile, DamProblem, LoadCase
 from archdam.geometry import (DEFAULT_HEIGHT, LOWER_BOUNDS, UPPER_BOUNDS, DepthInterpolant,
                               level_depths)
-from archdam.stress_model import (ARC_STATIONS, GRAVITY, MOMENT_SHARE, StressSurrogate,
-                                  _sorted_states)
+from archdam.stress_model import GRAVITY, MOMENT_SHARE, StressSurrogate, _sorted_states
 
 from _oracles import sample_points, surrogate_states
 from conftest import TABLE5, grid_states
@@ -23,12 +22,12 @@ def _point_states(cases, z, face="up"):
     """Sorted states (n_cases, 3) of CONSTANT_DESIGN at depth z, 0 or 100 m:
     a row of the default grid of a dam 100 m high."""
     surrogate = StressSurrogate(_canyon(100.0), cases, MOMENT_SHARE)
-    row = list(surrogate.depths).index(z) + (6 if face == "down" else 0)
+    row = list(surrogate.z[:6]).index(z) + (6 if face == "down" else 0)
     return surrogate(np.full(6, 12.5), np.full(6, 100.0))[row]
 
 
 def _grid_states(x, cases):
-    """Sorted states (108, n_cases, 3) at the points of the default grid."""
+    """Sorted states (12, n_cases, 3) on the rows of the default grid."""
     return grid_states(DamProblem(load_cases=tuple(cases)), x)
 
 
@@ -88,7 +87,7 @@ def test_pseudo_seismic_adds_compression():
 def test_states_sorted_descending():
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     states = _grid_states(TABLE5, cases)
-    assert states.shape == (108, 3, 3)
+    assert states.shape == (12, 3, 3)
     assert np.all(np.diff(states, axis=-1) <= 0.0)
 
 
@@ -99,23 +98,12 @@ def _surrogate(canyon):
 
 def test_default_grid_layout():
     canyon = _canyon()
-    x, z, face = _surrogate(canyon).grid()
-    assert len(x) == len(z) == len(face) == 108
-    for got, want in zip((x, z, face), sample_points(canyon)):
+    surrogate = _surrogate(canyon)
+    z, face = surrogate.z, surrogate.face
+    assert len(z) == len(face) == 12
+    for got, want in zip((z, face), sample_points(canyon)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert set(face) == {"up", "down"}
-    # crown column sampled at every depth, abutments at the canyon wall
-    up = face == "up"
-    xs = x[up].reshape(6, 9)
-    zs = z[up].reshape(6, 9)
-    assert np.all(xs[:, 4] == 0.0)
-    assert np.allclose(np.abs(xs[:, 0]), canyon.half_width(zs[:, 0]))
-
-
-def test_mirror_symmetry():
-    # the surrogate depends on depth and face only, so arches are symmetric
-    per_face = _grid_states(TABLE5, [LoadCase()]).reshape(2, 6, 9, 1, 3)
-    assert np.array_equal(per_face, per_face[:, :, ::-1])
 
 
 def test_determinism():
@@ -159,41 +147,37 @@ def test_closed_form_order_matches_np_sort():
 
 
 def test_distinct_rows_of_the_default_grid():
-    # 12 (face, depth) rows, upstream first, each standing for the 9
-    # consecutive points of its arc
+    # 12 (face, depth) rows at the six control levels, upstream first
     surrogate = _surrogate(_canyon())
-    _, z, face = surrogate.grid()
-    assert np.array_equal(surrogate.depths, level_depths(DEFAULT_HEIGHT))
-    assert np.array_equal(surrogate.depths, np.unique(z))
-    assert np.array_equal(z, np.tile(surrogate.depths, 2).repeat(9))
-    assert np.array_equal(face, np.repeat(["up", "down"], 54))
+    assert np.array_equal(surrogate.z, np.tile(level_depths(DEFAULT_HEIGHT), 2))
+    assert np.array_equal(surrogate.face, np.repeat(["up", "down"], 6))
     assert surrogate(*TABLE5[2:14].reshape(2, 6)).shape == (12, 3, 3)
 
 
 def test_states_equal_per_point_reference():
     # bit for bit, signed zeros included; the reference takes tc and ru at
-    # every point from the package's interpolant at that point's depth
+    # every row from the package's interpolant at that row's depth
     h = DEFAULT_HEIGHT
     cases = [LoadCase(kind=k) for k in ("gravity", "hydrostatic", "pseudo_seismic")]
     cases.append(LoadCase(water_level=30.0))
     nodes = TABLE5[2:14].reshape(2, 6)
     rows = StressSurrogate(_canyon(), cases, MOMENT_SHARE)(*nodes)
-    _, z, face = sample_points(_canyon())
+    z, face = sample_points(_canyon())
     tc, ru = DepthInterpolant(h, z).values(nodes)
     ref = surrogate_states(tc, ru, z, face, h, cases, MOMENT_SHARE)
-    assert np.array_equal(rows.repeat(ARC_STATIONS, axis=0).view(np.int64), ref.view(np.int64))
+    assert np.array_equal(rows.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("h", [15.0, DEFAULT_HEIGHT, 500.0])
 def test_states_take_the_node_values(h):
     # the stress depths are the levels, where the interpolant's basis is the
-    # identity: the problem's states are the surrogate's on the node values,
-    # and the same bits as on the sections interpolated to the levels
+    # identity: the surrogate's states on the node values are the same bits
+    # as on the sections interpolated to the levels
     problem = DamProblem(canyon=_canyon(h))
     X = LOWER_BOUNDS + np.random.default_rng(30).random((2000, 20)) * (UPPER_BOUNDS - LOWER_BOUNDS)
     nodes = np.vstack([X, TABLE5])[:, 2:14].reshape(-1, 2, 6).transpose(1, 0, 2)
-    states = problem.stress_states(nodes)
-    sections = DepthInterpolant(h, problem.stress_surrogate.depths).values(nodes)
-    for tc, ru in (nodes, sections):
-        assert np.array_equal(states.view(np.int64),
-                              problem.stress_surrogate(tc, ru).view(np.int64))
+    states = problem.stress_surrogate(*nodes)
+    assert states.shape == (2001, 12, 2, 3)
+    sections = DepthInterpolant(h, problem.stress_surrogate.z[:6]).values(nodes)
+    assert np.array_equal(states.view(np.int64),
+                          problem.stress_surrogate(*sections).view(np.int64))

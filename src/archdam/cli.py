@@ -13,7 +13,7 @@ leaves nothing behind.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import io
 import json
 import os
 import re
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import BENCHMARK_NAMES, __version__
 from . import willam_warnke as ww
-from .config import ConfigError, load_config, make_mocss_config, make_problem
+from .config import ConfigError, load_config, make_mocss_config, make_problem, read_file
 from .geometry import VARIABLE_NAMES
 
 
@@ -103,14 +103,8 @@ def _parse_design(raw: str) -> np.ndarray:
             except ValueError as exc:
                 raise ConfigError(f"design value {name} = {tok.strip()} is not a number") from exc
     else:
-        try:
-            with open(raw) as fh:
-                # an integer past the float range reads as inf, refused below
-                vals = json.load(fh, parse_int=float)
-        except OSError as exc:
-            raise ConfigError(f"cannot read design file {raw!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"design file {raw!r} is not valid JSON: {exc}") from exc
+        # an integer past the float range reads as inf, refused below
+        vals = read_file(raw, "design file", parse_int=float)[0]
         if not isinstance(vals, list):
             raise ConfigError("design file must hold a JSON array")
     if len(vals) != 20:
@@ -155,16 +149,14 @@ ARCHIVE_COLUMNS = list(VARIABLE_NAMES) + ["fit1", "fit2", "violation", "feasible
 
 
 def _read_archive(path: str):
-    """Parse an archive CSV back into (X, fit1, fit2, violation, feasible).
+    """Parse an archive CSV back into (X, F = [fit1, fit2], feasible).
     A data row needs one finite number per column, and a feasible flag of
     0 or 1 that agrees with violation == 0; ConfigError names the file and
     line of the first row that breaks this."""
-    try:
-        with open(path) as fh:
-            lines = [(k, ln.strip()) for k, ln in enumerate(fh, 1)
-                     if ln.strip() and not ln.startswith("#")]
-    except OSError as exc:
-        raise ConfigError(f"cannot read archive {path!r}: {exc}") from exc
+    text = read_file(path, "archive", text=True)[0]
+    # numbered as a file opened in text mode numbers its lines
+    lines = [(k, ln.strip()) for k, ln in enumerate(io.StringIO(text, newline=None), 1)
+             if ln.strip() and not ln.startswith("#")]
     if not lines:
         raise ConfigError(f"archive {path!r} is empty")
     header = lines[0][1].split(",")
@@ -195,20 +187,13 @@ def _read_archive(path: str):
     if not rows:
         raise ConfigError(f"archive {path!r} has no data rows")
     body = np.array(rows)
-    X = body[:, :20]
-    return X, body[:, 20], body[:, 21], body[:, 22], body[:, 23] == 1.0
+    return body[:, :20], body[:, 20:22], body[:, 23] == 1.0
 
 
 def _load_scenarios(path: str):
     from .mtdm import Scenario
 
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read scenarios {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"scenarios {path!r} not valid JSON: {exc}") from exc
+    raw, digest = read_file(path, "scenarios")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("scenarios file must hold a non-empty JSON array")
     out = []
@@ -232,7 +217,7 @@ def _load_scenarios(path: str):
             raise ConfigError(f"scenario [{k}] invalid: {len(scenario.weights)} weights "
                               "for 2 objectives")
         out.append(scenario)
-    return out
+    return out, digest
 
 
 def _archive_rows(X, F, viol, feas):
@@ -246,13 +231,20 @@ def _archive_rows(X, F, viol, feas):
 # -- subcommands --------------------------------------------------------------
 
 
+def _outdir(path: str) -> str:
+    """The output directory, refused before any work if a non-directory holds its name."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"output directory {path!r} exists and is not a directory")
+    return path
+
+
 def _setup(args, design=False):
     """The config, its digest, the dam problem, the checked --design (when
-    asked for) and the output directory."""
+    asked for) and the checked output directory."""
     cfg, digest = load_config(args.config)
     problem = make_problem(cfg)
     x = _checked_design(args.design, problem) if design else None
-    return cfg, digest, problem, x, args.out or cfg["output"]["directory"]
+    return cfg, digest, problem, x, _outdir(args.out or cfg["output"]["directory"])
 
 
 def _cmd_optimize(args) -> int:
@@ -364,13 +356,10 @@ def _cmd_decide(args) -> int:
     # the decision maker serves this command alone, so it loads here
     from .mtdm import acceptable_mask, rank_R
 
-    X, fit1, fit2, viol, feas = _read_archive(args.archive)
-    scenarios = _load_scenarios(args.scenarios)
-    with open(args.scenarios, "rb") as fh:
-        digest = hashlib.sha256(fh.read()).hexdigest()
-    outdir = args.out
+    X, F, feas = _read_archive(args.archive)
+    scenarios, digest = _load_scenarios(args.scenarios)
+    outdir = _outdir(args.out)
 
-    F = np.column_stack([fit1, fit2])
     keep = feas & acceptable_mask(F)
     idx = np.flatnonzero(keep)
     if len(idx) < 2:
@@ -412,7 +401,7 @@ def _cmd_benchmark(args) -> int:
     cfg, digest = load_config(args.config)
     problem = get_benchmark(args.problem)
     mocss_cfg = make_mocss_config(cfg, seed=args.seed)
-    outdir = args.out or cfg["output"]["directory"]
+    outdir = _outdir(args.out or cfg["output"]["directory"])
     res = run_mocss(problem, mocss_cfg)
 
     samples = problem.analytic_front(1000)
@@ -481,9 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ww-surface",
                        help="sample the failure criterion on a stress grid")
-    # argparse's negative-number pattern has no exponent, so it would take
-    # a bound such as -4e1 for an option
-    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     add_common(p)
     p.add_argument("--sigma-min", type=float, default=-60.0,
                    help="grid lower bound, MPa")
@@ -506,6 +492,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=[n.lower() for n in BENCHMARK_NAMES])
     p.set_defaults(func=_cmd_benchmark)
 
+    # argparse's negative-number pattern has no exponent and no comma list,
+    # so it would take the bound -4e1 or the design -0.1,0.516,... for an option
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?(,|$)")
     return parser
 
 

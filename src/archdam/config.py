@@ -172,14 +172,32 @@ def default_config() -> dict:
 
 
 def _reject_duplicates(pairs):
-    seen = set()
     out = {}
     for key, value in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r}")
-        seen.add(key)
+        if key in out:
+            raise ValueError(f"duplicate key {key!r}")
         out[key] = value
     return out
+
+
+def read_file(path: str, what: str, text: bool = False, parse_int=None):
+    """(content, SHA-256 of the bytes) of a file the user names, read once:
+    the bytes decoded as UTF-8 and, unless text is set, parsed as JSON with
+    repeated keys refused. A failure is a ConfigError naming `what path`."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    try:
+        content = raw.decode("utf-8")
+        if not text:
+            content = json.loads(content, object_pairs_hook=_reject_duplicates,
+                                 parse_int=parse_int)
+    except (ValueError, RecursionError) as exc:  # a decode or parse error, a repeated key
+        raise ConfigError(f"{what} {path!r} is not valid {'UTF-8' if text else 'JSON'}: "
+                          f"{exc}") from exc
+    return content, hashlib.sha256(raw).hexdigest()
 
 
 def _merge(base: dict, user: dict) -> dict:
@@ -234,18 +252,7 @@ def load_config(path: str | None = None):
         canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
         return cfg, hashlib.sha256(canon.encode()).hexdigest()
 
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
-
-    try:
-        user = json.loads(raw.decode("utf-8"), object_pairs_hook=_reject_duplicates)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-
+    user, digest = read_file(path, "config file")
     _validate(user, _schema())
 
     cfg = _merge(default_config(), user)

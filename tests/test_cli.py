@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import re
 import shutil
 import warnings
@@ -233,16 +235,22 @@ def test_optimize_non_finite_output_exits_2_leaving_nothing(tmp_path, monkeypatc
 @pytest.mark.parametrize("command, k, value, message", [
     ("evaluate-geometry", 9, -100.0, "ru2 = -100.0 is not a finite value within [91.0, 118.0]"),
     ("stress-field", 7, -5.0, "tc6 = -5.0 is not a finite value within [12.0, 31.0]"),
+    # a negative first value is a value, not an option, in either spelling
+    *[(command, 0, -0.1, "gamma = -0.1 is not a finite value within [0.0, 0.3]")
+      for command in ("evaluate", "evaluate-geometry", "stress-field")],
 ])
 def test_design_outside_bounds_exits_2_before_writing(tmp_path, capsys, command, k, value,
                                                        message):
     x = TABLE5.copy()
     x[k] = value
     out = tmp_path / "out"
-    assert main([command, "--design", ",".join(map(str, x)), "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: design row 0: {message}\n"
+    design = ",".join(map(str, x))
+    for argv in (["--design", design], [f"--design={design}"]):
+        argv += [] if command == "evaluate" else ["--out", str(out)]
+        assert main([command, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: design row 0: {message}\n"
     assert not out.exists()
 
 
@@ -695,6 +703,158 @@ def test_decide_input_validation(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == "", name
         assert captured.err == f"error: scenario [1] invalid: {message}\n", name
+
+
+ARCHIVE_HEADER = ",".join(archdam.VARIABLE_NAMES) + ",fit1,fit2,violation,feasible"
+
+
+def _archive(tmp_path):
+    """An archive file of three feasible, acceptable Table 5 rows."""
+    rows = [",".join(map(str, TABLE5)) + f",{fit1},{fit2},0,1"
+            for fit1, fit2 in ((317086.7, -0.036), (320000, -0.05), (330000, -0.07))]
+    path = tmp_path / "archive.csv"
+    path.write_text("\n".join([ARCHIVE_HEADER, *rows]) + "\n")
+    return path
+
+
+def _hostile_file_argv(tmp_path, option, path):
+    """A writing command that reads `path` for `option`, its other inputs
+    valid, and its output directory."""
+    out = tmp_path / "out"
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps([{"name": "even", "weights": [0.5, 0.5]}]))
+    if option == "--config":
+        argv = ["evaluate-geometry", "--config", path, "--design", TABLE5_ARG]
+    elif option == "--design":
+        argv = ["stress-field", "--design", path]
+    elif option == "--scenarios":
+        argv = ["decide", "--archive", str(_archive(tmp_path)), "--scenarios", path]
+    else:
+        argv = ["decide", "--archive", path, "--scenarios", str(scenarios)]
+    return argv + ["--out", str(out)], out
+
+
+WHAT = {"--config": "config file", "--design": "design file", "--scenarios": "scenarios",
+        "--archive": "archive"}
+
+
+@pytest.mark.parametrize("option", list(WHAT))
+@pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+def test_hostile_input_file_exits_2_naming_it(tmp_path, capsys, option, case):
+    path = tmp_path / "input"
+    if case == "directory":
+        path.mkdir()
+    elif case == "undecodable":
+        path.write_bytes(b"\xff\xfe[1]")
+    argv, out = _hostile_file_argv(tmp_path, option, str(path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    what = f"{WHAT[option]} {str(path)!r}"
+    if case == "undecodable":
+        kind = "UTF-8" if option == "--archive" else "JSON"
+        assert captured.err == (f"error: {what} is not valid {kind}: 'utf-8' codec can't "
+                                "decode byte 0xff in position 0: invalid start byte\n")
+    else:
+        errno = "[Errno 2] No such file" if case == "missing" else "[Errno 21] Is a directory"
+        assert captured.err.startswith(f"error: cannot read {what}: {errno}")
+        assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, text, reason", [
+    ("--config", '{"mocss": {"seed": 1, "seed": 2}}', "duplicate key 'seed'"),
+    ("--scenarios", '[{"name": "a", "weights": [0.5, 0.5], "name": "b"}]',
+     "duplicate key 'name'"),
+    # valid JSON, but nested past the parser's recursion limit
+    ("--design", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+])
+def test_json_the_reader_refuses_exits_2_naming_the_file(tmp_path, capsys, option, text,
+                                                          reason):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv, out = _hostile_file_argv(tmp_path, option, str(path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {WHAT[option]} {str(path)!r} is not valid JSON: "
+                                   f"{reason}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_archive_lines_numbered_as_in_text_mode(tmp_path, capsys):
+    # CR and CRLF end a line, a form feed does not
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps([{"name": "even", "weights": [0.5, 0.5]}]))
+    row = _archive(tmp_path).read_text().splitlines()[1]
+    archive = tmp_path / "mixed.csv"
+    bad = row.replace("0.201", "0.2\x0c01")
+    archive.write_bytes(f"# manifest: x\r{ARCHIVE_HEADER}\r\n{row}\r{bad}\n".encode())
+    assert main(["decide", "--archive", str(archive), "--scenarios", str(scenarios),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"error: archive {str(archive)!r} line 4: could not "
+                                       "convert string to float: '0.2\\x0c01'\n")
+
+
+@pytest.mark.parametrize("via_pipe", [False, True])
+def test_decide_digest_is_the_sha256_of_the_scenarios_bytes(tmp_path, capsys, via_pipe):
+    data = json.dumps([{"name": "economy", "weights": [0.9, 0.1]},
+                       {"name": "safety", "weights": [0.1, 0.9]}]).encode()
+    out = tmp_path / "dec"
+    argv = ["decide", "--archive", str(_archive(tmp_path)), "--out", str(out)]
+    if via_pipe:
+        # a pipe can be read once only
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        try:
+            assert main(argv + ["--scenarios", f"/dev/fd/{read_end}"]) == 0
+        finally:
+            os.close(read_end)
+    else:
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_bytes(data)
+        assert main(argv + ["--scenarios", str(scenarios)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(data).hexdigest()
+    assert json.loads((out / "manifest.json").read_text())["config_digest"] == digest
+    for name in ("rankings.csv", "decisions.csv"):
+        assert (out / name).read_text().splitlines()[0] == f"# manifest: {digest}"
+    assert (out / "decisions.csv").read_text().count("\n") == 4
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["optimize"], "archdam.mocss.run_mocss"),
+    (["benchmark", "--problem", "zdt1"], "archdam.mocss.run_mocss"),
+    (["decide", "--scenarios", "SCENARIOS", "--archive", "ARCHIVE"], "archdam.mtdm.rank_R"),
+    (["evaluate-geometry", "--design", TABLE5_ARG], None),
+    (["stress-field", "--design", TABLE5_ARG], None),
+    (["ww-surface", "--steps", "3"], None),
+])
+def test_output_path_that_is_not_a_directory_exits_2_before_the_run(tmp_path, monkeypatch,
+                                                                    capsys, argv, work):
+    if work:
+        monkeypatch.setattr(work, lambda *a, **k: pytest.fail("the run started"))
+    scenarios = tmp_path / "scenarios.json"
+    scenarios.write_text(json.dumps([{"name": "even", "weights": [0.5, 0.5]}]))
+    argv = [{"SCENARIOS": str(scenarios), "ARCHIVE": str(_archive(tmp_path))}.get(a, a)
+            for a in argv]
+    target = tmp_path / "taken"
+    target.write_text("a file\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"output": {"directory": str(target)}}))
+    spellings = [["--out", str(target)]]
+    if argv[0] != "decide":  # decide takes no config
+        spellings.append(["--config", str(cfg)])
+    for extra in spellings:
+        assert main(argv + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: output directory {str(target)!r} exists and is "
+                                "not a directory\n")
+    assert target.read_text() == "a file\n"
 
 
 def test_benchmark_artifacts(tmp_path, capsys):

@@ -130,17 +130,6 @@ def _checked_design(raw: str, problem) -> np.ndarray:
     return x
 
 
-def _seed(text: str) -> int:
-    """A --seed value: a non-negative integer, as the schema's mocss.seed."""
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
-    return seed
-
-
 # the largest ww-surface --steps: its table holds steps^3 rows, and each
 # costs about 0.9 KB of memory while it is built
 WW_SURFACE_MAX_STEPS = 51
@@ -232,9 +221,14 @@ def _archive_rows(X, F, viol, feas):
 
 
 def _outdir(path: str) -> str:
-    """The output directory, refused before any work if a non-directory holds its name."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise ConfigError(f"output directory {path!r} exists and is not a directory")
+    """The output directory, refused before any work unless its nearest
+    existing ancestor, the path itself included, is a directory."""
+    target = base = os.path.abspath(path)
+    while not os.path.lexists(base):
+        base = os.path.dirname(base)
+    if not os.path.isdir(base):
+        where = "exists and" if base == target else f"lies below {base!r}, which"
+        raise ConfigError(f"output directory {path!r} {where} is not a directory")
     return path
 
 
@@ -447,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--design", required=True,
                            help="20 comma-separated values or a JSON array file")
         if seed:
-            p.add_argument("--seed", type=_seed, default=None,
+            p.add_argument("--seed", type=int, default=None,
                            help="override the configured random seed")
 
     p = sub.add_parser("optimize", help="run MoCSS on the dam problem")

@@ -6,95 +6,27 @@ mocss, so that building and evaluating a dam never loads the optimizer.
 A configuration file is a JSON object with optional sections problem,
 geometry, strength, loads, mocss, output. Every key is optional and
 falls back to the library defaults; unknown keys and duplicate keys are
-rejected. The schema lives in data/config.schema.json and is enforced by
-_validate, which implements exactly the keywords that file uses. It is
-stricter than JSON Schema in two ways: every number must be finite, and
-an integer must be written as one (4, not 4.0).
+rejected. The schema lives in data/config.schema.json; schema._validate
+checks a file against it, and each record checks its own section when
+it is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 from collections import namedtuple
-from pathlib import Path
 
 import numpy as np
 
 from .geometry import CanyonProfile, LOWER_BOUNDS, UPPER_BOUNDS
 from .objectives import DamProblem
+from .schema import ConfigError, _schema, _validate, check
 from .stress_model import LoadCase
 from .willam_warnke import DegenerateStrengthError, StrengthParams
 
 __all__ = ["ConfigError", "MocssConfig", "load_config", "default_config", "make_problem",
            "make_mocss_config"]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; the message carries the offending key path."""
-
-
-def _schema() -> dict:
-    return json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())
-
-
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-}
-
-# numeric keyword, test that the value breaks it, message
-_BOUNDS = (
-    ("minimum", lambda v, b: v < b, "is less than the minimum of"),
-    ("exclusiveMinimum", lambda v, b: v <= b, "is less than or equal to the minimum of"),
-    ("maximum", lambda v, b: v > b, "is greater than the maximum of"),
-)
-
-
-def _validate(value, schema: dict, path: str = "$") -> None:
-    """Check a parsed JSON value against the schema; raise ConfigError
-    naming the key path of the first violation. Implements the keywords
-    data/config.schema.json uses, each applied to the JSON type it
-    constrains, as in JSON Schema draft 2020-12."""
-    def fail(message):
-        raise ConfigError(f"config schema violation at {path}: {message}")
-
-    if isinstance(value, float) and not math.isfinite(value):
-        fail(f"{value!r} is not a finite number")
-    kind = schema.get("type")
-    if kind is not None and not _TYPES[kind](value):
-        fail(f"{value!r} is not of type {kind!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        fail(f"{value!r} is not one of {schema['enum']!r}")
-    if _TYPES["number"](value):
-        for keyword, broken, text in _BOUNDS:
-            if keyword in schema and broken(value, schema[keyword]):
-                fail(f"{value!r} {text} {schema[keyword]!r}")
-    elif isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            fail(f"{value!r} is too short")
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            fail(f"{value!r} is too short")
-        if len(value) > schema.get("maxItems", len(value)):
-            fail(f"{value!r} is too long")
-        for k, item in enumerate(value):
-            _validate(item, schema.get("items", {}), f"{path}[{k}]")
-    elif isinstance(value, dict):
-        known = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                fail(f"{key!r} is a required property")
-        extra = [key for key in value if key not in known]
-        if extra and schema.get("additionalProperties") is False:
-            fail(f"additional properties are not allowed: {', '.join(map(repr, extra))}")
-        for key, sub in known.items():
-            if key in value:
-                _validate(value[key], sub, f"{path}.{key}")
 
 
 class MocssConfig(namedtuple("MocssConfig", "n_cps iterations archive_capacity ka kv radius cmcr "
@@ -122,8 +54,9 @@ class MocssConfig(namedtuple("MocssConfig", "n_cps iterations archive_capacity k
       replace_fraction: share of the worst-ranked CPs reseeded near CM
         members each iteration, doubled while no feasible design is known.
       seed: seed of the run's one random generator.
-    The constructor checks the settings; _make and _replace do not, so
-    build a new configuration with the constructor.
+    The constructor checks the settings against the schema's mocss
+    section; _make and _replace do not, so build a new configuration with
+    the constructor.
     """
 
     __slots__ = ()
@@ -131,22 +64,9 @@ class MocssConfig(namedtuple("MocssConfig", "n_cps iterations archive_capacity k
     def __new__(cls, n_cps=100, iterations=200, archive_capacity=100, ka=2.0, kv=2.0,
                 radius=1.0, cmcr=0.98, par=0.5, par_step0=0.02, attraction_prob=0.8,
                 replace_fraction=0.3, seed=0):
-        if n_cps < 2:
-            raise ValueError("need at least two charged particles")
-        if iterations < 0:
-            raise ValueError("iterations must be non-negative")
-        if archive_capacity < 1:
-            raise ValueError("archive capacity must be positive")
-        if not 0.0 <= cmcr <= 1.0 or not 0.0 <= par <= 1.0:
-            raise ValueError("cmcr and par must lie in [0, 1]")
-        if radius <= 0:
-            raise ValueError("interaction radius must be positive")
-        if not 0.0 <= replace_fraction <= 1.0:
-            raise ValueError("replace_fraction must lie in [0, 1]")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        return super().__new__(cls, n_cps, iterations, archive_capacity, ka, kv, radius, cmcr,
-                               par, par_step0, attraction_prob, replace_fraction, seed)
+        return check(super().__new__(cls, n_cps, iterations, archive_capacity, ka, kv, radius,
+                                     cmcr, par, par_step0, attraction_prob, replace_fraction,
+                                     seed), "mocss")
 
 
 # the scalar problem.* keys and their defaults: the int or float keyword
@@ -257,18 +177,8 @@ def load_config(path: str | None = None):
 
     cfg = _merge(default_config(), user)
     _check_bounds(cfg["problem"])
-    if cfg["geometry"]["w_base"] > cfg["geometry"]["w_crest"]:
-        raise ConfigError("$.geometry.w_base exceeds $.geometry.w_crest")
+    CanyonProfile(**cfg["geometry"])  # refuses a valley that widens with depth
     return cfg, digest
-
-
-def _built(key: str, make, **kwargs):
-    """make(**kwargs), with a rejection of the values re-raised as a
-    ConfigError that names the config key."""
-    try:
-        return make(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"$.{key} invalid: {exc}") from exc
 
 
 def make_problem(cfg: dict) -> DamProblem:
@@ -294,16 +204,12 @@ def make_problem(cfg: dict) -> DamProblem:
 
 @np.errstate(all="raise")
 def _assemble(cfg: dict) -> DamProblem:
-    canyon = _built("geometry", CanyonProfile, **cfg["geometry"])
-    strength = _built("strength", StrengthParams, **cfg["strength"])
-    loads = tuple(_built(f"loads[{k}]", LoadCase, **item)
-                  for k, item in enumerate(cfg["loads"]))
     prob = cfg["problem"]
     try:
         return DamProblem(
-            canyon=canyon,
-            strength=strength,
-            load_cases=loads,
+            canyon=CanyonProfile(**cfg["geometry"]),
+            strength=StrengthParams(**cfg["strength"]),
+            load_cases=tuple(LoadCase(**item) for item in cfg["loads"]),
             **{name: prob[name] for name in _SCALARS},
             lower=np.asarray(prob["lower_bounds"], dtype=float),
             upper=np.asarray(prob["upper_bounds"], dtype=float),
@@ -316,4 +222,4 @@ def make_mocss_config(cfg: dict, seed: int | None = None) -> MocssConfig:
     params = dict(cfg["mocss"])
     if seed is not None:
         params["seed"] = seed
-    return _built("mocss", MocssConfig, **params)
+    return MocssConfig(**params)

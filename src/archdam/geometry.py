@@ -30,6 +30,8 @@ from collections import namedtuple
 
 import numpy as np
 
+from .schema import ConfigError, check
+
 __all__ = [
     "CanyonProfile",
     "DepthInterpolant",
@@ -80,19 +82,18 @@ def level_depths(h: float) -> np.ndarray:
 class CanyonProfile(namedtuple("CanyonProfile", "h w_crest w_base")):
     """Symmetric trapezoidal valley of the dam's height h: half-width
     linear in depth. h is the one dam height; the control levels are
-    level_depths(h). The constructor checks the values; _make and
-    _replace do not, so build a new profile with the constructor."""
+    level_depths(h). The constructor checks the values against the
+    schema's geometry section, and that the valley does not widen with
+    depth; _make and _replace do not, so build a new profile with the
+    constructor."""
 
     __slots__ = ()
 
     def __new__(cls, h, w_crest, w_base):
-        if h <= 0:
-            raise ValueError("dam height must be positive")
-        if w_crest <= 0 or w_base <= 0:
-            raise ValueError("canyon half-widths must be positive")
+        self = check(super().__new__(cls, h, w_crest, w_base), "geometry")
         if w_base > w_crest:
-            raise ValueError("canyon must not widen with depth")
-        return super().__new__(cls, h, w_crest, w_base)
+            raise ConfigError("$.geometry.w_base exceeds $.geometry.w_crest")
+        return self
 
     @classmethod
     def default(cls, h: float = DEFAULT_HEIGHT) -> "CanyonProfile":
@@ -205,8 +206,6 @@ class VolumeQuadrature:
     batch and for each of its rows."""
 
     def __init__(self, canyon: CanyonProfile, order: int):
-        if order < 2:
-            raise ValueError("quadrature order must be at least 2")
         t, w = _gauss_legendre(order)
         half_h = 0.5 * canyon.h
         zq = half_h + half_h * t

@@ -44,6 +44,7 @@ from .geometry import (
     VARIABLE_NAMES,
     VolumeQuadrature,
 )
+from .schema import check
 from .stress_model import MOMENT_SHARE, LoadCase, StressSurrogate
 
 __all__ = ["Evaluation", "DamProblem", "PENALTY_FIT1", "PENALTY_FIT2"]
@@ -88,9 +89,11 @@ class DamProblem:
     canyon.h is the one dam height: the six control levels and every
     depth set are built from it. The geometry, grid and bounds attributes
     are read once, at construction; to change one, build a new problem.
-    lower and upper default to copies of the canonical bounds. Bounds on
-    ru and rd that admit a non-positive radius, and tc bounds that admit
-    a non-positive level thickness, raise ValueError. The CLI tabulates a
+    The scalar keywords are checked against the schema's problem section.
+    lower and upper, which may lie outside the canonical box, are not;
+    they default to copies of the canonical bounds. Bounds on ru and rd
+    that admit a non-positive radius, and tc bounds that admit a
+    non-positive level thickness, raise ValueError. The CLI tabulates a
     design through the same passes the evaluation makes:
     constraint_depths.sections, whose maxima are the slope and angle
     constraints, and stress_surrogate, whose states' largest margin is
@@ -102,6 +105,9 @@ class DamProblem:
                  load_cases=load_cases, gamma_allow=GAMMA_ALLOW,
                  quadrature_order=QUADRATURE_ORDER, moment_share=MOMENT_SHARE,
                  penalty_fit1=PENALTY_FIT1, penalty_fit2=PENALTY_FIT2, lower=None, upper=None):
+        check({"gamma_allow": gamma_allow, "moment_share": moment_share,
+               "quadrature_order": quadrature_order, "penalty_fit1": penalty_fit1,
+               "penalty_fit2": penalty_fit2}, "problem")
         self.canyon = canyon
         self.strength = strength
         self.load_cases = load_cases

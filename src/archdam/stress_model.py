@@ -31,14 +31,13 @@ from collections import namedtuple
 import numpy as np
 
 from .geometry import CanyonProfile, level_depths
+from .schema import check
 
 __all__ = ["LoadCase", "StressSurrogate", "GRAVITY", "MOMENT_SHARE"]
 
 GRAVITY = 9.81  # m/s^2
 # share of the hydrostatic overturning moment carried by cantilever bending
 MOMENT_SHARE = 0.02
-
-_KINDS = ("gravity", "hydrostatic", "pseudo_seismic")
 
 
 class LoadCase(namedtuple("LoadCase",
@@ -48,22 +47,17 @@ class LoadCase(namedtuple("LoadCase",
     water_level is measured in meters below the crest (0 = full
     reservoir, h = empty). The water-driven terms act for the
     hydrostatic and pseudo_seismic kinds; the Westergaard term only for
-    pseudo_seismic. The constructor checks the values; _make and
-    _replace do not, so build a new load case with the constructor.
+    pseudo_seismic. The constructor checks the values against an item of
+    the schema's loads section; _make and _replace do not, so build a new
+    load case with the constructor.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind="hydrostatic", water_level=0.0, seismic_coefficient=0.1,
                 water_density=1000.0, concrete_density=2400.0):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown load case kind {kind!r}")
-        if water_density <= 0 or concrete_density <= 0:
-            raise ValueError("densities must be positive")
-        if seismic_coefficient < 0:
-            raise ValueError("seismic coefficient must be non-negative")
-        return super().__new__(cls, kind, water_level, seismic_coefficient, water_density,
-                               concrete_density)
+        return check(super().__new__(cls, kind, water_level, seismic_coefficient,
+                                     water_density, concrete_density), "loads")
 
 
 class StressSurrogate:

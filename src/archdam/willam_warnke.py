@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .schema import ConfigError, check
+
 __all__ = [
     "StrengthParams",
     "WWCoefficients",
@@ -59,23 +61,23 @@ class StrengthParams(namedtuple("StrengthParams", "f_c f_t f_cb f_1 f_2 sigma_h_
     """Concrete strength constants, MPa. Unsupplied triaxial constants
     default to the classic ratios f_cb = 1.2 f_c, f_1 = 1.45 f_c,
     f_2 = 1.725 f_c at the ambient hydrostatic state sigma_h_a = sqrt(3) f_c.
-    The constructor checks the strengths and fills those defaults; _make
-    and _replace skip both, so build a new record with the constructor."""
+    The constructor fills those defaults, then checks the values against
+    the schema's strength section and that f_t is below f_c; _make and
+    _replace skip all of it, so build a new record with the constructor."""
 
     __slots__ = ()
 
     def __new__(cls, f_c=30.0, f_t=1.5, f_cb=None, f_1=None, f_2=None, sigma_h_a=None,
                 s_f=1.0):
-        if f_c <= 0 or f_t <= 0:
-            raise ValueError("strengths must be positive")
+        self = check(super().__new__(cls, f_c, f_t,
+                                     1.2 * f_c if f_cb is None else f_cb,
+                                     1.45 * f_c if f_1 is None else f_1,
+                                     1.725 * f_c if f_2 is None else f_2,
+                                     math.sqrt(3.0) * f_c if sigma_h_a is None else sigma_h_a,
+                                     s_f), "strength")
         if f_t >= f_c:
-            raise ValueError("tensile strength must be below compressive")
-        return super().__new__(cls, f_c, f_t,
-                               1.2 * f_c if f_cb is None else f_cb,
-                               1.45 * f_c if f_1 is None else f_1,
-                               1.725 * f_c if f_2 is None else f_2,
-                               math.sqrt(3.0) * f_c if sigma_h_a is None else sigma_h_a,
-                               s_f)
+            raise ConfigError("$.strength.f_t is not below $.strength.f_c")
+        return self
 
 
 class WWCoefficients(NamedTuple):

@@ -14,7 +14,7 @@ import archdam
 from archdam import DamProblem
 from archdam.benchmarks import hypervolume2d
 from archdam.cli import _f6, _g6, main
-from archdam.config import _schema
+from archdam.schema import _schema
 from archdam.geometry import (DEFAULT_HEIGHT, LOWER_BOUNDS, UPPER_BOUNDS, CanyonProfile,
                               level_depths)
 from archdam.stress_model import LoadCase, MOMENT_SHARE
@@ -167,12 +167,13 @@ def test_config_removed_mocss_setting_is_an_unknown_key(tmp_path, capsys, key, v
     assert not run.exists()
 
 
-@pytest.mark.parametrize("payload, key, reason", [
-    ({"strength": {"f_c": 30, "f_t": 40}}, "strength",
-     "tensile strength must be below compressive"),
-    ({"strength": {"f_1": 1e9}}, "strength", "singular calibration system"),
+@pytest.mark.parametrize("payload, message", [
+    pytest.param({"strength": {"f_c": 30, "f_t": 40}}, "$.strength.f_t is not below $.strength.f_c",
+                 id="payload0-strength-tensile strength must be below compressive"),
+    pytest.param({"strength": {"f_1": 1e9}}, "$.strength invalid: singular calibration system",
+                 id="payload1-strength-singular calibration system"),
 ])
-def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, key, reason):
+def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, message):
     # the schema accepts these values; the library rejects them on assembly
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(payload))
@@ -181,8 +182,7 @@ def test_config_rejected_at_runtime_exits_2_with_key(tmp_path, capsys, payload, 
         assert main(argv[:1] + ["--config", str(cfg)] + argv[1:]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: $.{key} invalid: ")
-        assert reason in captured.err and "Traceback" not in captured.err
+        assert captured.err == f"error: {message}\n"
 
 
 # the schema keeps every config value in a range where the evaluation stays
@@ -626,8 +626,8 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
         assert main(argv + ["--config", cfg, "--out", str(run), "--seed", "-1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.endswith(
-            "error: argument --seed: must be a non-negative integer, got -1\n")
+        assert captured.err == ("error: config schema violation at $.mocss.seed: -1 is less "
+                                "than the minimum of 0\n")
     assert not run.exists()
 
 
@@ -825,7 +825,8 @@ def test_decide_digest_is_the_sha256_of_the_scenarios_bytes(tmp_path, capsys, vi
     assert (out / "decisions.csv").read_text().count("\n") == 4
 
 
-@pytest.mark.parametrize("argv, work", [
+# every command that writes artifacts, and the call that starts its work
+_WRITERS = pytest.mark.parametrize("argv, work", [
     (["optimize"], "archdam.mocss.run_mocss"),
     (["benchmark", "--problem", "zdt1"], "archdam.mocss.run_mocss"),
     (["decide", "--scenarios", "SCENARIOS", "--archive", "ARCHIVE"], "archdam.mtdm.rank_R"),
@@ -833,28 +834,50 @@ def test_decide_digest_is_the_sha256_of_the_scenarios_bytes(tmp_path, capsys, vi
     (["stress-field", "--design", TABLE5_ARG], None),
     (["ww-surface", "--steps", "3"], None),
 ])
-def test_output_path_that_is_not_a_directory_exits_2_before_the_run(tmp_path, monkeypatch,
-                                                                    capsys, argv, work):
+
+
+def _assert_output_path_refused(tmp_path, monkeypatch, capsys, argv, work, out, reason):
+    """argv with out as --out, and as output.directory in a config where
+    the command takes one, exits 2 with `output directory 'out' reason`
+    before its work, and leaves the file tmp_path/taken as it was."""
     if work:
         monkeypatch.setattr(work, lambda *a, **k: pytest.fail("the run started"))
     scenarios = tmp_path / "scenarios.json"
     scenarios.write_text(json.dumps([{"name": "even", "weights": [0.5, 0.5]}]))
     argv = [{"SCENARIOS": str(scenarios), "ARCHIVE": str(_archive(tmp_path))}.get(a, a)
             for a in argv]
-    target = tmp_path / "taken"
-    target.write_text("a file\n")
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"output": {"directory": str(target)}}))
-    spellings = [["--out", str(target)]]
+    cfg.write_text(json.dumps({"output": {"directory": out}}))
+    spellings = [["--out", out]]
     if argv[0] != "decide":  # decide takes no config
         spellings.append(["--config", str(cfg)])
     for extra in spellings:
         assert main(argv + extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: output directory {str(target)!r} exists and is "
-                                "not a directory\n")
-    assert target.read_text() == "a file\n"
+        assert captured.err == f"error: output directory {out!r} {reason}\n"
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
+@_WRITERS
+def test_output_path_that_is_not_a_directory_exits_2_before_the_run(tmp_path, monkeypatch,
+                                                                    capsys, argv, work):
+    target = tmp_path / "taken"
+    target.write_text("a file\n")
+    _assert_output_path_refused(tmp_path, monkeypatch, capsys, argv, work, str(target),
+                                "exists and is not a directory")
+
+
+@_WRITERS
+def test_output_path_below_a_file_exits_2_before_the_run(tmp_path, monkeypatch, capsys, argv,
+                                                         work):
+    # the nearest existing ancestor of the path is a file, so no directory
+    # can be made there
+    target = tmp_path / "taken"
+    target.write_text("a file\n")
+    _assert_output_path_refused(tmp_path, monkeypatch, capsys, argv, work,
+                                str(target / "sub" / "run"),
+                                f"lies below {str(target)!r}, which is not a directory")
 
 
 def test_benchmark_artifacts(tmp_path, capsys):

@@ -12,17 +12,15 @@ import pytest
 import archdam
 from archdam.config import (
     _SCALARS,
-    _TYPES,
     ConfigError,
-    _schema,
-    _validate,
     default_config,
     load_config,
     make_mocss_config,
     make_problem,
 )
+from archdam.schema import _TYPES, _schema, _validate
 from archdam import CanyonProfile, DamProblem, LoadCase, MocssConfig, StrengthParams
-from archdam.cli import ARCHIVE_COLUMNS
+from archdam.cli import ARCHIVE_COLUMNS, main
 from archdam.objectives import LOWER_BOUNDS, UPPER_BOUNDS
 
 from conftest import TABLE5
@@ -240,21 +238,94 @@ def test_default_canyon_defined_once():
     assert DamProblem().canyon == canyon
 
 
-@pytest.mark.parametrize("section, value, key", [
-    ("loads", [{"kind": "hydrostatic"}, {"kind": "sloshing"}], "loads[1]"),
-    ("geometry", {"h": 100.0, "w_crest": 50.0, "w_base": 60.0}, "geometry"),
-    ("geometry", {"h": -1.0, "w_crest": 50.0, "w_base": 40.0}, "geometry"),
-    ("strength", {"f_c": 30.0, "f_t": -1.0}, "strength"),
+@pytest.mark.parametrize("section, value, message", [
+    pytest.param("loads", [{"kind": "hydrostatic"}, {"kind": "sloshing"}],
+                 "config schema violation at $.loads[*].kind: 'sloshing' is not one of "
+                 "['gravity', 'hydrostatic', 'pseudo_seismic']", id="loads-value0-loads[1]"),
+    pytest.param("geometry", {"h": 100.0, "w_crest": 50.0, "w_base": 60.0},
+                 "$.geometry.w_base exceeds $.geometry.w_crest", id="geometry-value1-geometry"),
+    pytest.param("geometry", {"h": -1.0, "w_crest": 50.0, "w_base": 40.0},
+                 "config schema violation at $.geometry.h: -1.0 is less than the minimum of 15",
+                 id="geometry-value2-geometry"),
+    pytest.param("strength", {"f_c": 30.0, "f_t": -1.0},
+                 "config schema violation at $.strength.f_t: -1.0 is less than or equal to the "
+                 "minimum of 0", id="strength-value3-strength"),
 ])
-def test_make_problem_names_the_rejected_section(section, value, key):
-    # a dict that skipped load_config's schema and checks
+def test_make_problem_names_the_rejected_section(section, value, message):
+    # a dict that skipped load_config's schema and checks: the record refuses it
     cfg = default_config()
     cfg[section] = value
-    with pytest.raises(ConfigError, match="^" + re.escape(f"$.{key} invalid: ")):
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
         make_problem(cfg)
 
 
-# keywords config._validate implements, plus the annotations it may ignore
+def _range_bounds():
+    """(section, key, keyword, bound, integer) for every numeric bound of
+    the sections the records check, read from the schema file itself."""
+    schema = _schema()["properties"]
+    sections = {"geometry": schema["geometry"], "strength": schema["strength"],
+                "loads": schema["loads"]["items"], "mocss": schema["mocss"],
+                "problem": schema["problem"]}
+    for section, sub in sections.items():
+        for key, spec in sub["properties"].items():
+            for keyword in ("minimum", "exclusiveMinimum", "maximum"):
+                if keyword in spec:
+                    yield section, key, keyword, spec[keyword], spec["type"] == "integer"
+
+
+# the companion values a bound value needs to keep the cross-field rules
+# (f_t < f_c, w_base <= w_crest) out of the way
+_COMPANIONS = {("strength", "f_c"): lambda v: {"f_t": v / 20},
+               ("geometry", "w_crest"): lambda v: {"w_base": v}}
+# values the ranges admit but the calibration cannot solve
+_UNSOLVABLE = {("strength", "f_cb"): "$.strength invalid: tensile meridian has no positive root"}
+# how far inside an exclusive minimum the accepted value lies
+_INSIDE = 1e-3
+
+
+def _build(section, fields):
+    """The record of a section (DamProblem for problem) built from fields."""
+    if section == "geometry":
+        return CanyonProfile(**{**default_config()["geometry"], **fields})
+    record = {"strength": StrengthParams, "loads": LoadCase, "mocss": MocssConfig,
+              "problem": DamProblem}[section]
+    return record(**fields)
+
+
+@pytest.mark.parametrize("section, key, keyword, bound, integer", [
+    pytest.param(*case, id=f"{case[0]}.{case[1]}-{case[2]}") for case in _range_bounds()])
+def test_record_and_cli_refuse_the_schema_ranges_alike(tmp_path, capsys, section, key, keyword,
+                                                       bound, integer):
+    # a value on the bound (just inside an exclusive one) passes both the
+    # record and `archdam evaluate --config`; a value just past it is
+    # refused by both, naming the key, in the same words
+    down, up = ((bound - 1, bound + 1) if integer else
+                (math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)))
+    inside, past = {"minimum": (bound, down), "maximum": (bound, up),
+                    "exclusiveMinimum": (bound + (1 if integer else _INSIDE), bound)}[keyword]
+    design = ",".join(map(str, TABLE5))
+    path = tmp_path / "cfg.json"
+    for value, accepted in ((inside, True), (past, False)):
+        fields = {key: value, **_COMPANIONS.get((section, key), lambda v: {})(value)}
+        path.write_text(json.dumps({section: [{"kind": "gravity", **fields}]
+                                    if section == "loads" else fields}))
+        code = main(["evaluate", "--config", str(path), "--design", design])
+        err = capsys.readouterr().err
+        if accepted:
+            _build(section, fields)
+            want = _UNSOLVABLE.get((section, key))
+            assert (code, err) == ((2, f"error: {want}\n") if want else (0, "")), (value, err)
+            continue
+        where = "loads[*]" if section == "loads" else section
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"config schema violation at $.{where}.{key}: {value!r} ")) as exc:
+            _build(section, fields)
+        cli_where = "loads[0]" if section == "loads" else section
+        assert code == 2
+        assert err == "error: " + str(exc.value).replace(f"$.{where}.", f"$.{cli_where}.") + "\n"
+
+
+# keywords schema._validate implements, plus the annotations it may ignore
 SUPPORTED_KEYWORDS = {
     "type", "properties", "additionalProperties", "required", "enum",
     "minimum", "maximum", "exclusiveMinimum", "items",
@@ -385,8 +456,29 @@ def test_import_and_setup_skip_jsonschema_and_importlib_resources(tmp_path):
     assert _run_bare(code) == "[]\n"
 
 
+def test_schema_file_is_read_once_per_process(tmp_path):
+    # the records check their fields against the schema at import (the
+    # defaults of DamProblem) and in every set-up, from one parse of the file
+    cfg = _write(tmp_path, {"mocss": {"n_cps": 12}, "geometry": {"h": 120.0}})
+    code = (
+        "import sys\n"
+        "opened = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'open' and str(args[0]).endswith('config.schema.json'):\n"
+        "        opened.append(args[0])\n"
+        "sys.addaudithook(hook)\n"
+        "import archdam\n"
+        "print(len(opened))\n"
+        f"cfg, _ = archdam.load_config({cfg!r})\n"
+        "archdam.make_problem(cfg)\n"
+        "archdam.make_mocss_config(cfg)\n"
+        "print(len(opened))\n"
+    )
+    assert _run_bare(code) == "1\n1\n"
+
+
 def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
-    # a dam is built and evaluated with these six modules alone, and with
+    # a dam is built and evaluated with these seven modules alone, and with
     # no dataclasses; the optimizer, the decision maker and the benchmarks
     # load on first use of one of their names or of their submodule
     cfg = _write(tmp_path, {"mocss": {"n_cps": 12}, "geometry": {"h": 120.0}})
@@ -413,7 +505,7 @@ def test_dam_setup_skips_polynomial_decision_maker_benchmarks_and_cli(tmp_path):
     )
     assert _run_bare(code) == (
         "['archdam', 'archdam.config', 'archdam.geometry', 'archdam.objectives', "
-        "'archdam.stress_model', 'archdam.willam_warnke']\n"
+        "'archdam.schema', 'archdam.stress_model', 'archdam.willam_warnke']\n"
         "False False\n"
         f"{[True] * 9}\n")
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -57,15 +58,19 @@ def test_variable_layout():
 
 
 def test_canyon_height_validation():
-    with pytest.raises(ValueError, match="^dam height must be positive$"):
+    def below(h):
+        return "^" + re.escape(f"config schema violation at $.geometry.h: {h} is less than the "
+                               "minimum of 15") + "$"
+
+    with pytest.raises(ValueError, match=below(-5.0)):
         CanyonProfile(h=-5.0, w_crest=50.0, w_base=40.0)
     # the height is checked first, so a config's message names it alone
-    with pytest.raises(ValueError, match="^dam height must be positive$"):
+    with pytest.raises(ValueError, match=below(0.0)):
         CanyonProfile(h=0.0, w_crest=-1.0, w_base=40.0)
     # the checks hold for positional arguments as well
-    with pytest.raises(ValueError, match="^dam height must be positive$"):
+    with pytest.raises(ValueError, match=below(-5.0)):
         CanyonProfile(-5.0, 50.0, 40.0)
-    with pytest.raises(ValueError, match="^canyon must not widen with depth$"):
+    with pytest.raises(ValueError, match=r"^\$\.geometry\.w_base exceeds \$\.geometry\.w_crest$"):
         CanyonProfile(100.0, 50.0, 60.0)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,12 +359,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MocssConfig(cmcr=-0.1)
     # numpy's generator takes no negative seed; the schema's mocss.seed floor
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    seed = "^" + re.escape("config schema violation at $.mocss.seed: -1 is less than the "
+                           "minimum of 0") + "$"
+    with pytest.raises(ValueError, match=seed):
         MocssConfig(seed=-1)
     # the checks hold for positional arguments as well
-    with pytest.raises(ValueError, match="need at least two charged particles"):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "config schema violation at $.mocss.n_cps: 1 is less than the minimum of 2") + "$"):
         MocssConfig(1)
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    with pytest.raises(ValueError, match=seed):
         MocssConfig(100, 200, 100, 2.0, 2.0, 1.0, 0.98, 0.5, 0.02, 0.8, 0.3, -1)
 
 

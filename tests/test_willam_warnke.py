@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,11 +278,10 @@ def test_hydrostatic_axis_margin(default_strength, default_coeffs):
 
 
 def test_degenerate_strength_raises():
-    # sigma_h_a = 0 with f_1 = f_cb puts two calibration states at the
-    # same hydrostatic coordinate: the fit system is singular
-    with pytest.raises(DegenerateStrengthError):
-        solve_coefficients(
-            StrengthParams(f_c=30.0, f_t=1.5, f_cb=36.0, f_1=36.0, sigma_h_a=0.0))
+    # a schema-admitted f_1 so large that the tensile-meridian system is
+    # ill-conditioned past the solve's limit
+    with pytest.raises(DegenerateStrengthError, match="^singular calibration system$"):
+        solve_coefficients(StrengthParams(f_1=1e9))
 
 
 def test_strength_defaults_fill_ratios(default_strength):
@@ -292,15 +293,20 @@ def test_strength_defaults_fill_ratios(default_strength):
 
 
 def test_strength_validation():
-    for kwargs in ({"f_c": 0.0}, {"f_t": -1.5}):
-        with pytest.raises(ValueError, match="^strengths must be positive$"):
-            StrengthParams(**kwargs)
-    with pytest.raises(ValueError, match="^tensile strength must be below compressive$"):
+    def not_positive(key, value):
+        return "^" + re.escape(f"config schema violation at $.strength.{key}: {value} is less "
+                               "than or equal to the minimum of 0") + "$"
+
+    not_below = r"^\$\.strength\.f_t is not below \$\.strength\.f_c$"
+    for key, value in (("f_c", 0.0), ("f_t", -1.5)):
+        with pytest.raises(ValueError, match=not_positive(key, value)):
+            StrengthParams(**{key: value})
+    with pytest.raises(ValueError, match=not_below):
         StrengthParams(f_c=30.0, f_t=30.0)
     # the checks hold for positional arguments as well
-    with pytest.raises(ValueError, match="^strengths must be positive$"):
+    with pytest.raises(ValueError, match=not_positive("f_c", -30.0)):
         StrengthParams(-30.0, 1.5)
-    with pytest.raises(ValueError, match="^tensile strength must be below compressive$"):
+    with pytest.raises(ValueError, match=not_below):
         StrengthParams(30.0, 31.0)
     # a supplied triaxial constant is kept, the others take their ratio
     s = StrengthParams(40.0, 2.0, 50.0)
